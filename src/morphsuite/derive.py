@@ -3,13 +3,31 @@
 Affixes are surface-realized: composing is plain concatenation of the prefix
 block, the root, and the suffix block. Alternative orderings permute affixes
 within their slot block only; prefixes never migrate past the root.
+
+Enumeration order is itertools.permutations order over the prefix block
+(outer) and the suffix block (inner); a surface reached by several orderings
+is represented by the first of them.
+
+The nearest negatives (lang_agnostic, lang_specific_tr) are found without
+scoring every ordering: a depth-first search places the prefix block, the
+root, then the suffix block, one affix per step, and each step extends a
+Levenshtein DP row against the gold surface by that affix's characters, so
+orderings that share a prefix share its rows. A form already tried at the
+same depth is skipped. Every ordering has the gold surface's length, so
+with i characters placed, every completion of a row is at least
+min_j(row[j] + |i - j|) away from gold (the cutoff of Ukkonen, 1985). A
+branch is pruned only when that bound is strictly greater than the current
+k-th best distance: ties survive, which keeps the (distance, surface) order
+exact.
 """
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import islice, permutations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from morphsuite import profiles
 from morphsuite.distance import levenshtein
@@ -102,13 +120,17 @@ def ordering_space(word: SegmentedWord) -> int:
     return math.factorial(len(word.prefix_forms)) * math.factorial(len(word.suffix_forms))
 
 
-def _candidates_from_orders(word: SegmentedWord, root: str, orders) -> list[CandidateDerivation]:
+def _gold(word: SegmentedWord) -> str:
+    return compose_forms(word.root, word.prefix_forms, word.suffix_forms)
+
+
+def _candidates_from_orders(word: SegmentedWord, orders) -> list[CandidateDerivation]:
     """Realize orderings as surfaces, deduplicated; gold status follows the
     surface, so colliding orderings can never split the gold mark."""
-    gold = compose_forms(root, word.prefix_forms, word.suffix_forms)
+    gold = _gold(word)
     seen: dict[str, CandidateDerivation] = {}
     for prefix_order, suffix_order in orders:
-        surface = compose_forms(root, prefix_order, suffix_order)
+        surface = compose_forms(word.root, prefix_order, suffix_order)
         if surface in seen:
             continue
         seen[surface] = CandidateDerivation(
@@ -122,16 +144,9 @@ def _candidates_from_orders(word: SegmentedWord, root: str, orders) -> list[Cand
 
 
 def enumerate_orderings(
-    word: SegmentedWord,
-    *,
-    cap: int = DEFAULT_ORDERING_CAP,
-    root: str | None = None,
+    word: SegmentedWord, *, cap: int = DEFAULT_ORDERING_CAP
 ) -> list[CandidateDerivation]:
-    """All per-block orderings of the word's affixes, deduplicated by surface.
-
-    ``root`` substitutes a different root (e.g. a nonce) into every surface
-    while keeping the ordering enumeration identical.
-    """
+    """All per-block orderings of the word's affixes, deduplicated by surface."""
     if word.morpheme_count < 1:
         raise EmptyAffix(f"record {word.record_id} has no affixes")
     if ordering_space(word) > cap:
@@ -143,7 +158,7 @@ def enumerate_orderings(
         for pp in permutations(word.prefix_forms)
         for sp in permutations(word.suffix_forms)
     )
-    return _candidates_from_orders(word, root if root is not None else word.root, orders)
+    return _candidates_from_orders(word, orders)
 
 
 def _unrank_permutation(items: Sequence[str], index: int) -> tuple[str, ...]:
@@ -157,13 +172,7 @@ def _unrank_permutation(items: Sequence[str], index: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def sample_orderings(
-    word: SegmentedWord,
-    n: int,
-    rng,
-    *,
-    root: str | None = None,
-) -> list[CandidateDerivation]:
+def sample_orderings(word: SegmentedWord, n: int, rng) -> list[CandidateDerivation]:
     """Uniform sample of n orderings without replacement, always incl. gold.
 
     Used when the full ordering space exceeds the cap; index 0 is the gold
@@ -184,45 +193,158 @@ def sample_orderings(
                 _unrank_permutation(word.suffix_forms, s_index),
             )
         )
-    return _candidates_from_orders(word, root if root is not None else word.root, orders)
+    return _candidates_from_orders(word, orders)
 
 
-def candidate_pool(
-    word: SegmentedWord,
-    *,
-    cap: int = DEFAULT_ORDERING_CAP,
-    rng=None,
-    root: str | None = None,
-) -> tuple[list[CandidateDerivation], bool]:
-    """Candidates for negative selection, sampling when the cap is exceeded.
+def candidate_pool(word: SegmentedWord, *, rng=None) -> tuple[list[CandidateDerivation], bool]:
+    """All orderings, or a seeded sample of DEFAULT_ORDERING_CAP of them above it.
 
     Returns (candidates, truncated). Sampling requires an rng; without one
     the cap overflow propagates as CombinatorialCap.
     """
-    if ordering_space(word) <= cap or rng is None:
-        return enumerate_orderings(word, cap=cap, root=root), False
-    return sample_orderings(word, cap, rng, root=root), True
+    if ordering_space(word) <= DEFAULT_ORDERING_CAP or rng is None:
+        return enumerate_orderings(word), False
+    return sample_orderings(word, DEFAULT_ORDERING_CAP, rng), True
 
 
-def _manual_negative(word: SegmentedWord, root: str) -> CandidateDerivation:
+def samples_orderings(word: SegmentedWord, strategy: str) -> bool:
+    """True when select_negatives draws from a sample of the orderings
+    rather than all of them: random above DEFAULT_ORDERING_CAP."""
+    return strategy == RANDOM and ordering_space(word) > DEFAULT_ORDERING_CAP
+
+
+def _negative_orderings(word: SegmentedWord) -> Iterator[tuple[str, tuple, tuple]]:
+    """(surface, prefix_order, suffix_order) for each distinct non-gold,
+    non-known-valid surface, lazily and in enumeration order."""
+    seen = {_gold(word)} | word.known_valid_alternatives
+    for prefix_order in permutations(word.prefix_forms):
+        for suffix_order in permutations(word.suffix_forms):
+            surface = compose_forms(word.root, prefix_order, suffix_order)
+            if surface not in seen:
+                seen.add(surface)
+                yield surface, prefix_order, suffix_order
+
+
+def _candidate(word: SegmentedWord, surface: str, prefix_order, suffix_order):
+    return CandidateDerivation(
+        surface=surface,
+        prefix_order=tuple(prefix_order),
+        suffix_order=tuple(suffix_order),
+        is_gold=False,
+        levenshtein_to_gold=levenshtein(surface, _gold(word)),
+    )
+
+
+def _nearest(
+    word: SegmentedWord,
+    k: int,
+    keep: Callable[[str], bool] | None = None,
+    prune: Callable[[str], bool] | None = None,
+) -> list[CandidateDerivation]:
+    """The k distinct negatives nearest to gold whose surface passes keep,
+    sorted by (distance, surface); the branch-and-bound search of the
+    module docstring. prune(text) may declare that no surface starting
+    with text passes keep."""
+    if k < 1:
+        return []
+    gold = _gold(word)
+    excluded = {gold} | word.known_valid_alternatives
+    best: list[tuple[int, str, tuple, tuple]] = []  # sorted (distance, surface, orders)
+    cutoff = math.inf  # k-th best distance once k negatives are known
+    prefix_order: list[str] = []
+    suffix_order: list[str] = []
+
+    def extend(row: list[int], text: str) -> list[int]:
+        for ch in text:
+            prev, left = row, row[0] + 1
+            row = [left]
+            for g, diag, up in zip(gold, prev, prev[1:]):
+                # Neighbouring cells differ by at most 1, so a match takes diag.
+                left = diag if ch == g else 1 + min(diag, up, left)
+                row.append(left)
+        return row
+
+    def permute(order: list[str], remaining: tuple, row: list[int], text: str, then) -> None:
+        if not remaining:
+            then(row, text)
+            return
+        tried = set()
+        for index, form in enumerate(remaining):
+            if form in tried:
+                continue
+            tried.add(form)
+            extended = extend(row, form)
+            placed = text + form
+            # The bound min_j(row[j] + |i - j|) equals row[i] for i placed
+            # characters: neighbouring cells differ by at most 1, so the
+            # term never falls as j moves away from i.
+            if extended[len(placed)] > cutoff or (prune is not None and prune(placed)):
+                continue
+            order.append(form)
+            permute(order, remaining[:index] + remaining[index + 1:], extended, placed, then)
+            order.pop()
+
+    def leaf(row: list[int], surface: str) -> None:
+        nonlocal cutoff
+        distance = row[-1]
+        if distance > cutoff or surface in excluded:
+            return
+        if keep is not None and not keep(surface):
+            return
+        if any(surface == entry[1] for entry in best):
+            return  # an earlier ordering already realized this surface
+        if len(best) == k:
+            if (distance, surface) > best[-1][:2]:
+                return
+            best.pop()
+        insort(best, (distance, surface, tuple(prefix_order), tuple(suffix_order)))
+        if len(best) == k:
+            cutoff = best[-1][0]
+
+    def after_prefixes(row: list[int], text: str) -> None:
+        row, text = extend(row, word.root), text + word.root
+        permute(suffix_order, tuple(word.suffix_forms), row, text, leaf)
+
+    permute(prefix_order, tuple(word.prefix_forms), list(range(len(gold) + 1)), "", after_prefixes)
+    return [
+        CandidateDerivation(surface, po, so, False, distance)
+        for distance, surface, po, so in best
+    ]
+
+
+def _smooth_first(nearest, k: int, profile: profiles.LanguageProfile) -> list:
+    """lang_specific_tr: the nearest surfaces without adjacent vowels, then
+    the nearest clashing ones, only when fewer than k smooth ones exist."""
+
+    def clashes(surface: str) -> bool:
+        return profiles.has_adjacent_vowels(surface, profile)
+
+    # A clashing prefix makes every completion clash, so it ends a smooth branch.
+    chosen = nearest(k, lambda surface: not clashes(surface), clashes)
+    if len(chosen) < k:
+        chosen += nearest(k - len(chosen), clashes)
+    return chosen
+
+
+def _manual_negative(word: SegmentedWord) -> CandidateDerivation:
     if not word.manual_negative_affix:
         raise NoNegativeAvailable(
             f"record {word.record_id}: 1-morpheme items need manual_negative_affix"
         )
-    gold = compose_forms(root, word.prefix_forms, word.suffix_forms)
-    surface = compose_forms(root, [], [word.manual_negative_affix])
-    return CandidateDerivation(
-        surface=surface,
-        prefix_order=(),
-        suffix_order=(word.manual_negative_affix,),
-        is_gold=False,
-        levenshtein_to_gold=levenshtein(surface, gold),
-    )
+    surface = compose_forms(word.root, [], [word.manual_negative_affix])
+    return _candidate(word, surface, (), (word.manual_negative_affix,))
 
 
 def default_k(morpheme_count: int) -> int:
     """Negatives per sample: 1 for 1-2 morphemes, 4 for 3 or more."""
     return 1 if morpheme_count <= 2 else 4
+
+
+def _rank(word: SegmentedWord, pool, k: int, keep=None, prune=None) -> list[CandidateDerivation]:
+    """_nearest over a given pool of orderings: score each one, then sort.
+    prune only speeds up the search, so it is not needed here."""
+    scored = [_candidate(word, *o) for o in pool if keep is None or keep(o[0])]
+    return sorted(scored, key=lambda c: (c.levenshtein_to_gold, c.surface))[:k]
 
 
 def select_negatives(
@@ -232,16 +354,30 @@ def select_negatives(
     rng=None,
     *,
     profile: profiles.LanguageProfile | None = None,
-    cap: int = DEFAULT_ORDERING_CAP,
     candidates: list[CandidateDerivation] | None = None,
-    root: str | None = None,
 ) -> list[CandidateDerivation]:
     """Pick k invalid orderings for a record under the given strategy.
 
-    random: uniform k-subset. lang_agnostic: smallest distance to gold,
-    lexicographic tie-break. lang_specific_tr: as lang_agnostic, preferring
-    surfaces without adjacent vowels, backfilling only when fewer than k
-    qualify. Gold and known-valid surfaces are never returned.
+    random: uniform k-subset, drawn with rng.sample from the distinct
+    surfaces in enumeration order; edit distances are computed for the
+    picks only. Above DEFAULT_ORDERING_CAP orderings the pool is a seeded
+    sample of that many orderings (sample_orderings).
+
+    lang_agnostic: the k surfaces with the smallest edit distance to gold,
+    ties broken by the surface string. The branch-and-bound search of the
+    module docstring finds them exactly at any ordering-space size: a branch
+    is pruned only when its bound min_j(row[j] + |i - j|) is strictly
+    greater than the k-th best distance found so far.
+
+    lang_specific_tr: as lang_agnostic over surfaces without adjacent
+    vowels (a branch whose placed text already clashes is cut); a second
+    search backfills from the clashing surfaces only when fewer than k
+    smooth ones exist.
+
+    A record with at most k distinct negative surfaces gets all of them, in
+    enumeration order rather than ranked, under every strategy. Gold and
+    known-valid surfaces are never returned. ``candidates`` replaces the
+    record's own orderings with a given list, sampled or fully ranked.
     """
     if strategy not in STRATEGIES:
         raise UnsupportedStrategy(f"unknown strategy {strategy!r}")
@@ -253,27 +389,26 @@ def select_negatives(
         k = default_k(word.morpheme_count)
 
     if word.morpheme_count == 1:
-        return [_manual_negative(word, root if root is not None else word.root)]
+        return [_manual_negative(word)]
+    if strategy == LANG_SPECIFIC_TR and profile is None:
+        profile = profiles.load_profile(word.language_id)
 
+    if candidates is None and samples_orderings(word, strategy):
+        candidates, _ = candidate_pool(word, rng=rng)
     if candidates is None:
-        candidates, _ = candidate_pool(word, cap=cap, rng=rng, root=root)
-    pool = [c for c in candidates if not c.is_gold]
-    if len(pool) <= k:
-        return list(pool)
+        # Only random needs the whole pool; the others need to know if it exceeds k.
+        pool = list(islice(_negative_orderings(word), None if strategy == RANDOM else k + 1))
+        nearest = partial(_nearest, word)
+    else:
+        pool = [(c.surface, c.prefix_order, c.suffix_order) for c in candidates if not c.is_gold]
+        nearest = partial(_rank, word, pool)
 
-    if strategy == RANDOM:
+    if len(pool) > k and strategy == RANDOM:
         if rng is None:
             raise ValueError("random strategy needs an rng")
-        return rng.sample(pool, k)
-
-    ranked = sorted(pool, key=lambda c: (c.levenshtein_to_gold, c.surface))
+        pool = rng.sample(pool, k)
+    if len(pool) <= k:
+        return [_candidate(word, *ordering) for ordering in pool]
     if strategy == LANG_AGNOSTIC:
-        return ranked[:k]
-
-    if profile is None:
-        profile = profiles.load_profile(word.language_id)
-    smooth = [c for c in ranked if not profiles.has_adjacent_vowels(c.surface, profile)]
-    if len(smooth) >= k:
-        return smooth[:k]
-    clashing = [c for c in ranked if profiles.has_adjacent_vowels(c.surface, profile)]
-    return smooth + clashing[: k - len(smooth)]
+        return nearest(k)
+    return _smooth_first(nearest, k, profile)

@@ -1,21 +1,25 @@
-"""Levenshtein distance with backend selection at import time.
+"""Levenshtein distance over Unicode scalar values.
 
-Prefers the compiled kernel built from _kernels.pyx and falls back to the
-pure-Python implementation. Set MORPHSUITE_PURE_PYTHON=1 to force the
-fallback (used by the benchmark and by tests comparing both).
+Two-row dynamic program; O(len(a)*len(b)) time, O(min(len)) space. The
+branch-and-bound negative search in morphsuite.derive computes the same
+rows incrementally; this function is its reference.
 """
-import os
 
-from morphsuite._kernels_py import levenshtein as _levenshtein_py
 
-if os.environ.get("MORPHSUITE_PURE_PYTHON"):
-    levenshtein = _levenshtein_py
-    BACKEND = "python"
-else:
-    try:
-        from morphsuite._kernels import levenshtein  # type: ignore[no-redef]
+def levenshtein(a: str, b: str) -> int:
+    """Minimal insertions/deletions/substitutions turning a into b."""
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
 
-        BACKEND = "c"
-    except ImportError:
-        levenshtein = _levenshtein_py
-        BACKEND = "python"
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, cb in enumerate(b, start=1):
+            cost = prev[j - 1] if ca == cb else prev[j - 1] + 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, cost)
+        prev = cur
+    return prev[-1]

@@ -379,7 +379,6 @@ def build_instances(
     k: int | None = None,
     seed: int = 0,
     split: str = EVAL_SPLIT,
-    cap: int = derive.DEFAULT_ORDERING_CAP,
 ) -> BuildResult:
     """Build task instances for one (task, distribution) cell.
 
@@ -413,20 +412,19 @@ def build_instances(
 
         options = None
         if task == SYSTEMATICITY:
-            rng_neg = make_rng(seed, record.record_id, "negatives")
+            if derive.samples_orderings(record, strategy):
+                warnings.append(
+                    f"record {record.record_id}: ordering space over cap "
+                    f"{derive.DEFAULT_ORDERING_CAP}, candidates sampled"
+                )
             try:
-                if record.morpheme_count == 1:
-                    negatives = derive.select_negatives(record, strategy, k, rng_neg)
-                else:
-                    candidates, truncated = derive.candidate_pool(record, cap=cap, rng=rng_neg)
-                    if truncated:
-                        warnings.append(
-                            f"record {record.record_id}: ordering space over cap {cap}, "
-                            "candidates sampled"
-                        )
-                    negatives = derive.select_negatives(
-                        record, strategy, k, rng_neg, candidates=candidates
-                    )
+                negatives = derive.select_negatives(
+                    record,
+                    strategy,
+                    k,
+                    make_rng(seed, record.record_id, "negatives"),
+                    profile=profile_for(record.language_id),
+                )
             except NoNegativeAvailable as exc:
                 warnings.append(f"record {record.record_id} skipped: {exc}")
                 continue
@@ -510,17 +508,16 @@ def build_suite(
     k: int | None = None,
     seed: int = 0,
     demo_fraction: float = 0.1,
-    cap: int = derive.DEFAULT_ORDERING_CAP,
 ) -> tuple[list[TaskInstance], dict]:
     """Build eval + demo instances and the manifest skeleton for one suite."""
     eval_records, demo_records = split_demo_pool(records, demo_fraction, seed)
     built_eval = build_instances(
         eval_records, task, distribution, context=context, order_mode=order_mode,
-        strategy=strategy, k=k, seed=seed, split=EVAL_SPLIT, cap=cap,
+        strategy=strategy, k=k, seed=seed, split=EVAL_SPLIT,
     )
     built_demo = build_instances(
         demo_records, task, distribution, context=context, order_mode=order_mode,
-        strategy=strategy, k=k, seed=seed, split=DEMO_SPLIT, cap=cap,
+        strategy=strategy, k=k, seed=seed, split=DEMO_SPLIT,
     )
     instances = built_eval.instances + built_demo.instances
 
@@ -540,7 +537,7 @@ def build_suite(
         "k": k if k is not None else "default(1 for counts 1-2, 4 otherwise)",
         "seed": seed,
         "demo_fraction": demo_fraction,
-        "ordering_cap": cap,
+        "ordering_cap": derive.DEFAULT_ORDERING_CAP,
         "strata": {str(n): strata_counts[n] for n in sorted(strata_counts)},
         "warnings": built_eval.warnings + built_demo.warnings,
     }

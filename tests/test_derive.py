@@ -2,17 +2,19 @@ import math
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphsuite import derive
+from morphsuite import derive, suite
 from morphsuite.derive import Affix, SegmentedWord
+from morphsuite.distance import levenshtein
 from morphsuite.errors import (
     CombinatorialCap,
     EmptyAffix,
     NoNegativeAvailable,
     UnsupportedStrategy,
 )
+from morphsuite.profiles import has_adjacent_vowels
 from morphsuite.rng import make_rng
 
 
@@ -136,7 +138,7 @@ def test_select_negatives_deger_tie_band():
 def test_select_negatives_distance_dominance():
     w = word("kişi", ["leş", "tir", "me", "si", "ne"])
     cands = derive.enumerate_orderings(w)
-    selected = derive.select_negatives(w, "lang_agnostic", 4, candidates=cands)
+    selected = derive.select_negatives(w, "lang_agnostic", 4)
     worst = max(c.levenshtein_to_gold for c in selected)
     excluded = [c for c in cands if not c.is_gold and c not in selected]
     assert all(c.levenshtein_to_gold >= worst for c in excluded)
@@ -218,3 +220,103 @@ def test_enumerate_matches_bruteforce(root, suffixes):
     expected = {root + "".join(p) for p in permutations(suffixes)}
     got = {c.surface for c in derive.enumerate_orderings(w)}
     assert got == expected
+
+
+def oracle_negatives(w, strategy, k, rng, profile):
+    """Brute force: every ordering, first ordering per surface, one edit
+    distance each, then a (distance, surface) sort; lang_specific_tr takes
+    the smooth surfaces first and backfills with the clashing ones."""
+    gold = "".join(w.prefix_forms) + w.root + "".join(w.suffix_forms)
+    first = {}
+    for pp in permutations(w.prefix_forms):
+        for sp in permutations(w.suffix_forms):
+            first.setdefault("".join(pp) + w.root + "".join(sp), (pp, sp))
+    pool = [
+        (surface, pp, sp, levenshtein(surface, gold))
+        for surface, (pp, sp) in first.items()
+        if surface != gold and surface not in w.known_valid_alternatives
+    ]
+    if len(pool) <= k:
+        return pool  # enumeration order, unranked
+    if strategy == "random":
+        return rng.sample(pool, k)
+    ranked = sorted(pool, key=lambda c: (c[3], c[0]))
+    if strategy == "lang_agnostic":
+        return ranked[:k]
+    smooth = [c for c in ranked if not has_adjacent_vowels(c[0], profile)]
+    clashing = [c for c in ranked if has_adjacent_vowels(c[0], profile)]
+    return (smooth + clashing)[:k]
+
+
+def _as_tuples(candidates):
+    assert not any(c.is_gold for c in candidates)
+    return [(c.surface, c.prefix_order, c.suffix_order, c.levenshtein_to_gold) for c in candidates]
+
+
+# Colliding segmentations ("l"+"ar" vs "la"+"r"), repeated forms and vowel-only
+# forms, so surface dedup, same-form skipping and the smooth/clashing split all occur.
+_FORMS = st.sampled_from(["l", "ar", "la", "r", "a", "ı", "e", "ler", "ki", "ın", "dı"])
+
+
+@st.composite
+def _words(draw):
+    root = draw(st.text(alphabet="aeıklmrs", min_size=1, max_size=4))
+    prefixes = draw(st.lists(_FORMS, max_size=2))
+    n_prefixes = len(prefixes)
+    suffixes = draw(st.lists(_FORMS, min_size=max(0, 2 - n_prefixes), max_size=6 - n_prefixes))
+    w = word(root, suffixes, prefixes=prefixes)
+    surfaces = {
+        "".join(pp) + root + "".join(sp)
+        for pp in permutations(prefixes)
+        for sp in permutations(suffixes)
+    }
+    alternatives = sorted(surfaces - {w.gold_surface})
+    if alternatives:
+        w.known_valid_alternatives = set(
+            draw(st.lists(st.sampled_from(alternatives), max_size=2, unique=True))
+        )
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words(), st.sampled_from(derive.STRATEGIES), st.integers(1, 6), st.integers(0, 2**16))
+# At most k distinct negatives: returned in enumeration order, which for
+# değer's five is not their distance order.
+@example(word("değer", ["len", "dir", "ip"]), "lang_agnostic", 5, 0)
+@example(word("değer", ["len", "dir", "ip"]), "lang_specific_tr", 6, 0)
+@example(word("değer", ["len", "dir", "ip"]), "random", 5, 0)
+def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, seed):
+    want = oracle_negatives(w, strategy, k, make_rng(seed), turkish)
+    got = derive.select_negatives(w, strategy, k, make_rng(seed), profile=turkish)
+    assert _as_tuples(got) == want
+    given_pool = derive.select_negatives(
+        w, strategy, k, make_rng(seed), profile=turkish, candidates=derive.enumerate_orderings(w)
+    )
+    assert _as_tuples(given_pool) == want
+
+
+def test_select_negatives_above_cap(turkish):
+    # 8! orderings, over DEFAULT_ORDERING_CAP; repeated forms keep the
+    # distinct surfaces, and so the oracle's distance calls, few.
+    w = word("kök", list("aaaabbbc"))
+    assert derive.ordering_space(w) > derive.DEFAULT_ORDERING_CAP
+    # the distance strategies are exact at any size
+    for strategy in ("lang_agnostic", "lang_specific_tr"):
+        got = derive.select_negatives(w, strategy, 4, profile=turkish)
+        assert _as_tuples(got) == oracle_negatives(w, strategy, 4, None, turkish)
+    # random keeps drawing from a seeded sample of DEFAULT_ORDERING_CAP orderings
+    rng = make_rng(3)
+    sampled = derive.sample_orderings(w, derive.DEFAULT_ORDERING_CAP, rng)
+    want = rng.sample([c for c in sampled if not c.is_gold], 4)
+    assert derive.select_negatives(w, "random", 4, make_rng(3)) == want
+    with pytest.raises(CombinatorialCap):
+        derive.select_negatives(w, "random", 4)
+
+    warnings = {
+        strategy: suite.build_instances([w], "systematicity", "id", strategy=strategy).warnings
+        for strategy in ("random", "lang_agnostic")
+    }
+    assert warnings == {
+        "random": ["record t-kök: ordering space over cap 10080, candidates sampled"],
+        "lang_agnostic": [],
+    }
