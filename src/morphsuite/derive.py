@@ -12,21 +12,23 @@ The nearest negatives (lang_agnostic, lang_specific_tr) are found without
 scoring every ordering: a depth-first search places the prefix block, the
 root, then the suffix block, one affix per step, and each step extends a
 Levenshtein DP row against the gold surface by that affix's characters, so
-orderings that share a prefix share its rows. A form already tried at the
-same depth is skipped. Every ordering has the gold surface's length, so
-with i characters placed, every completion of a row is at least
-min_j(row[j] + |i - j|) away from gold (the cutoff of Ukkonen, 1985). A
-branch is pruned only when that bound is strictly greater than the current
-k-th best distance: ties survive, which keeps the (distance, surface) order
-exact.
+orderings that share a prefix share its rows. Orderings that place the same
+text with the same forms left have the same completions, so only the first
+of them is searched; this also keeps one ordering per surface. Every
+ordering has the gold surface's length, so with i characters placed, every
+completion of a row is at least min_j(row[j] + |i - j|) away from gold (the
+cutoff of Ukkonen, 1985). A branch is pruned only when that bound is
+strictly greater than the current k-th best distance: ties survive, which
+keeps the (distance, surface) order exact. The search is still exponential
+in the number of affixes at worst (many distinct surfaces tied at the k-th
+distance); no ordering cap bounds it.
 """
 from __future__ import annotations
 
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice, permutations
+from itertools import islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from morphsuite import profiles
@@ -124,23 +126,39 @@ def _gold(word: SegmentedWord) -> str:
     return compose_forms(word.root, word.prefix_forms, word.suffix_forms)
 
 
+def _all_orders(word: SegmentedWord) -> Iterator[tuple[tuple, tuple]]:
+    """Every (prefix_order, suffix_order) pair, in enumeration order."""
+    for prefix_order in permutations(word.prefix_forms):
+        yield from zip(repeat(prefix_order), permutations(word.suffix_forms))
+
+
+def _distinct(
+    word: SegmentedWord, orders, exclude: Iterable[str] = ()
+) -> Iterator[tuple[str, tuple, tuple]]:
+    """(surface, prefix_order, suffix_order) for the first ordering that
+    realizes each surface not in exclude, lazily."""
+    seen = set(exclude)
+    for prefix_order, suffix_order in orders:
+        surface = compose_forms(word.root, prefix_order, suffix_order)
+        if surface not in seen:
+            seen.add(surface)
+            yield surface, prefix_order, suffix_order
+
+
 def _candidates_from_orders(word: SegmentedWord, orders) -> list[CandidateDerivation]:
     """Realize orderings as surfaces, deduplicated; gold status follows the
     surface, so colliding orderings can never split the gold mark."""
     gold = _gold(word)
-    seen: dict[str, CandidateDerivation] = {}
-    for prefix_order, suffix_order in orders:
-        surface = compose_forms(word.root, prefix_order, suffix_order)
-        if surface in seen:
-            continue
-        seen[surface] = CandidateDerivation(
+    return [
+        CandidateDerivation(
             surface=surface,
             prefix_order=tuple(prefix_order),
             suffix_order=tuple(suffix_order),
             is_gold=surface == gold or surface in word.known_valid_alternatives,
             levenshtein_to_gold=levenshtein(surface, gold),
         )
-    return list(seen.values())
+        for surface, prefix_order, suffix_order in _distinct(word, orders)
+    ]
 
 
 def enumerate_orderings(
@@ -153,12 +171,7 @@ def enumerate_orderings(
         raise CombinatorialCap(
             f"record {word.record_id}: {ordering_space(word)} orderings exceed cap {cap}"
         )
-    orders = (
-        (pp, sp)
-        for pp in permutations(word.prefix_forms)
-        for sp in permutations(word.suffix_forms)
-    )
-    return _candidates_from_orders(word, orders)
+    return _candidates_from_orders(word, _all_orders(word))
 
 
 def _unrank_permutation(items: Sequence[str], index: int) -> tuple[str, ...]:
@@ -214,15 +227,8 @@ def samples_orderings(word: SegmentedWord, strategy: str) -> bool:
 
 
 def _negative_orderings(word: SegmentedWord) -> Iterator[tuple[str, tuple, tuple]]:
-    """(surface, prefix_order, suffix_order) for each distinct non-gold,
-    non-known-valid surface, lazily and in enumeration order."""
-    seen = {_gold(word)} | word.known_valid_alternatives
-    for prefix_order in permutations(word.prefix_forms):
-        for suffix_order in permutations(word.suffix_forms):
-            surface = compose_forms(word.root, prefix_order, suffix_order)
-            if surface not in seen:
-                seen.add(surface)
-                yield surface, prefix_order, suffix_order
+    """_distinct over every ordering, without gold and known-valid surfaces."""
+    return _distinct(word, _all_orders(word), {_gold(word)} | word.known_valid_alternatives)
 
 
 def _candidate(word: SegmentedWord, surface: str, prefix_order, suffix_order):
@@ -253,6 +259,7 @@ def _nearest(
     cutoff = math.inf  # k-th best distance once k negatives are known
     prefix_order: list[str] = []
     suffix_order: list[str] = []
+    searched: set[str] = set()  # block + placed text, then the sorted forms left, NUL-joined
 
     def extend(row: list[int], text: str) -> list[int]:
         for ch in text:
@@ -264,24 +271,30 @@ def _nearest(
                 row.append(left)
         return row
 
-    def permute(order: list[str], remaining: tuple, row: list[int], text: str, then) -> None:
+    def permute(
+        block: str, order: list[str], remaining: tuple, row: list[int], text: str, then
+    ) -> None:
         if not remaining:
             then(row, text)
             return
-        tried = set()
         for index, form in enumerate(remaining):
-            if form in tried:
-                continue
-            tried.add(form)
-            extended = extend(row, form)
+            rest = remaining[:index] + remaining[index + 1:]
             placed = text + form
+            # Placed text and the multiset of forms left fix every completion,
+            # so only the first ordering to reach them is searched. A string
+            # key, unlike a tuple, adds nothing for the garbage collector to scan.
+            state = "\0".join((block + placed, *sorted(rest)))
+            if state in searched:
+                continue
+            searched.add(state)
+            extended = extend(row, form)
             # The bound min_j(row[j] + |i - j|) equals row[i] for i placed
             # characters: neighbouring cells differ by at most 1, so the
             # term never falls as j moves away from i.
             if extended[len(placed)] > cutoff or (prune is not None and prune(placed)):
                 continue
             order.append(form)
-            permute(order, remaining[:index] + remaining[index + 1:], extended, placed, then)
+            permute(block, order, rest, extended, placed, then)
             order.pop()
 
     def leaf(row: list[int], surface: str) -> None:
@@ -291,8 +304,6 @@ def _nearest(
             return
         if keep is not None and not keep(surface):
             return
-        if any(surface == entry[1] for entry in best):
-            return  # an earlier ordering already realized this surface
         if len(best) == k:
             if (distance, surface) > best[-1][:2]:
                 return
@@ -303,16 +314,17 @@ def _nearest(
 
     def after_prefixes(row: list[int], text: str) -> None:
         row, text = extend(row, word.root), text + word.root
-        permute(suffix_order, tuple(word.suffix_forms), row, text, leaf)
+        permute(SUFFIX, suffix_order, tuple(word.suffix_forms), row, text, leaf)
 
-    permute(prefix_order, tuple(word.prefix_forms), list(range(len(gold) + 1)), "", after_prefixes)
+    start = list(range(len(gold) + 1))
+    permute(PREFIX, prefix_order, tuple(word.prefix_forms), start, "", after_prefixes)
     return [
         CandidateDerivation(surface, po, so, False, distance)
         for distance, surface, po, so in best
     ]
 
 
-def _smooth_first(nearest, k: int, profile: profiles.LanguageProfile) -> list:
+def _smooth_first(word: SegmentedWord, k: int, profile: profiles.LanguageProfile) -> list:
     """lang_specific_tr: the nearest surfaces without adjacent vowels, then
     the nearest clashing ones, only when fewer than k smooth ones exist."""
 
@@ -320,9 +332,9 @@ def _smooth_first(nearest, k: int, profile: profiles.LanguageProfile) -> list:
         return profiles.has_adjacent_vowels(surface, profile)
 
     # A clashing prefix makes every completion clash, so it ends a smooth branch.
-    chosen = nearest(k, lambda surface: not clashes(surface), clashes)
+    chosen = _nearest(word, k, lambda surface: not clashes(surface), clashes)
     if len(chosen) < k:
-        chosen += nearest(k - len(chosen), clashes)
+        chosen += _nearest(word, k - len(chosen), clashes)
     return chosen
 
 
@@ -338,13 +350,6 @@ def _manual_negative(word: SegmentedWord) -> CandidateDerivation:
 def default_k(morpheme_count: int) -> int:
     """Negatives per sample: 1 for 1-2 morphemes, 4 for 3 or more."""
     return 1 if morpheme_count <= 2 else 4
-
-
-def _rank(word: SegmentedWord, pool, k: int, keep=None, prune=None) -> list[CandidateDerivation]:
-    """_nearest over a given pool of orderings: score each one, then sort.
-    prune only speeds up the search, so it is not needed here."""
-    scored = [_candidate(word, *o) for o in pool if keep is None or keep(o[0])]
-    return sorted(scored, key=lambda c: (c.levenshtein_to_gold, c.surface))[:k]
 
 
 def select_negatives(
@@ -377,7 +382,9 @@ def select_negatives(
     A record with at most k distinct negative surfaces gets all of them, in
     enumeration order rather than ranked, under every strategy. Gold and
     known-valid surfaces are never returned. ``candidates`` replaces the
-    record's own orderings with a given list, sampled or fully ranked.
+    record's own orderings with a given list: random samples from it, and
+    the distance strategies accept it only when it holds at most k
+    negatives (ValueError otherwise).
     """
     if strategy not in STRATEGIES:
         raise UnsupportedStrategy(f"unknown strategy {strategy!r}")
@@ -398,17 +405,17 @@ def select_negatives(
     if candidates is None:
         # Only random needs the whole pool; the others need to know if it exceeds k.
         pool = list(islice(_negative_orderings(word), None if strategy == RANDOM else k + 1))
-        nearest = partial(_nearest, word)
     else:
         pool = [(c.surface, c.prefix_order, c.suffix_order) for c in candidates if not c.is_gold]
-        nearest = partial(_rank, word, pool)
 
-    if len(pool) > k and strategy == RANDOM:
-        if rng is None:
-            raise ValueError("random strategy needs an rng")
-        pool = rng.sample(pool, k)
     if len(pool) <= k:
         return [_candidate(word, *ordering) for ordering in pool]
+    if strategy == RANDOM:
+        if rng is None:
+            raise ValueError("random strategy needs an rng")
+        return [_candidate(word, *ordering) for ordering in rng.sample(pool, k)]
+    if candidates is not None:
+        raise ValueError(f"candidates= is a pool for {RANDOM} only, not for {strategy}")
     if strategy == LANG_AGNOSTIC:
-        return nearest(k)
-    return _smooth_first(nearest, k, profile)
+        return _nearest(word, k)
+    return _smooth_first(word, k, profile)
