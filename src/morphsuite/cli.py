@@ -22,7 +22,7 @@ from morphsuite.errors import (
     TransportError,
     UsageError,
 )
-from morphsuite.jsonl import read_jsonl, write_json, write_jsonl
+from morphsuite.jsonl import read_json, read_jsonl, write_json, write_jsonl
 from morphsuite.rng import derive_seed
 
 # Answer-normalization rules recorded in evaluate manifests so reported
@@ -290,8 +290,12 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.config, encoding="utf-8") as f:
-        cfg = json.load(f)
+    cfg = read_json(args.config)
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"{args.config}: report config must be a JSON object")
+    for required in ("language", "input", "model_config"):
+        if required not in cfg:
+            raise SchemaError(f"{args.config}: report config lacks {required!r}")
 
     out_dir = Path(cfg.get("out_dir") or args.out_dir or "morphsuite-run")
     seed = cfg.get("seed", 0)
@@ -320,7 +324,7 @@ def cmd_report(args) -> int:
     if isinstance(model_cfg, str):
         model = client.ModelConfig.from_file(model_cfg)
     else:
-        model = client.ModelConfig(**model_cfg)
+        model = client.ModelConfig.from_dict(model_cfg, f"{args.config}: model_config")
     cache = client.ResponseCache(cfg.get("cache") or out_dir / "cache")
     catalog = prompts.load_templates(cfg.get("templates"))
 

@@ -12,9 +12,11 @@ import hashlib
 import json
 import os
 import re
+import sys
+import threading
 import time
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from morphsuite import derive, profiles
@@ -25,7 +27,7 @@ from morphsuite.errors import (
     SchemaError,
     TransportError,
 )
-from morphsuite.jsonl import dumps
+from morphsuite.jsonl import dumps, read_json
 from morphsuite.rng import make_rng
 
 YES = "yes"
@@ -67,10 +69,22 @@ class ModelConfig:
             raise SchemaError("top_p must be in (0, 1]")
 
     @classmethod
-    def from_file(cls, path) -> "ModelConfig":
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+    def from_dict(cls, data, source) -> "ModelConfig":
+        """Build a config from parsed JSON; a non-object, an unknown key or a
+        missing required key raises SchemaError naming it."""
+        if not isinstance(data, dict):
+            raise SchemaError(f"{source}: model config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchemaError(f"{source}: unknown model config key {unknown[0]!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise SchemaError(f"{source}: model config lacks {f.name!r}")
         return cls(**data)
+
+    @classmethod
+    def from_file(cls, path) -> "ModelConfig":
+        return cls.from_dict(read_json(path), path)
 
     @property
     def is_mock(self) -> bool:
@@ -94,39 +108,49 @@ class Completion:
 
 
 class ResponseCache:
-    """Content-addressed directory of response files.
-
-    The key digests (endpoint, model, temperature, top_p, max_tokens,
-    prompt); any parameter change misses. Writes are atomic, so a run can
-    always read its own writes.
+    """Append-only log of {"key": ..., "response": ...} JSON lines in
+    <directory>/responses.jsonl, read once on open; a repeated key keeps its
+    last response. The key digests (endpoint, model, temperature, top_p,
+    max_tokens, prompt); any parameter change misses.
     """
 
     def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = Path(directory) / "responses.jsonl"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        data = self.path.read_bytes() if self.path.exists() else b""
+        # a run killed mid-append leaves a torn last line: end it before appending
+        self._separator = b"\n" if data and not data.endswith(b"\n") else b""
+        self._lock = threading.Lock()
+        self._responses = {}
+        skipped = 0
+        for line in filter(None, data.split(b"\n")):
+            try:
+                entry = json.loads(line)
+                key, response = entry["key"], entry["response"]
+            except (ValueError, KeyError, TypeError):
+                key = response = None
+            if isinstance(key, str) and isinstance(response, str):
+                self._responses[key] = response
+            else:
+                skipped += 1
+        if skipped:
+            print(f"warning: {self.path}: {skipped} unreadable cache lines skipped", file=sys.stderr)
 
     def key(self, cfg: ModelConfig, prompt: str) -> str:
         material = dumps(cfg.cache_key_material(prompt))
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
     def get(self, cfg: ModelConfig, prompt: str) -> str | None:
-        path = self._path(self.key(cfg, prompt))
-        if not path.exists():
-            return None
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)["response"]
+        return self._responses.get(self.key(cfg, prompt))
 
     def put(self, cfg: ModelConfig, prompt: str, response: str) -> None:
-        import tempfile
-
-        path = self._path(self.key(cfg, prompt))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump({"response": response}, f, ensure_ascii=False, sort_keys=True)
-        os.replace(tmp, path)
+        key = self.key(cfg, prompt)
+        entry = json.dumps({"key": key, "response": response}).encode("ascii") + b"\n"
+        with self._lock:  # evaluate_rows puts from pool threads
+            line = self._separator + entry
+            with open(self.path, "ab", buffering=0) as log:  # one write(2) with O_APPEND
+                self._separator = b"" if log.write(line) == len(line) else b"\n"
+            self._responses[key] = response
 
 
 def _default_transport(url, payload, headers, timeout):
@@ -230,12 +254,12 @@ def complete(
 # Answer parsing
 # ---------------------------------------------------------------------------
 
-def parse_productivity(raw_text: str, profile: profiles.LanguageProfile) -> str | None:
-    """Extract the generated word; None means parse failure (scores wrong).
+def _extract_answer(raw_text: str | None) -> str | None:
+    """The answer span of a raw response, NFC-normalized; None when empty.
 
     Rules: prefer the last <Answer> tag if present, else the last nonempty
     line; drop any label before the last colon; strip surrounding quotes and
-    punctuation; NFC-normalize and case-fold via the profile.
+    punctuation.
     """
     if raw_text is None:
         return None
@@ -247,40 +271,26 @@ def parse_productivity(raw_text: str, profile: profiles.LanguageProfile) -> str 
         if not lines:
             return None
         candidate = lines[-1]
-    if ":" in candidate:
-        candidate = candidate.rsplit(":", 1)[1]
-    candidate = candidate.strip(_STRIP_CHARS)
-    candidate = unicodedata.normalize("NFC", candidate)
-    candidate = profiles.case_fold(candidate, profile)
-    return candidate or None
+    candidate = candidate.rsplit(":", 1)[-1].strip(_STRIP_CHARS)
+    return unicodedata.normalize("NFC", candidate) or None
 
 
-def parse_systematicity(
-    raw_text: str,
-    instruction_language: str | None = None,
-    cot: bool = False,
-) -> str | None:
+def parse_productivity(raw_text: str, profile: profiles.LanguageProfile) -> str | None:
+    """Extract the generated word, case-folded via the profile; None means
+    parse failure (scores wrong)."""
+    candidate = _extract_answer(raw_text)
+    if candidate is None:
+        return None
+    return profiles.case_fold(candidate, profile) or None
+
+
+def parse_systematicity(raw_text: str) -> str | None:
     """Map a yes/no style answer to polarity; None means parse failure.
 
-    Accepted tokens (any instruction language): yes, no, evet, hayır,
-    kyllä, ei. With cot=True the last <Answer> tag is consulted first.
+    Accepted tokens, whatever the instruction language: yes, no, evet,
+    hayır, kyllä, ei.
     """
-    del instruction_language, cot  # tokens of every language are always accepted,
-    # and <Answer> tags are always consulted first when present
-    if raw_text is None:
-        return None
-    tags = _ANSWER_TAG.findall(raw_text)
-    if tags:
-        candidate = tags[-1]
-    else:
-        lines = [line for line in raw_text.splitlines() if line.strip()]
-        if not lines:
-            return None
-        candidate = lines[-1]
-    if ":" in candidate:
-        candidate = candidate.rsplit(":", 1)[1]
-    token = unicodedata.normalize("NFC", candidate.strip(_STRIP_CHARS)).casefold()
-    return _POLARITY.get(token)
+    return _POLARITY.get((_extract_answer(raw_text) or "").casefold())
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +390,12 @@ class EvalRecord:
 
 
 def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:
-    """Parse one raw response according to the prompt row's task/variant."""
-    cot = row.get("variant") == "cot"
+    """Parse one raw response according to the prompt row's task."""
     if row["task"] == suite_mod.PRODUCTIVITY:
         profile = suite_mod.profile_for(row["language_id"])
         word = parse_productivity(raw_text, profile)
         return (WORD, word) if word is not None else (PARSE_FAILURE, None)
-    polarity = parse_systematicity(raw_text, row.get("instruction_language"), cot=cot)
+    polarity = parse_systematicity(raw_text)
     return (polarity, polarity) if polarity is not None else (PARSE_FAILURE, None)
 
 

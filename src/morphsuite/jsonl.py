@@ -50,6 +50,15 @@ def read_jsonl(path):
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
+def read_json(path):
+    """Parse one JSON document; invalid JSON raises SchemaError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

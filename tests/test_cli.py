@@ -129,6 +129,36 @@ class TestPipeline:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("config, named", [
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "colour": "red"}', "'colour'"),
+        ('{"model_name": "m"}', "'endpoint_url'"),
+        ('{"endpoint_url": "mock://echo-gold"}', "'model_name'"),
+        ('"mock://echo-gold"', "JSON object"),
+        ('{"endpoint_url": ', "invalid JSON"),
+    ])
+    def test_bad_model_config_exits_1_with_one_line(self, workdir, capsys, config, named):
+        write_jsonl("prompts.jsonl", [])
+        Path("model.json").write_text(config, encoding="utf-8")
+        code = run([
+            "evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
+            "--out", "records.jsonl",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "SchemaError" in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("missing", ["input", "language", "model_config"])
+    def test_report_config_missing_key_exits_1(self, workdir, capsys, missing):
+        mock_config(Path("model.json"))
+        config = {"language": "turkish", "input": "bundled:turkish_demo", "model_config": "model.json"}
+        del config[missing]
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["report", "--config", "run.json"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "SchemaError" in err and repr(missing) in err
+
     def test_kappa_subcommand(self, workdir, capsys):
         write_jsonl("a.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(6)])
         write_jsonl("b.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(6)])

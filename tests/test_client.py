@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -40,6 +42,54 @@ class TestComplete:
         assert cache.key(a, "p") != cache.key(b, "p")
         assert cache.key(a, "p") != cache.key(a, "q")
         assert cache.key(a, "p") == cache.key(cfg(), "p")
+
+    def test_cache_survives_corrupt_and_torn_lines(self, tmp_path, capsys):
+        c = cfg()
+        ResponseCache(tmp_path).put(c, "good", "iyi")
+        torn = ResponseCache(tmp_path).key(c, "torn")
+        log = tmp_path / "responses.jsonl"
+        with open(log, "ab") as f:
+            f.write(b"not json\n[1, 2]\n{\"key\": 1, \"response\": \"x\"}\n")
+            f.write(b'{"key": "' + torn.encode() + b'", "resp')  # killed mid-append
+        cache = ResponseCache(tmp_path)
+        assert "4 unreadable cache lines skipped" in capsys.readouterr().err
+        assert cache.get(c, "good") == "iyi"
+        assert cache.get(c, "torn") is None
+        cache.put(c, "new", "yeni")
+        reopened = ResponseCache(tmp_path)
+        assert reopened.get(c, "good") == "iyi"
+        assert reopened.get(c, "new") == "yeni"
+        assert capsys.readouterr().err.count("unreadable") == 1
+        assert log.read_bytes().endswith(b'"resp\n' + b'{"key": "' + reopened.key(c, "new").encode()
+                                         + b'", "response": "yeni"}\n')
+
+    def test_cache_last_put_wins_and_old_layout_misses(self, tmp_path):
+        c = cfg()
+        (tmp_path / f"{ResponseCache(tmp_path).key(c, 'p')}.json").write_text(
+            '{"response": "eski"}', encoding="utf-8"
+        )
+        cache = ResponseCache(tmp_path)
+        assert cache.get(c, "p") is None
+        cache.put(c, "p", "bir")
+        cache.put(c, "p", "iki")
+        assert ResponseCache(tmp_path).get(c, "p") == "iki"
+
+    def test_cache_concurrent_puts_lose_no_line(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        c = cfg()
+        prompts_ = [f"p{i}" for i in range(1600)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(cache.put, c, p, p.upper()) for p in prompts_]
+                for future in concurrent.futures.as_completed(futures, timeout=60):
+                    future.result()
+        finally:
+            sys.setswitchinterval(switch)
+        reopened = ResponseCache(tmp_path)
+        assert [reopened.get(c, p) for p in prompts_] == [p.upper() for p in prompts_]
+        assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == len(prompts_)
 
     def test_retries_then_transport_error(self, tmp_path):
         calls = []
@@ -144,6 +194,16 @@ class TestModelConfig:
         with pytest.raises(SchemaError):
             cfg(top_p=0)
 
+    @pytest.mark.parametrize("data, named", [
+        ({"endpoint_url": "mock://echo-gold", "model_name": "m", "temprature": 0}, "'temprature'"),
+        ({"model_name": "m"}, "'endpoint_url'"),
+        ({"endpoint_url": "mock://echo-gold"}, "'model_name'"),
+        (["mock://echo-gold", "m"], "JSON object"),
+    ])
+    def test_from_dict_names_the_offending_key(self, data, named):
+        with pytest.raises(SchemaError, match=named):
+            ModelConfig.from_dict(data, "model.json")
+
 
 class TestParsing:
     def test_parse_productivity(self, turkish):
@@ -162,7 +222,7 @@ class TestParsing:
 
     def test_parse_systematicity(self):
         assert client.parse_systematicity("Evet") == "yes"
-        assert client.parse_systematicity("...reasoning...<Answer>No</Answer>", cot=True) == "no"
+        assert client.parse_systematicity("...reasoning...<Answer>No</Answer>") == "no"
         assert client.parse_systematicity("maybe") is None
         assert client.parse_systematicity("Kyllä") == "yes"
         assert client.parse_systematicity("ei") == "no"
