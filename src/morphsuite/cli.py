@@ -296,6 +296,11 @@ def cmd_report(args) -> int:
     for required in ("language", "input", "model_config"):
         if required not in cfg:
             raise SchemaError(f"{args.config}: report config lacks {required!r}")
+    model_cfg = cfg["model_config"]
+    if isinstance(model_cfg, str):
+        model = client.ModelConfig.from_file(model_cfg)
+    else:
+        model = client.ModelConfig.from_dict(model_cfg, f"{args.config}: model_config")
 
     out_dir = Path(cfg.get("out_dir") or args.out_dir or "morphsuite-run")
     seed = cfg.get("seed", 0)
@@ -320,11 +325,6 @@ def cmd_report(args) -> int:
                 _eprint(f"skip {record.record_id}: {exc}")
         records = kept
 
-    model_cfg = cfg["model_config"]
-    if isinstance(model_cfg, str):
-        model = client.ModelConfig.from_file(model_cfg)
-    else:
-        model = client.ModelConfig.from_dict(model_cfg, f"{args.config}: model_config")
     cache = client.ResponseCache(cfg.get("cache") or out_dir / "cache")
     catalog = prompts.load_templates(cfg.get("templates"))
 

@@ -148,16 +148,22 @@ class TestPipeline:
         assert len(err.strip().splitlines()) == 1
         assert "SchemaError" in err and named in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("missing", ["input", "language", "model_config"])
-    def test_report_config_missing_key_exits_1(self, workdir, capsys, missing):
+    @pytest.mark.parametrize("change, named", [
+        ({"input": None}, "'input'"),
+        ({"language": None}, "'language'"),
+        ({"model_config": None}, "'model_config'"),
+        ({"model_config": {"endpoint_url": "mock://echo-gold", "model_nmae": "m"}}, "'model_nmae'"),
+    ])
+    def test_bad_report_config_exits_1_with_one_line(self, workdir, capsys, change, named):
         mock_config(Path("model.json"))
         config = {"language": "turkish", "input": "bundled:turkish_demo", "model_config": "model.json"}
-        del config[missing]
+        config.update(change)
+        config = {key: value for key, value in config.items() if value is not None}
         Path("run.json").write_text(json.dumps(config), encoding="utf-8")
         assert run(["report", "--config", "run.json"]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "SchemaError" in err and repr(missing) in err
+        assert "SchemaError" in err and named in err
 
     def test_kappa_subcommand(self, workdir, capsys):
         write_jsonl("a.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(6)])

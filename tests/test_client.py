@@ -194,16 +194,6 @@ class TestModelConfig:
         with pytest.raises(SchemaError):
             cfg(top_p=0)
 
-    @pytest.mark.parametrize("data, named", [
-        ({"endpoint_url": "mock://echo-gold", "model_name": "m", "temprature": 0}, "'temprature'"),
-        ({"model_name": "m"}, "'endpoint_url'"),
-        ({"endpoint_url": "mock://echo-gold"}, "'model_name'"),
-        (["mock://echo-gold", "m"], "JSON object"),
-    ])
-    def test_from_dict_names_the_offending_key(self, data, named):
-        with pytest.raises(SchemaError, match=named):
-            ModelConfig.from_dict(data, "model.json")
-
 
 class TestParsing:
     def test_parse_productivity(self, turkish):
