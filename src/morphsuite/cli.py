@@ -22,7 +22,7 @@ from morphsuite.errors import (
     TransportError,
     UsageError,
 )
-from morphsuite.jsonl import read_json, read_jsonl, write_json, write_jsonl
+from morphsuite.jsonl import read_json, read_objects, write_json, write_jsonl
 from morphsuite.rng import derive_seed
 
 # Answer-normalization rules recorded in evaluate manifests so reported
@@ -72,6 +72,32 @@ def _ingest_or_die(path) -> list:
     return result.records
 
 
+def _add_nonces(records, profile, lexicon, seed) -> tuple[list, list[str]]:
+    """Give each record its seeded nonce root. Returns the records that got
+    one and the ids of those skipped, both in record order."""
+    kept = []
+    skipped = []
+    for record in records:
+        try:
+            mapping = nonce.make_nonce(
+                record.root, profile, lexicon, seed=derive_seed(seed, record.record_id)
+            )
+        except MorphSuiteError as exc:
+            skipped.append(record.record_id)
+            _eprint(f"skip {record.record_id}: {type(exc).__name__}: {exc}")
+            continue
+        record.nonce_root = mapping.nonce_root
+        kept.append(record)
+    return kept, skipped
+
+
+def _write_report(out_dir, report) -> None:
+    out_dir = Path(out_dir)
+    write_json(out_dir / "report.json", report.to_dict())  # creates out_dir
+    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+
+
 def _parse_strata(spec: str) -> list[int]:
     if "-" in spec:
         lo, hi = spec.split("-", 1)
@@ -90,24 +116,10 @@ def cmd_gen_nonce(args) -> int:
     if not records:
         raise SchemaError(f"no {args.lang} records in {in_path}")
 
-    lexicon = None
-    if args.lexicon:
-        lexicon = nonce.load_lexicon(args.lexicon, profile)
+    lexicon = nonce.load_lexicon(args.lexicon, profile) if args.lexicon else None
 
-    rows = []
-    skipped = []
-    for record in records:
-        try:
-            mapping = nonce.make_nonce(
-                record.root, profile, lexicon, seed=derive_seed(args.seed, record.record_id)
-            )
-        except MorphSuiteError as exc:
-            skipped.append(record.record_id)
-            _eprint(f"skip {record.record_id}: {type(exc).__name__}: {exc}")
-            continue
-        record.nonce_root = mapping.nonce_root
-        rows.append(suite.record_to_row(record))
-    write_jsonl(args.out, rows)
+    kept, skipped = _add_nonces(records, profile, lexicon, args.seed)
+    write_jsonl(args.out, (suite.record_to_row(r) for r in kept))
     manifest = {
         "command": "gen-nonce",
         "version": __version__,
@@ -122,10 +134,10 @@ def cmd_gen_nonce(args) -> int:
         ),
         "retry_limit": nonce.RETRY_LIMIT,
         "skipped_records": skipped,
-        "written": len(rows),
+        "written": len(kept),
     }
     write_json(str(args.out) + ".manifest.json", manifest)
-    _eprint(f"gen-nonce: wrote {len(rows)} records, skipped {len(skipped)}")
+    _eprint(f"gen-nonce: wrote {len(kept)} records, skipped {len(skipped)}")
     return 0
 
 
@@ -211,14 +223,12 @@ def cmd_render(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = client.ModelConfig.from_file(args.model_config)
-    if args.parallelism:
-        cfg.parallelism = args.parallelism
     cache = client.ResponseCache(args.cache) if args.cache else None
-    rows = [row for _, row in read_jsonl(args.prompts)]
+    rows = read_objects(args.prompts, client.check_prompt_row)
     records = client.evaluate_rows(rows, cfg, cache)
     write_jsonl(args.out, (r.to_row() for r in records))
     n_cached = sum(1 for r in records if r.cached)
-    n_failed = sum(1 for r in records if r.parsed_kind == client.PARSE_FAILURE)
+    n_failed = sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE)
     manifest = {
         "command": "evaluate",
         "version": __version__,
@@ -243,7 +253,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    records = [client.EvalRecord.from_row(row) for _, row in read_jsonl(args.records)]
+    records = read_objects(args.records, client.EvalRecord.from_row)
     instances = suite.read_suite(args.suite)
     manifest = {
         "records": str(args.records),
@@ -252,25 +262,14 @@ def cmd_score(args) -> int:
         "suite_digest": suite.file_digest(args.suite),
         "version": __version__,
     }
-    report = metrics.stratify_report(records, instances, manifest)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "report.json", report.to_dict())
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    _eprint(f"score: wrote report.{{json,csv,txt}} to {out_dir}")
+    _write_report(args.out_dir, metrics.stratify_report(records, instances, manifest))
+    _eprint(f"score: wrote report.{{json,csv,txt}} to {args.out_dir}")
     return 0
 
 
 def _read_labels(path):
-    ids = []
-    labels = []
-    for lineno, row in read_jsonl(path):
-        if "label" not in row:
-            raise SchemaError(f"{path}:{lineno}: rows need a 'label' field")
-        labels.append(row["label"])
-        ids.append(row.get("instance_id"))
-    return ids, labels
+    rows = read_objects(path, lambda row: (row.get("instance_id"), row["label"]))
+    return [instance_id for instance_id, _ in rows], [label for _, label in rows]
 
 
 def cmd_kappa(args) -> int:
@@ -311,19 +310,8 @@ def cmd_report(args) -> int:
     distributions = cfg.get("distributions", list(suite.DISTRIBUTIONS))
     if suite.OUT_DIST in distributions and any(not r.nonce_root for r in records):
         profile = suite.profile_for(language)
-        lexicon = None
-        if cfg.get("lexicon"):
-            lexicon = nonce.load_lexicon(cfg["lexicon"], profile)
-        kept = []
-        for record in records:
-            try:
-                record.nonce_root = nonce.make_nonce(
-                    record.root, profile, lexicon, seed=derive_seed(seed, record.record_id)
-                ).nonce_root
-                kept.append(record)
-            except MorphSuiteError as exc:
-                _eprint(f"skip {record.record_id}: {exc}")
-        records = kept
+        lexicon = nonce.load_lexicon(cfg["lexicon"], profile) if cfg.get("lexicon") else None
+        records, _ = _add_nonces(records, profile, lexicon, seed)
 
     cache = client.ResponseCache(cfg.get("cache") or out_dir / "cache")
     catalog = prompts.load_templates(cfg.get("templates"))
@@ -332,7 +320,6 @@ def cmd_report(args) -> int:
     for task in cfg.get("tasks", list(suite.TASKS)):
         for dist in distributions:
             cell_dir = out_dir / f"{task}_{dist}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
             instances, manifest = suite.build_suite(
                 records,
                 task,
@@ -358,9 +345,7 @@ def cmd_report(args) -> int:
             eval_records = client.evaluate_rows(rows, model, cache)
             write_jsonl(cell_dir / "records.jsonl", (r.to_row() for r in eval_records))
             report = metrics.stratify_report(eval_records, instances, manifest)
-            write_json(cell_dir / "report.json", report.to_dict())
-            (cell_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-            (cell_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+            _write_report(cell_dir, report)
             summary[f"{task}_{dist}"] = {
                 m: metrics.round1(v) for m, v in report.overall.items()
             }
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-config", required=True)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallelism", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("score", help="score evaluation records against a suite")
@@ -460,7 +444,7 @@ def main(argv=None) -> int:
     except (TransportError, RateLimited, AuthError) as exc:
         _eprint(f"transport error: {exc}")
         return 2
-    except MorphSuiteError as exc:
+    except (MorphSuiteError, OSError) as exc:
         _eprint(f"error: {type(exc).__name__}: {exc}")
         return 1
 

@@ -1,9 +1,10 @@
 """Model evaluation client: chat-completions transport with retry/backoff,
-a content-addressed response cache, answer parsing, and the random/majority
-baselines plus mock backends used to validate the harness end to end.
+a content-addressed response cache, answer parsing, and the mock backends
+used to validate the harness end to end.
 
 Mock endpoints are selected with endpoint_url values of the form
-mock://echo-gold, mock://random, mock://majority.
+mock://echo-gold, mock://random, mock://majority; the last two are the
+paper's random and majority baselines.
 """
 from __future__ import annotations
 
@@ -30,20 +31,20 @@ from morphsuite.errors import (
 from morphsuite.jsonl import dumps, read_json
 from morphsuite.rng import make_rng
 
-YES = "yes"
-NO = "no"
-PARSE_FAILURE = "parse_failure"
 WORD = "word"
 
 # Polarity tokens accepted from model output, lowercased.
 _POLARITY = {
-    "yes": YES,
-    "no": NO,
-    "evet": YES,
-    "hayır": NO,
-    "kyllä": YES,
-    "ei": NO,
+    "yes": suite_mod.YES,
+    "no": suite_mod.NO,
+    "evet": suite_mod.YES,
+    "hayır": suite_mod.NO,
+    "kyllä": suite_mod.YES,
+    "ei": suite_mod.NO,
 }
+
+# JSON value types accepted for each ModelConfig field annotation.
+_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
 _ANSWER_TAG = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
 _STRIP_CHARS = " \t\"'`“”‘’.,;:!?()[]{}<>«»*_-–—"
@@ -70,16 +71,22 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data, source) -> "ModelConfig":
-        """Build a config from parsed JSON; a non-object, an unknown key or a
-        missing required key raises SchemaError naming it."""
+        """Build a config from parsed JSON; a non-object, an unknown key, a
+        missing required key or a value of the wrong JSON type raises
+        SchemaError naming it."""
         if not isinstance(data, dict):
             raise SchemaError(f"{source}: model config must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise SchemaError(f"{source}: unknown model config key {unknown[0]!r}")
         for f in fields(cls):
-            if f.default is MISSING and f.name not in data:
-                raise SchemaError(f"{source}: model config lacks {f.name!r}")
+            if f.name not in data:
+                if f.default is MISSING:
+                    raise SchemaError(f"{source}: model config lacks {f.name!r}")
+                continue
+            value = data[f.name]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise SchemaError(f"{source}: model config key {f.name!r} must be {f.type}")
         return cls(**data)
 
     @classmethod
@@ -110,8 +117,9 @@ class Completion:
 class ResponseCache:
     """Append-only log of {"key": ..., "response": ...} JSON lines in
     <directory>/responses.jsonl, read once on open; a repeated key keeps its
-    last response. The key digests (endpoint, model, temperature, top_p,
-    max_tokens, prompt); any parameter change misses.
+    last response. get and put take the digest that key() computes from
+    (endpoint, model, temperature, top_p, max_tokens, prompt), so any
+    parameter change misses.
     """
 
     def __init__(self, directory):
@@ -140,11 +148,10 @@ class ResponseCache:
         material = dumps(cfg.cache_key_material(prompt))
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def get(self, cfg: ModelConfig, prompt: str) -> str | None:
-        return self._responses.get(self.key(cfg, prompt))
+    def get(self, key: str) -> str | None:
+        return self._responses.get(key)
 
-    def put(self, cfg: ModelConfig, prompt: str, response: str) -> None:
-        key = self.key(cfg, prompt)
+    def put(self, key: str, response: str) -> None:
         entry = json.dumps({"key": key, "response": response}).encode("ascii") + b"\n"
         with self._lock:  # evaluate_rows puts from pool threads
             line = self._separator + entry
@@ -190,7 +197,8 @@ def complete(
     cfg.max_retries, honoring Retry-After when present.
     """
     if cache is not None:
-        hit = cache.get(cfg, prompt)
+        key = cache.key(cfg, prompt)
+        hit = cache.get(key)
         if hit is not None:
             return Completion(hit, cached=True)
 
@@ -240,7 +248,7 @@ def complete(
             raise TransportError(f"HTTP {status} from {cfg.endpoint_url}")
         text = _extract_text(body)
         if cache is not None:
-            cache.put(cfg, prompt, text)
+            cache.put(key, text)
         return Completion(text, cached=False)
 
     if isinstance(last_error, RateLimited):
@@ -294,40 +302,18 @@ def parse_systematicity(raw_text: str) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Baselines and mock backends
+# Mock backends
 # ---------------------------------------------------------------------------
-
-RANDOM_BASELINE = "random"
-MAJORITY_BASELINE = "majority"
-
-
-def baseline_predict(instance, kind: str, rng, option_index: int | None = None):
-    """Prediction of a trivial baseline for one prompt of an instance.
-
-    random/productivity composes a uniformly random per-block ordering;
-    random/systematicity flips a fair coin per option; majority always says
-    no and abstains (None) on productivity.
-    """
-    if kind == MAJORITY_BASELINE:
-        if instance.task == suite_mod.PRODUCTIVITY:
-            return None
-        return NO
-    if kind != RANDOM_BASELINE:
-        raise SchemaError(f"unknown baseline {kind!r}")
-    if instance.task == suite_mod.PRODUCTIVITY:
-        prefixes = list(instance.prefix_forms)
-        suffixes = list(instance.suffix_forms)
-        rng.shuffle(prefixes)
-        rng.shuffle(suffixes)
-        return derive.compose_forms(instance.shown_root, prefixes, suffixes)
-    return rng.choice([YES, NO])
-
 
 def mock_response(row: dict, cfg: ModelConfig) -> str:
     """Deterministic stand-ins for a model, driven by the prompt row.
 
-    The generator is derived from (cfg.seed, prompt), so repeated calls for
-    the same prompt agree with whatever the cache would have replayed.
+    echo-gold answers the reference answer. majority is the always-no
+    baseline: "No" on systematicity and an empty answer (a parse failure) on
+    productivity. random flips a fair coin per systematicity option and
+    composes a uniformly random per-block ordering on productivity. Its
+    generator is derived from (cfg.seed, prompt), so repeated calls for the
+    same prompt agree with whatever the cache would have replayed.
     """
     kind = cfg.endpoint_url.removeprefix("mock://")
     if kind == "echo-gold":
@@ -394,9 +380,18 @@ def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:
     if row["task"] == suite_mod.PRODUCTIVITY:
         profile = suite_mod.profile_for(row["language_id"])
         word = parse_productivity(raw_text, profile)
-        return (WORD, word) if word is not None else (PARSE_FAILURE, None)
+        return (WORD, word) if word is not None else (suite_mod.PARSE_FAILURE, None)
     polarity = parse_systematicity(raw_text)
-    return (polarity, polarity) if polarity is not None else (PARSE_FAILURE, None)
+    return (polarity, polarity) if polarity is not None else (suite_mod.PARSE_FAILURE, None)
+
+
+def check_prompt_row(row: dict) -> dict:
+    """A rendered prompt row, unchanged; KeyError names a key that
+    evaluation reads and the row lacks."""
+    for key in ("instance_id", "prompt", "task", "language_id", "gold_answer", "shown_root"):
+        if key not in row:
+            raise KeyError(key)
+    return row
 
 
 def evaluate_rows(
@@ -416,9 +411,10 @@ def evaluate_rows(
         if cfg.is_mock:
             text = mock_response(row, cfg)
             if cache is not None:
-                cached = cache.get(cfg, row["prompt"]) is not None
+                key = cache.key(cfg, row["prompt"])
+                cached = cache.get(key) is not None
                 if not cached:
-                    cache.put(cfg, row["prompt"], text)
+                    cache.put(key, text)
                 return Completion(text, cached)
             return Completion(text, False)
         return complete(row["prompt"], cfg, cache, transport=transport)

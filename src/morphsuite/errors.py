@@ -90,5 +90,9 @@ class OrphanRecord(MorphSuiteError):
     """An evaluation record does not join to any suite instance."""
 
 
+class DuplicateRecord(MorphSuiteError):
+    """Two evaluation records answer the same (instance_id, option_index)."""
+
+
 class UsageError(MorphSuiteError):
     """Invalid command-line usage."""

@@ -50,6 +50,23 @@ def read_jsonl(path):
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
+def read_objects(path, from_row):
+    """from_row applied to every row of a JSONL file, in order; a row that is
+    not an object, lacks a key or holds a value of the wrong type raises
+    SchemaError naming path:line."""
+    out = []
+    for lineno, row in read_jsonl(path):
+        if not isinstance(row, dict):
+            raise SchemaError(f"{path}:{lineno}: row is not a JSON object")
+        try:
+            out.append(from_row(row))
+        except KeyError as exc:
+            raise SchemaError(f"{path}:{lineno}: row lacks {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}:{lineno}: malformed row ({exc})") from None
+    return out
+
+
 def read_json(path):
     """Parse one JSON document; invalid JSON raises SchemaError."""
     with open(path, encoding="utf-8") as f:

@@ -14,12 +14,11 @@ import unicodedata
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
-from morphsuite import client, profiles
+from morphsuite import profiles
 from morphsuite import suite as suite_mod
-from morphsuite.errors import LengthMismatch, OrphanRecord, SchemaError
+from morphsuite.errors import DuplicateRecord, LengthMismatch, OrphanRecord, SchemaError
 
-VALID = suite_mod.VALID
-INVALID = suite_mod.INVALID
+_LABEL_OF_POLARITY = {polarity: label for label, polarity in suite_mod.LABEL_POLARITY.items()}
 
 
 def exact_match(pred: str | None, gold: str, profile: profiles.LanguageProfile) -> bool:
@@ -46,7 +45,7 @@ def sample_macro_f1(preds, labels) -> float:
     """Mean of valid-class and invalid-class F1 within one sample, in [0, 1]."""
     if len(preds) != len(labels):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(labels)} labels")
-    return (_f1(preds, labels, VALID) + _f1(preds, labels, INVALID)) / 2
+    return (_f1(preds, labels, suite_mod.VALID) + _f1(preds, labels, suite_mod.INVALID)) / 2
 
 
 def coherence(preds, labels) -> int:
@@ -112,29 +111,25 @@ class ScoreReport:
     def metric_names(self) -> list[str]:
         return sorted(self.overall)
 
-    def to_csv(self) -> str:
+    def _rows(self):
+        """(stratum or "overall", sample count, rounded metric values) per row."""
         names = self.metric_names()
-        lines = ["stratum,n," + ",".join(names)]
         for stratum in sorted(self.by_stratum):
-            cells = [str(stratum), str(self.stratum_counts[stratum])]
-            cells += [f"{round1(self.by_stratum[stratum][m]):.1f}" for m in names]
-            lines.append(",".join(cells))
-        cells = ["overall", str(self.counts["samples"])]
-        cells += [f"{round1(self.overall[m]):.1f}" for m in names]
-        lines.append(",".join(cells))
+            values = self.by_stratum[stratum]
+            yield stratum, self.stratum_counts[stratum], [round1(values[m]) for m in names]
+        yield "overall", self.counts["samples"], [round1(self.overall[m]) for m in names]
+
+    def to_csv(self) -> str:
+        lines = ["stratum,n," + ",".join(self.metric_names())]
+        for label, n, values in self._rows():
+            lines.append(",".join([str(label), str(n)] + [f"{v:.1f}" for v in values]))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         names = self.metric_names()
-        header = f"{'stratum':>8} {'n':>6} " + " ".join(f"{m:>16}" for m in names)
-        lines = [header]
-        for stratum in sorted(self.by_stratum):
-            row = f"{stratum:>8} {self.stratum_counts[stratum]:>6} "
-            row += " ".join(f"{round1(self.by_stratum[stratum][m]):>16.1f}" for m in names)
-            lines.append(row)
-        row = f"{'overall':>8} {self.counts['samples']:>6} "
-        row += " ".join(f"{round1(self.overall[m]):>16.1f}" for m in names)
-        lines.append(row)
+        lines = [f"{'stratum':>8} {'n':>6} " + " ".join(f"{m:>16}" for m in names)]
+        for label, n, values in self._rows():
+            lines.append(f"{label:>8} {n:>6} " + " ".join(f"{v:>16.1f}" for v in values))
         lines.append(
             f"parse_failure_rate={self.parse_failure_rate:.4f} "
             f"missing_predictions={self.missing_predictions}"
@@ -142,16 +137,8 @@ class ScoreReport:
         return "\n".join(lines) + "\n"
 
 
-def _polarity_to_label(parsed_kind: str) -> str | None:
-    if parsed_kind == client.YES:
-        return VALID
-    if parsed_kind == client.NO:
-        return INVALID
-    return None
-
-
 def _opposite(label: str) -> str:
-    return INVALID if label == VALID else VALID
+    return suite_mod.INVALID if label == suite_mod.VALID else suite_mod.VALID
 
 
 def stratify_report(records, instances, manifest: dict | None = None) -> ScoreReport:
@@ -171,14 +158,16 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
         raise SchemaError(f"suite mixes tasks {sorted(tasks)}")
     task = tasks.pop()
 
-    grouped: dict[str, dict[int | None, client.EvalRecord]] = {}
+    grouped: dict[str, dict] = {}
     n_failures = 0
     for record in records:
-        instance = by_id.get(record.instance_id)
-        if instance is None:
+        if record.instance_id not in by_id:
             raise OrphanRecord(f"record {record.instance_id} not in suite")
-        grouped.setdefault(record.instance_id, {})[record.option_index] = record
-        if record.parsed_kind == client.PARSE_FAILURE:
+        answers = grouped.setdefault(record.instance_id, {})
+        if record.option_index in answers:
+            raise DuplicateRecord(f"two records for ({record.instance_id}, {record.option_index})")
+        answers[record.option_index] = record
+        if record.parsed_kind == suite_mod.PARSE_FAILURE:
             n_failures += 1
 
     per_sample: list[tuple[int, dict[str, float]]] = []
@@ -208,7 +197,7 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
                     preds.append(_opposite(option.label))
                     continue
                 n_records += 1
-                label = _polarity_to_label(record.parsed_kind)
+                label = _LABEL_OF_POLARITY.get(record.parsed_kind)
                 preds.append(label if label is not None else _opposite(option.label))
             option_acc = sum(p == l for p, l in zip(preds, labels)) / len(labels)
             per_sample.append(

@@ -47,9 +47,9 @@ LANGUAGE_NAMES = {
 
 # Polarity words shown in prompts and demo answers.
 LABEL_WORDS = {
-    ENGLISH: {"yes": "Yes", "no": "No"},
-    TURKISH: {"yes": "Evet", "no": "Hayır"},
-    FINNISH: {"yes": "Kyllä", "no": "Ei"},
+    ENGLISH: {suite_mod.YES: "Yes", suite_mod.NO: "No"},
+    TURKISH: {suite_mod.YES: "Evet", suite_mod.NO: "Hayır"},
+    FINNISH: {suite_mod.YES: "Kyllä", suite_mod.NO: "Ei"},
 }
 
 _KNOWN_PLACEHOLDERS = {
@@ -208,8 +208,7 @@ def _demo_answer(ts: TemplateSet, demo, rng) -> tuple[object, str]:
     option = None
     if ts.task == suite_mod.SYSTEMATICITY:
         option = rng.choice(demo.options)
-        polarity = "yes" if option.label == suite_mod.VALID else "no"
-        answer = LABEL_WORDS[ts.instruction_language][polarity]
+        answer = LABEL_WORDS[ts.instruction_language][suite_mod.LABEL_POLARITY[option.label]]
     else:
         answer = demo.gold_surface or ""
     if ts.variant == COT:
@@ -279,8 +278,7 @@ def gold_answer(instance, instruction_language: str, option_index: int | None) -
     """The reference answer string for one prompt, in the instruction language."""
     if instance.task == suite_mod.SYSTEMATICITY:
         label = instance.options[option_index].label
-        polarity = "yes" if label == suite_mod.VALID else "no"
-        return LABEL_WORDS[instruction_language][polarity]
+        return LABEL_WORDS[instruction_language][suite_mod.LABEL_POLARITY[label]]
     return instance.gold_surface or ""
 
 

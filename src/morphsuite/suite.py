@@ -24,7 +24,7 @@ from morphsuite.errors import (
     NoNegativeAvailable,
     SchemaError,
 )
-from morphsuite.jsonl import read_jsonl, write_jsonl
+from morphsuite.jsonl import read_jsonl, read_objects, write_jsonl
 from morphsuite.rng import make_rng
 
 PRODUCTIVITY = "productivity"
@@ -44,6 +44,13 @@ DEMO_SPLIT = "demo"
 
 VALID = "valid"
 INVALID = "invalid"
+
+# A systematicity option's label as the yes/no answer it expects; YES, NO and
+# PARSE_FAILURE are also the parsed kinds of evaluation records.
+YES = "yes"
+NO = "no"
+PARSE_FAILURE = "parse_failure"
+LABEL_POLARITY = {VALID: YES, INVALID: NO}
 
 BLANK = "___"
 
@@ -112,6 +119,8 @@ class TaskInstance:
     def from_row(cls, row: dict) -> "TaskInstance":
         options = None
         if row.get("options") is not None:
+            if any(o["label"] not in LABEL_POLARITY for o in row["options"]):
+                raise ValueError("an option label is neither valid nor invalid")
             options = [
                 Option(
                     o["surface"],
@@ -549,4 +558,4 @@ def write_suite(path, instances) -> int:
 
 
 def read_suite(path) -> list[TaskInstance]:
-    return [TaskInstance.from_row(row) for _, row in read_jsonl(path)]
+    return read_objects(path, TaskInstance.from_row)

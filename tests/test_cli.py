@@ -135,6 +135,8 @@ class TestPipeline:
         ('{"endpoint_url": "mock://echo-gold"}', "'model_name'"),
         ('"mock://echo-gold"', "JSON object"),
         ('{"endpoint_url": ', "invalid JSON"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "temperature": "hot"}',
+         "'temperature' must be float"),
     ])
     def test_bad_model_config_exits_1_with_one_line(self, workdir, capsys, config, named):
         write_jsonl("prompts.jsonl", [])
@@ -164,6 +166,63 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "SchemaError" in err and named in err
+
+    @pytest.fixture()
+    def stage_files(self, workdir):
+        """A small productivity suite, its prompts and records, and broken copies."""
+        write_corpus(Path("corpus.jsonl"), per_stratum=12, strata=(2,))
+        mock_config(Path("model.json"))
+        for argv in (
+            ["build-suite", "--task", "productivity", "--dist", "id", "--seed", "1",
+             "--in", "corpus.jsonl", "--out", "suite.jsonl"],
+            ["render", "--suite", "suite.jsonl", "--shots", "1", "--seed", "1",
+             "--out", "prompts.jsonl"],
+            ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
+             "--out", "records.jsonl"],
+        ):
+            assert run(argv) == 0
+        rows = Path("suite.jsonl").read_text("utf-8").splitlines()
+        row = json.loads(rows[1])
+        del row["instance_id"]
+        rows[1] = json.dumps(row)
+        Path("no_id_suite.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        row["options"] = [{"surface": "x", "label": "maybe"}]
+        Path("label_suite.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        Path("list_prompts.jsonl").write_text("[1, 2]\n", encoding="utf-8")
+        Path("no_text_prompts.jsonl").write_text('{"instance_id": "i", "task": "productivity"}\n')
+        records = Path("records.jsonl").read_text("utf-8")
+        Path("twice.jsonl").write_text(records + records, encoding="utf-8")
+        first_id = json.loads(records.splitlines()[0])["instance_id"]
+        return workdir, first_id
+
+    @pytest.mark.parametrize("argv, error, named", [
+        (["gen-nonce", "--lang", "turkish", "--in", "missing.jsonl", "--out", "n.jsonl"],
+         "FileNotFoundError", "missing.jsonl"),
+        (["build-suite", "--task", "productivity", "--dist", "id", "--in", "bundled:nope",
+          "--out", "s.jsonl"], "FileNotFoundError", "nope.jsonl"),
+        (["evaluate", "--prompts", "prompts.jsonl", "--model-config", "missing.json",
+          "--out", "r.jsonl"], "FileNotFoundError", "missing.json"),
+        (["render", "--suite", "no_id_suite.jsonl", "--shots", "1", "--out", "p.jsonl"],
+         "SchemaError", "no_id_suite.jsonl:2: row lacks 'instance_id'"),
+        (["score", "--records", "records.jsonl", "--suite", "no_id_suite.jsonl", "--out-dir", "r"],
+         "SchemaError", "no_id_suite.jsonl:2: row lacks 'instance_id'"),
+        (["render", "--suite", "label_suite.jsonl", "--shots", "1", "--out", "p.jsonl"],
+         "SchemaError", "label_suite.jsonl:1: malformed row (an option label is neither"),
+        (["evaluate", "--prompts", "list_prompts.jsonl", "--model-config", "model.json",
+          "--out", "r.jsonl"], "SchemaError", "list_prompts.jsonl:1: row is not a JSON object"),
+        (["evaluate", "--prompts", "no_text_prompts.jsonl", "--model-config", "model.json",
+          "--out", "r.jsonl"], "SchemaError", "no_text_prompts.jsonl:1: row lacks 'prompt'"),
+        (["score", "--records", "twice.jsonl", "--suite", "suite.jsonl", "--out-dir", "r"],
+         "DuplicateRecord", "two records for ({first_id}, None)"),
+    ])
+    def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
+        _, first_id = stage_files
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"error: {error}: " in err and named.format(first_id=first_id) in err
+        assert not Path("r").exists()
 
     def test_kappa_subcommand(self, workdir, capsys):
         write_jsonl("a.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(6)])

@@ -10,7 +10,6 @@ from factory import synth_turkish_records
 from morphsuite import client, prompts, suite
 from morphsuite.client import Completion, ModelConfig, ResponseCache
 from morphsuite.errors import AuthError, RateLimited, SchemaError, TransportError
-from morphsuite.rng import make_rng
 
 
 def cfg(**overrides):
@@ -44,52 +43,50 @@ class TestComplete:
         assert cache.key(a, "p") == cache.key(cfg(), "p")
 
     def test_cache_survives_corrupt_and_torn_lines(self, tmp_path, capsys):
-        c = cfg()
-        ResponseCache(tmp_path).put(c, "good", "iyi")
-        torn = ResponseCache(tmp_path).key(c, "torn")
+        first = ResponseCache(tmp_path)
+        good, torn, new = (first.key(cfg(), p) for p in ("good", "torn", "new"))
+        first.put(good, "iyi")
         log = tmp_path / "responses.jsonl"
         with open(log, "ab") as f:
             f.write(b"not json\n[1, 2]\n{\"key\": 1, \"response\": \"x\"}\n")
             f.write(b'{"key": "' + torn.encode() + b'", "resp')  # killed mid-append
         cache = ResponseCache(tmp_path)
         assert "4 unreadable cache lines skipped" in capsys.readouterr().err
-        assert cache.get(c, "good") == "iyi"
-        assert cache.get(c, "torn") is None
-        cache.put(c, "new", "yeni")
+        assert cache.get(good) == "iyi"
+        assert cache.get(torn) is None
+        cache.put(new, "yeni")
         reopened = ResponseCache(tmp_path)
-        assert reopened.get(c, "good") == "iyi"
-        assert reopened.get(c, "new") == "yeni"
+        assert reopened.get(good) == "iyi"
+        assert reopened.get(new) == "yeni"
         assert capsys.readouterr().err.count("unreadable") == 1
-        assert log.read_bytes().endswith(b'"resp\n' + b'{"key": "' + reopened.key(c, "new").encode()
-                                         + b'", "response": "yeni"}\n')
+        assert log.read_bytes().endswith(
+            b'"resp\n' + b'{"key": "' + new.encode() + b'", "response": "yeni"}\n'
+        )
 
     def test_cache_last_put_wins_and_old_layout_misses(self, tmp_path):
-        c = cfg()
-        (tmp_path / f"{ResponseCache(tmp_path).key(c, 'p')}.json").write_text(
-            '{"response": "eski"}', encoding="utf-8"
-        )
+        key = ResponseCache(tmp_path).key(cfg(), "p")
+        (tmp_path / f"{key}.json").write_text('{"response": "eski"}', encoding="utf-8")
         cache = ResponseCache(tmp_path)
-        assert cache.get(c, "p") is None
-        cache.put(c, "p", "bir")
-        cache.put(c, "p", "iki")
-        assert ResponseCache(tmp_path).get(c, "p") == "iki"
+        assert cache.get(key) is None
+        cache.put(key, "bir")
+        cache.put(key, "iki")
+        assert ResponseCache(tmp_path).get(key) == "iki"
 
     def test_cache_concurrent_puts_lose_no_line(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        c = cfg()
-        prompts_ = [f"p{i}" for i in range(1600)]
+        keys = [cache.key(cfg(), f"p{i}") for i in range(1600)]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(cache.put, c, p, p.upper()) for p in prompts_]
+                futures = [pool.submit(cache.put, key, key.upper()) for key in keys]
                 for future in concurrent.futures.as_completed(futures, timeout=60):
                     future.result()
         finally:
             sys.setswitchinterval(switch)
         reopened = ResponseCache(tmp_path)
-        assert [reopened.get(c, p) for p in prompts_] == [p.upper() for p in prompts_]
-        assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == len(prompts_)
+        assert [reopened.get(key) for key in keys] == [key.upper() for key in keys]
+        assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == len(keys)
 
     def test_retries_then_transport_error(self, tmp_path):
         calls = []
@@ -173,6 +170,7 @@ class TestComplete:
             )
         finally:
             server.shutdown()
+            server.server_close()
         assert result.text == "sohbetler"
         assert seen["payload"]["messages"] == [{"role": "user", "content": "Kök: sohbet"}]
         assert seen["payload"]["model"] == "m"
@@ -234,23 +232,31 @@ def small_run():
     return instances, rows
 
 
+def productivity_rows(per_stratum, strata, seed):
+    """Zero-shot productivity prompt rows and their instances, no demo split."""
+    records = synth_turkish_records(per_stratum, strata, seed=seed)
+    instances, _ = suite.build_suite(records, "productivity", "id", seed=seed, demo_fraction=0)
+    rows = prompts.render_suite(instances, prompts.load_templates(), "english", "standard", 0)
+    return rows, instances
+
+
 class TestBaselinesAndMocks:
     def test_majority_baseline(self, small_run):
-        instances, _ = small_run
-        inst = next(i for i in instances if i.task == "systematicity")
-        assert client.baseline_predict(inst, "majority", make_rng(0)) == "no"
+        _, rows = small_run
+        majority = cfg(endpoint_url="mock://majority")
+        assert {client.mock_response(row, majority) for row in rows} == {"No"}
 
     def test_majority_abstains_on_productivity(self):
-        records = synth_turkish_records(2, [2], seed=42)
-        instances, _ = suite.build_suite(records, "productivity", "id", seed=42, demo_fraction=0)
-        assert client.baseline_predict(instances[0], "majority", make_rng(0)) is None
+        rows, _ = productivity_rows(2, [2], seed=42)
+        assert client.mock_response(rows[0], cfg(endpoint_url="mock://majority")) == ""
 
     def test_random_productivity_single_affix_is_always_gold(self):
-        records = synth_turkish_records(5, [1], seed=43)
-        instances, _ = suite.build_suite(records, "productivity", "id", seed=43, demo_fraction=0)
-        for inst in instances:
-            got = client.baseline_predict(inst, "random", make_rng(inst.instance_id))
-            assert got == inst.gold_surface
+        rows, instances = productivity_rows(5, [1], seed=43)
+        assert len(rows) == len(instances) == 5
+        for seed in range(3):
+            random = cfg(endpoint_url="mock://random", seed=seed)
+            for row, inst in zip(rows, instances):
+                assert client.mock_response(row, random) == inst.gold_surface
 
     def test_echo_gold_mock_scores_perfectly(self, small_run):
         _, rows = small_run
