@@ -147,6 +147,8 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
     Systematicity samples are an instance's full option set; a missing or
     unparseable option prediction counts as the wrong class. Productivity
     samples score exact match of the parsed word against the gold surface.
+    A record outside the suite raises OrphanRecord, and a second record for
+    the same (instance_id, option_index) raises DuplicateRecord.
     """
     instances = [i for i in instances if i.split == suite_mod.EVAL_SPLIT]
     by_id = {i.instance_id: i for i in instances}

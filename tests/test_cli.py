@@ -169,7 +169,8 @@ class TestPipeline:
 
     @pytest.fixture()
     def stage_files(self, workdir):
-        """A small productivity suite, its prompts and records, and broken copies."""
+        """A small productivity suite, its prompts and records, and broken
+        copies; returns the first record's instance id."""
         write_corpus(Path("corpus.jsonl"), per_stratum=12, strata=(2,))
         mock_config(Path("model.json"))
         for argv in (
@@ -183,17 +184,16 @@ class TestPipeline:
             assert run(argv) == 0
         rows = Path("suite.jsonl").read_text("utf-8").splitlines()
         row = json.loads(rows[1])
-        del row["instance_id"]
-        rows[1] = json.dumps(row)
-        Path("no_id_suite.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
         row["options"] = [{"surface": "x", "label": "maybe"}]
         Path("label_suite.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        del row["instance_id"], row["options"]
+        rows[1] = json.dumps(row)
+        Path("no_id_suite.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
         Path("list_prompts.jsonl").write_text("[1, 2]\n", encoding="utf-8")
-        Path("no_text_prompts.jsonl").write_text('{"instance_id": "i", "task": "productivity"}\n')
+        Path("no_text_prompts.jsonl").write_text('{"instance_id": "i"}\n', encoding="utf-8")
         records = Path("records.jsonl").read_text("utf-8")
         Path("twice.jsonl").write_text(records + records, encoding="utf-8")
-        first_id = json.loads(records.splitlines()[0])["instance_id"]
-        return workdir, first_id
+        return json.loads(records.splitlines()[0])["instance_id"]
 
     @pytest.mark.parametrize("argv, error, named", [
         (["gen-nonce", "--lang", "turkish", "--in", "missing.jsonl", "--out", "n.jsonl"],
@@ -216,12 +216,11 @@ class TestPipeline:
          "DuplicateRecord", "two records for ({first_id}, None)"),
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
-        _, first_id = stage_files
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert f"error: {error}: " in err and named.format(first_id=first_id) in err
+        assert f"error: {error}: " in err and named.format(first_id=stage_files) in err
         assert not Path("r").exists()
 
     def test_kappa_subcommand(self, workdir, capsys):
