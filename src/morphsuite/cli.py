@@ -15,6 +15,7 @@ from pathlib import Path
 from morphsuite import __version__, client, derive, metrics, nonce, prompts, suite
 from morphsuite.errors import (
     AuthError,
+    DuplicateRecord,
     LengthMismatch,
     MorphSuiteError,
     RateLimited,
@@ -268,7 +269,21 @@ def cmd_score(args) -> int:
 
 
 def _read_labels(path):
-    rows = read_objects(path, lambda row: (row.get("instance_id"), row["label"]))
+    """(instance ids, labels) of an annotation file. Labels are strings; an
+    id may be absent, but a present one may not repeat."""
+    seen = set()
+
+    def from_row(row):
+        instance_id, label = row.get("instance_id"), row["label"]
+        if not isinstance(label, str):
+            raise TypeError("label must be a string")
+        if instance_id in seen:
+            raise DuplicateRecord(f"{path}: two rows for instance {instance_id!r}")
+        if instance_id is not None:
+            seen.add(instance_id)
+        return instance_id, label
+
+    rows = read_objects(path, from_row)
     return [instance_id for instance_id, _ in rows], [label for _, label in rows]
 
 
@@ -316,6 +331,7 @@ def cmd_report(args) -> int:
     cache = client.ResponseCache(cfg.get("cache") or out_dir / "cache")
     catalog = prompts.load_templates(cfg.get("templates"))
 
+    negative_cache: dict = {}  # shared by this run's cells, freed with it
     summary = {}
     for task in cfg.get("tasks", list(suite.TASKS)):
         for dist in distributions:
@@ -325,20 +341,21 @@ def cmd_report(args) -> int:
                 task,
                 dist,
                 context=cfg.get("context", False),
-                order_mode=cfg.get("order_mode", suite.SHUFFLED),
-                strategy=cfg.get("strategy", derive.LANG_AGNOSTIC),
+                order_mode=cfg.get("order_mode", suite.DEFAULT_ORDER_MODE),
+                strategy=cfg.get("strategy", suite.DEFAULT_STRATEGY),
                 k=cfg.get("k"),
                 seed=seed,
-                demo_fraction=cfg.get("demo_fraction", 0.1),
+                demo_fraction=cfg.get("demo_fraction", suite.DEFAULT_DEMO_FRACTION),
+                negative_cache=negative_cache,
             )
             suite.write_suite(cell_dir / "suite.jsonl", instances)
             write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
             rows = prompts.render_suite(
                 instances,
                 catalog,
-                cfg.get("instruction_language", prompts.ENGLISH),
-                cfg.get("variant", prompts.STANDARD),
-                cfg.get("shots", 5),
+                cfg.get("instruction_language", prompts.DEFAULT_INSTRUCTION_LANGUAGE),
+                cfg.get("variant", prompts.DEFAULT_VARIANT),
+                cfg.get("shots", prompts.DEFAULT_SHOTS),
                 seed,
             )
             write_jsonl(cell_dir / "prompts.jsonl", rows)
@@ -384,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=list(suite.TASKS))
     p.add_argument("--dist", required=True, choices=list(suite.DISTRIBUTIONS))
     p.add_argument("--context", action="store_true")
-    p.add_argument("--order", default=suite.SHUFFLED, choices=list(suite.ORDER_MODES))
-    p.add_argument("--strategy", default=derive.LANG_AGNOSTIC, choices=list(derive.STRATEGIES))
+    p.add_argument("--order", default=suite.DEFAULT_ORDER_MODE, choices=list(suite.ORDER_MODES))
+    p.add_argument("--strategy", default=suite.DEFAULT_STRATEGY, choices=list(derive.STRATEGIES))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-stratum", type=int, default=None)
     p.add_argument("--strata", default=None, help="e.g. 1-7 or 1,2,3")
-    p.add_argument("--demo-fraction", type=float, default=0.1)
+    p.add_argument("--demo-fraction", type=float, default=suite.DEFAULT_DEMO_FRACTION)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", default=None)
@@ -399,9 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render few-shot prompts for a suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--templates", default=None, help="template dir (default: bundled)")
-    p.add_argument("--lang", default=prompts.ENGLISH, choices=list(prompts.INSTRUCTION_LANGUAGES))
-    p.add_argument("--variant", default=prompts.STANDARD, choices=list(prompts.VARIANTS))
-    p.add_argument("--shots", type=int, default=5, choices=[1, 3, 5])
+    p.add_argument(
+        "--lang",
+        default=prompts.DEFAULT_INSTRUCTION_LANGUAGE,
+        choices=list(prompts.INSTRUCTION_LANGUAGES),
+    )
+    p.add_argument("--variant", default=prompts.DEFAULT_VARIANT, choices=list(prompts.VARIANTS))
+    p.add_argument("--shots", type=int, default=prompts.DEFAULT_SHOTS, choices=[1, 3, 5])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)

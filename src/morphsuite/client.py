@@ -64,10 +64,18 @@ class ModelConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN fails too
             raise SchemaError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
             raise SchemaError("top_p must be in (0, 1]")
+        if self.max_tokens < 1:
+            raise SchemaError("max_tokens must be >= 1")
+        if not self.timeout > 0:
+            raise SchemaError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise SchemaError("max_retries must be >= 0")
+        if self.parallelism < 1:
+            raise SchemaError("parallelism must be >= 1")
 
     @classmethod
     def from_dict(cls, data, source) -> "ModelConfig":

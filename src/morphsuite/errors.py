@@ -91,7 +91,8 @@ class OrphanRecord(MorphSuiteError):
 
 
 class DuplicateRecord(MorphSuiteError):
-    """Two evaluation records answer the same (instance_id, option_index)."""
+    """Two rows share a key that must be unique: an evaluation record's
+    (instance_id, option_index) or an annotation's instance_id."""
 
 
 class UsageError(MorphSuiteError):

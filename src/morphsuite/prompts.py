@@ -38,6 +38,11 @@ COT = "cot"
 PARAPHRASED = "paraphrased"
 VARIANTS = (STANDARD, CONTEXT, COT, PARAPHRASED)
 
+# Defaults of a render, shared by render and report.
+DEFAULT_INSTRUCTION_LANGUAGE = ENGLISH
+DEFAULT_VARIANT = STANDARD
+DEFAULT_SHOTS = 5
+
 # Data-language display names per instruction language.
 LANGUAGE_NAMES = {
     ENGLISH: {"turkish": "Turkish", "finnish": "Finnish"},

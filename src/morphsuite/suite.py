@@ -39,6 +39,11 @@ SHUFFLED = "shuffled"
 CORRECT = "correct"
 ORDER_MODES = (SHUFFLED, CORRECT)
 
+# Defaults of a suite build, shared by build-suite and report.
+DEFAULT_ORDER_MODE = SHUFFLED
+DEFAULT_STRATEGY = derive.LANG_AGNOSTIC
+DEFAULT_DEMO_FRACTION = 0.1
+
 EVAL_SPLIT = "eval"
 DEMO_SPLIT = "demo"
 
@@ -377,23 +382,57 @@ def _presented_order(record: SegmentedWord, order_mode: str, rng, warnings) -> l
     raise MorphSuiteError(f"record {record.record_id}: could not shuffle affix order")
 
 
+def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
+    """The record's negatives, or the reason it is skipped. With a cache
+    dict, derive.select_negatives runs once per key: everything selection
+    reads from the record, its seeded stream and its arguments."""
+    key = (
+        record.record_id,
+        record.language_id,
+        record.root,
+        tuple((a.form, a.slot) for a in record.affixes),
+        record.manual_negative_affix,
+        frozenset(record.known_valid_alternatives),
+        strategy,
+        k,
+        seed,
+    )
+    if cache is not None and key in cache:
+        return cache[key]
+    try:
+        outcome = derive.select_negatives(
+            record,
+            strategy,
+            k,
+            make_rng(seed, record.record_id, "negatives"),
+            profile=profile_for(record.language_id),
+        ) or "no distinct negative ordering"
+    except NoNegativeAvailable as exc:
+        outcome = str(exc)
+    if cache is not None:
+        cache[key] = outcome
+    return outcome
+
+
 def build_instances(
     records,
     task: str,
     distribution: str,
     *,
     context: bool = False,
-    order_mode: str = SHUFFLED,
-    strategy: str = derive.LANG_AGNOSTIC,
+    order_mode: str = DEFAULT_ORDER_MODE,
+    strategy: str = DEFAULT_STRATEGY,
     k: int | None = None,
     seed: int = 0,
     split: str = EVAL_SPLIT,
+    negative_cache: dict | None = None,
 ) -> BuildResult:
     """Build task instances for one (task, distribution) cell.
 
     Negative selection always runs on the original-root surfaces; the shown
     root is substituted afterwards, which keeps OOD options aligned with
-    their ID twins.
+    their ID twins. So the ID and OOD cells select the same negatives, and
+    a negative_cache dict shared by their builds selects them once.
     """
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}")
@@ -426,21 +465,9 @@ def build_instances(
                     f"record {record.record_id}: ordering space over cap "
                     f"{derive.DEFAULT_ORDERING_CAP}, candidates sampled"
                 )
-            try:
-                negatives = derive.select_negatives(
-                    record,
-                    strategy,
-                    k,
-                    make_rng(seed, record.record_id, "negatives"),
-                    profile=profile_for(record.language_id),
-                )
-            except NoNegativeAvailable as exc:
-                warnings.append(f"record {record.record_id} skipped: {exc}")
-                continue
-            if not negatives:
-                warnings.append(
-                    f"record {record.record_id} skipped: no distinct negative ordering"
-                )
+            negatives = _negatives_or_skip(record, strategy, k, seed, negative_cache)
+            if isinstance(negatives, str):
+                warnings.append(f"record {record.record_id} skipped: {negatives}")
                 continue
             single = record.morpheme_count == 1
             gold_affixes = tuple(record.gold_order_forms) if single else None
@@ -512,21 +539,25 @@ def build_suite(
     distribution: str,
     *,
     context: bool = False,
-    order_mode: str = SHUFFLED,
-    strategy: str = derive.LANG_AGNOSTIC,
+    order_mode: str = DEFAULT_ORDER_MODE,
+    strategy: str = DEFAULT_STRATEGY,
     k: int | None = None,
     seed: int = 0,
-    demo_fraction: float = 0.1,
+    demo_fraction: float = DEFAULT_DEMO_FRACTION,
+    negative_cache: dict | None = None,
 ) -> tuple[list[TaskInstance], dict]:
-    """Build eval + demo instances and the manifest skeleton for one suite."""
+    """Build eval + demo instances and the manifest skeleton for one suite;
+    negative_cache is passed to build_instances."""
     eval_records, demo_records = split_demo_pool(records, demo_fraction, seed)
     built_eval = build_instances(
         eval_records, task, distribution, context=context, order_mode=order_mode,
         strategy=strategy, k=k, seed=seed, split=EVAL_SPLIT,
+        negative_cache=negative_cache,
     )
     built_demo = build_instances(
         demo_records, task, distribution, context=context, order_mode=order_mode,
         strategy=strategy, k=k, seed=seed, split=DEMO_SPLIT,
+        negative_cache=negative_cache,
     )
     instances = built_eval.instances + built_demo.instances
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from factory import synth_turkish_records
-from morphsuite import cli
+from morphsuite import cli, derive
 from morphsuite.jsonl import write_jsonl
 from morphsuite.suite import record_to_row
 
@@ -137,6 +137,16 @@ class TestPipeline:
         ('{"endpoint_url": ', "invalid JSON"),
         ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "temperature": "hot"}',
          "'temperature' must be float"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "timeout": -1}',
+         "timeout must be > 0"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "max_retries": -1}',
+         "max_retries must be >= 0"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "max_tokens": 0}',
+         "max_tokens must be >= 1"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "parallelism": -3}',
+         "parallelism must be >= 1"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "temperature": NaN}',
+         "temperature must be >= 0"),
     ])
     def test_bad_model_config_exits_1_with_one_line(self, workdir, capsys, config, named):
         write_jsonl("prompts.jsonl", [])
@@ -193,6 +203,11 @@ class TestPipeline:
         Path("no_text_prompts.jsonl").write_text('{"instance_id": "i"}\n', encoding="utf-8")
         records = Path("records.jsonl").read_text("utf-8")
         Path("twice.jsonl").write_text(records + records, encoding="utf-8")
+        write_jsonl("one_label.jsonl", [{"instance_id": "a", "label": "x"}])
+        write_jsonl("two_labels.jsonl", [
+            {"instance_id": "a", "label": "x"}, {"instance_id": "a", "label": "y"},
+        ])
+        write_jsonl("list_label.jsonl", [{"instance_id": "a", "label": ["x"]}])
         return json.loads(records.splitlines()[0])["instance_id"]
 
     @pytest.mark.parametrize("argv, error, named", [
@@ -214,6 +229,10 @@ class TestPipeline:
           "--out", "r.jsonl"], "SchemaError", "no_text_prompts.jsonl:1: row lacks 'prompt'"),
         (["score", "--records", "twice.jsonl", "--suite", "suite.jsonl", "--out-dir", "r"],
          "DuplicateRecord", "two records for ({first_id}, None)"),
+        (["kappa", "--a", "two_labels.jsonl", "--b", "one_label.jsonl"],
+         "DuplicateRecord", "two_labels.jsonl: two rows for instance 'a'"),
+        (["kappa", "--a", "one_label.jsonl", "--b", "list_label.jsonl"],
+         "SchemaError", "list_label.jsonl:1: malformed row (label must be a string)"),
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
         capsys.readouterr()
@@ -247,6 +266,37 @@ class TestPipeline:
         assert summary["productivity_id"]["exact_match"] == 100.0
         assert Path("run/productivity_id/report.csv").exists()
         assert Path("run/run.json").exists()
+
+    def test_report_selects_negatives_once_per_record_and_run(self, workdir, monkeypatch):
+        corpus = write_corpus(Path("corpus.jsonl"), per_stratum=4, strata=(2, 3))
+        mock_config(Path("model.json"))
+        calls = []
+        select = derive.select_negatives
+
+        def counting(word, *args, **kwargs):
+            calls.append(word.record_id)
+            return select(word, *args, **kwargs)
+
+        monkeypatch.setattr(derive, "select_negatives", counting)
+        ids = sorted(r.record_id for r in corpus)
+        for out_dir in ("run1", "run2"):
+            config = {
+                "language": "turkish",
+                "seed": 5,
+                "input": "corpus.jsonl",
+                "out_dir": out_dir,
+                "model_config": "model.json",
+                "tasks": ["systematicity"],
+                "shots": 1,
+                "demo_fraction": 0.25,
+            }
+            Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+            assert run(["report", "--config", "run.json"]) == 0
+            assert sorted(calls) == ids
+            calls.clear()
+        for cell in ("systematicity_id", "systematicity_ood"):
+            rows = Path("run1", cell, "suite.jsonl").read_text("utf-8").splitlines()
+            assert len(rows) == len(ids)
 
 
 class TestReproducibility:

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from itertools import combinations
 
 import pytest
 
 from factory import synth_turkish_records
-from morphsuite import suite
+from morphsuite import derive, suite
 from morphsuite.derive import Affix, SegmentedWord
 from morphsuite.errors import (
     CompositionMismatch,
@@ -266,3 +267,57 @@ class TestSuiteDriver:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         parsed = json.loads(first)
         assert list(parsed) == sorted(parsed)
+
+
+class TestNegativeCache:
+    @pytest.fixture(scope="class")
+    def cache_records(self):
+        records = synth_turkish_records(10, [1, 2, 3, 4], seed=31)
+        records[0].manual_negative_affix = None  # skipped: no manual negative
+        for record in records:
+            record.nonce_root = record.root[:-1] + ("a" if record.root[-1] != "a" else "o")
+        return records
+
+    @pytest.mark.parametrize("strategy", list(derive.STRATEGIES))
+    def test_shared_cache_builds_what_separate_builds_do(self, cache_records, strategy):
+        cache = {}
+        for dist in suite.DISTRIBUTIONS:
+            kwargs = dict(strategy=strategy, seed=7, demo_fraction=0.2)
+            alone = suite.build_suite(cache_records, "systematicity", dist, **kwargs)
+            shared = suite.build_suite(
+                cache_records, "systematicity", dist, negative_cache=cache, **kwargs
+            )
+            assert shared == alone
+            instances, manifest = shared
+            assert any(i.split == suite.DEMO_SPLIT for i in instances)
+            assert any("skipped" in warning for warning in manifest["warnings"])
+        assert len(cache) == len(cache_records)
+
+    @pytest.mark.parametrize(
+        "field", ["affixes", "manual_negative_affix", "known_valid_alternatives"]
+    )
+    def test_same_record_id_with_other_inputs_selects_its_own(self, field):
+        stratum = 1 if field == "manual_negative_affix" else 3
+        first, donor = synth_turkish_records(2, [stratum], seed=32)
+        second = dataclasses.replace(first)
+        if field == "affixes":
+            second.affixes = donor.affixes
+            second.gold_surface = derive.compose(second.root, second.affixes)
+        elif field == "manual_negative_affix":
+            second.manual_negative_affix = first.manual_negative_affix + "n"
+        else:
+            (instance,) = build([first], "systematicity", "id", seed=3).instances
+            second.known_valid_alternatives = {
+                next(o.surface for o in instance.options if o.label == suite.INVALID)
+            }
+        cache = {}
+        shared = [
+            build([record], "systematicity", "id", seed=3, negative_cache=cache).instances
+            for record in (first, second)
+        ]
+        alone = [
+            build([record], "systematicity", "id", seed=3).instances for record in (first, second)
+        ]
+        assert shared == alone
+        assert shared[0][0].options != shared[1][0].options
+        assert len(cache) == 2
