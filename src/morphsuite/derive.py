@@ -10,13 +10,16 @@ is represented by the first of them.
 
 The nearest negatives (lang_agnostic, lang_specific_tr) are found without
 scoring every ordering: a depth-first search places the prefix block, the
-root, then the suffix block, one affix per step, and each step extends a
-Levenshtein DP row against the gold surface by that affix's characters, so
-orderings that share a prefix share its rows. Orderings that place the same
-text with the same forms left have the same completions, so only the first
-of them is searched; this also keeps one ordering per surface. Every
-ordering has the gold surface's length, so with i characters placed, every
-completion of a row is at least min_j(row[j] + |i - j|) away from gold (the
+root, then the suffix block, one affix per step, and each step advances a
+column of edit distances to the gold surface (distance.Pattern) by that
+affix's characters, so orderings that share a prefix share its columns.
+Orderings that place the same text with the same forms left have the same
+completions, so only the first of them is searched; this also keeps one
+ordering per surface. Every ordering has the gold surface's length, so
+with i characters placed, every completion is at least D(i, i) away from
+gold, the distance between the first i characters of each: an alignment
+leaves the column through some cell D(r, i), still pays |i - r| for the
+unequal lengths left, and neighbouring cells differ by at most 1 (the
 cutoff of Ukkonen, 1985). A branch is pruned only when that bound is
 strictly greater than the current k-th best distance: ties survive, which
 keeps the (distance, surface) order exact. The search is still exponential
@@ -32,7 +35,7 @@ from itertools import islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from morphsuite import profiles
-from morphsuite.distance import levenshtein
+from morphsuite.distance import Column, Pattern, levenshtein
 from morphsuite.errors import (
     CombinatorialCap,
     EmptyAffix,
@@ -260,22 +263,13 @@ def _nearest(
     prefix_order: list[str] = []
     suffix_order: list[str] = []
     searched: set[str] = set()  # block + placed text, then the sorted forms left, NUL-joined
-
-    def extend(row: list[int], text: str) -> list[int]:
-        for ch in text:
-            prev, left = row, row[0] + 1
-            row = [left]
-            for g, diag, up in zip(gold, prev, prev[1:]):
-                # Neighbouring cells differ by at most 1, so a match takes diag.
-                left = diag if ch == g else 1 + min(diag, up, left)
-                row.append(left)
-        return row
+    pattern = Pattern(gold)
 
     def permute(
-        block: str, order: list[str], remaining: tuple, row: list[int], text: str, then
+        block: str, order: list[str], remaining: tuple, column: Column, text: str, then
     ) -> None:
         if not remaining:
-            then(row, text)
+            then(column, text)
             return
         for index, form in enumerate(remaining):
             rest = remaining[:index] + remaining[index + 1:]
@@ -287,19 +281,17 @@ def _nearest(
             if state in searched:
                 continue
             searched.add(state)
-            extended = extend(row, form)
-            # The bound min_j(row[j] + |i - j|) equals row[i] for i placed
-            # characters: neighbouring cells differ by at most 1, so the
-            # term never falls as j moves away from i.
-            if extended[len(placed)] > cutoff or (prune is not None and prune(placed)):
+            extended = pattern.advance(column, form)
+            i = len(placed)
+            if pattern.cell(extended, i, i) > cutoff or (prune is not None and prune(placed)):
                 continue
             order.append(form)
             permute(block, order, rest, extended, placed, then)
             order.pop()
 
-    def leaf(row: list[int], surface: str) -> None:
+    def leaf(column: Column, surface: str) -> None:
         nonlocal cutoff
-        distance = row[-1]
+        distance = column[2]
         if distance > cutoff or surface in excluded:
             return
         if keep is not None and not keep(surface):
@@ -312,12 +304,11 @@ def _nearest(
         if len(best) == k:
             cutoff = best[-1][0]
 
-    def after_prefixes(row: list[int], text: str) -> None:
-        row, text = extend(row, word.root), text + word.root
-        permute(SUFFIX, suffix_order, tuple(word.suffix_forms), row, text, leaf)
+    def after_prefixes(column: Column, text: str) -> None:
+        column, text = pattern.advance(column, word.root), text + word.root
+        permute(SUFFIX, suffix_order, tuple(word.suffix_forms), column, text, leaf)
 
-    start = list(range(len(gold) + 1))
-    permute(PREFIX, prefix_order, tuple(word.prefix_forms), start, "", after_prefixes)
+    permute(PREFIX, prefix_order, tuple(word.prefix_forms), pattern.start, "", after_prefixes)
     return [
         CandidateDerivation(surface, po, so, False, distance)
         for distance, surface, po, so in best
@@ -371,8 +362,8 @@ def select_negatives(
     lang_agnostic: the k surfaces with the smallest edit distance to gold,
     ties broken by the surface string. The branch-and-bound search of the
     module docstring finds them exactly at any ordering-space size: a branch
-    is pruned only when its bound min_j(row[j] + |i - j|) is strictly
-    greater than the k-th best distance found so far.
+    with i characters placed is pruned only when its column's bound D(i, i)
+    is strictly greater than the k-th best distance found so far.
 
     lang_specific_tr: as lang_agnostic over surfaces without adjacent
     vowels (a branch whose placed text already clashes is cut); a second

@@ -37,17 +37,39 @@ def write_jsonl(path, rows) -> int:
     return n
 
 
+def decode(data: bytes, path) -> str:
+    """The contents of path as UTF-8 text; other bytes raise SchemaError
+    naming path and the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def read_lines(path):
+    """Yield (line_number, stripped text) for the non-blank lines of a UTF-8
+    file; bytes that are not UTF-8 raise SchemaError naming path:line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError:
+        # The reader decodes blocks ahead of the line it returns, so the
+        # line of the bad byte comes from the bytes.
+        decode(Path(path).read_bytes(), path)
+        raise
+
+
 def read_jsonl(path):
     """Yield (line_number, object) pairs; malformed lines raise SchemaError."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, nfc(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+    for lineno, line in read_lines(path):
+        try:
+            yield lineno, nfc(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
 def read_objects(path, from_row):
@@ -68,12 +90,12 @@ def read_objects(path, from_row):
 
 
 def read_json(path):
-    """Parse one JSON document; invalid JSON raises SchemaError."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    """Parse one JSON document; invalid UTF-8 or JSON raises SchemaError."""
+    text = decode(Path(path).read_bytes(), path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def write_json(path, obj) -> None:

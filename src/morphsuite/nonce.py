@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from morphsuite import profiles
 from morphsuite.errors import ExhaustedRetries, NoVowel, UnsupportedStrategy
+from morphsuite.jsonl import read_lines
 from morphsuite.rng import make_rng
 
 RETRY_LIMIT = 64
@@ -137,11 +138,6 @@ def make_nonce(
 
 
 def load_lexicon(path, profile: profiles.LanguageProfile) -> set[str]:
-    """Read a newline-separated word list, case-folded for membership checks."""
-    words = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            word = line.strip()
-            if word:
-                words.add(profiles.case_fold(word, profile))
-    return words
+    """Read a newline-separated UTF-8 word list, case-folded for membership
+    checks; a line that is not UTF-8 raises SchemaError naming path:line."""
+    return {profiles.case_fold(word, profile) for _, word in read_lines(path)}

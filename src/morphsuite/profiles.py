@@ -77,8 +77,9 @@ def classify(letter: str, profile: LanguageProfile) -> LetterClass:
 def check_letters(word: str, profile: LanguageProfile) -> str:
     """Case-fold the word and verify every letter is in the alphabet."""
     folded = case_fold(word, profile)
+    alphabet = profile.alphabet  # a property: builds a new set on each access
     for ch in folded:
-        if ch not in profile.alphabet:
+        if ch not in alphabet:
             raise UnknownLetter(
                 f"{ch!r} in {word!r} is not in the {profile.language_id} alphabet"
             )

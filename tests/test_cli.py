@@ -208,6 +208,11 @@ class TestPipeline:
             {"instance_id": "a", "label": "x"}, {"instance_id": "a", "label": "y"},
         ])
         write_jsonl("list_label.jsonl", [{"instance_id": "a", "label": ["x"]}])
+        Path("utf16.jsonl").write_bytes(b'\xff\xfe{"a":1}')
+        Path("utf16.json").write_bytes(b'\xff\xfe{"a":1}')
+        # past the first block the reader decodes, so the line must be found
+        Path("latin1_lexicon.txt").write_bytes(b"kedi\n" * 3000 + b"k\xf6pek\n")
+        Path("latin1_model.json").write_bytes(b'{\n  "model_name":\n  "k\xf6pek"\n}\n')
         return json.loads(records.splitlines()[0])["instance_id"]
 
     @pytest.mark.parametrize("argv, error, named", [
@@ -233,6 +238,16 @@ class TestPipeline:
          "DuplicateRecord", "two_labels.jsonl: two rows for instance 'a'"),
         (["kappa", "--a", "one_label.jsonl", "--b", "list_label.jsonl"],
          "SchemaError", "list_label.jsonl:1: malformed row (label must be a string)"),
+        (["build-suite", "--task", "productivity", "--dist", "id", "--in", "utf16.jsonl",
+          "--out", "s.jsonl"], "SchemaError", "utf16.jsonl:1: not UTF-8"),
+        (["kappa", "--a", "utf16.jsonl", "--b", "one_label.jsonl"],
+         "SchemaError", "utf16.jsonl:1: not UTF-8"),
+        (["report", "--config", "utf16.json"], "SchemaError", "utf16.json:1: not UTF-8"),
+        (["gen-nonce", "--lang", "turkish", "--lexicon", "latin1_lexicon.txt",
+          "--in", "corpus.jsonl", "--out", "n.jsonl"],
+         "SchemaError", "latin1_lexicon.txt:3001: not UTF-8"),
+        (["evaluate", "--prompts", "prompts.jsonl", "--model-config", "latin1_model.json",
+          "--out", "r.jsonl"], "SchemaError", "latin1_model.json:3: not UTF-8"),
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
         capsys.readouterr()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from morphsuite import derive, suite
 from morphsuite.derive import Affix, SegmentedWord
-from morphsuite.distance import levenshtein
 from morphsuite.errors import (
     CombinatorialCap,
     EmptyAffix,
@@ -16,6 +15,7 @@ from morphsuite.errors import (
 )
 from morphsuite.profiles import has_adjacent_vowels
 from morphsuite.rng import make_rng
+from test_distance import dp_oracle
 
 
 def word(root, suffixes, prefixes=(), language="turkish", **kwargs):
@@ -224,15 +224,16 @@ def test_enumerate_matches_bruteforce(root, suffixes):
 
 def oracle_negatives(w, strategy, k, rng, profile):
     """Brute force: every ordering, first ordering per surface, one edit
-    distance each, then a (distance, surface) sort; lang_specific_tr takes
-    the smooth surfaces first and backfills with the clashing ones."""
+    distance each by the full-matrix DP, then a (distance, surface) sort;
+    lang_specific_tr takes the smooth surfaces first and backfills with the
+    clashing ones."""
     gold = "".join(w.prefix_forms) + w.root + "".join(w.suffix_forms)
     first = {}
     for pp in permutations(w.prefix_forms):
         for sp in permutations(w.suffix_forms):
             first.setdefault("".join(pp) + w.root + "".join(sp), (pp, sp))
     pool = [
-        (surface, pp, sp, levenshtein(surface, gold))
+        (surface, pp, sp, dp_oracle(surface, gold))
         for surface, (pp, sp) in first.items()
         if surface != gold and surface not in w.known_valid_alternatives
     ]
@@ -285,12 +286,19 @@ def _words(draw):
 @example(word("değer", ["len", "dir", "ip"]), "lang_agnostic", 5, 0)
 @example(word("değer", ["len", "dir", "ip"]), "lang_specific_tr", 6, 0)
 @example(word("değer", ["len", "dir", "ip"]), "random", 5, 0)
+# Eight affixes: distinct forms colliding into few surfaces, and vowel-heavy
+# forms whose surfaces mostly clash.
+@example(word("kök", ["a" * n for n in range(1, 8)] + ["b"]), "lang_agnostic", 4, 0)
+@example(word("kap", ["ab", "ba", "a", "b", "ab", "ba", "aa", "bb"]), "lang_specific_tr", 4, 0)
 def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, seed):
     want = oracle_negatives(w, strategy, k, make_rng(seed), turkish)
     got = derive.select_negatives(w, strategy, k, make_rng(seed), profile=turkish)
     assert _as_tuples(got) == want
     # A given pool feeds random and the small-pool return; the distance
-    # strategies always search the record's own orderings.
+    # strategies always search the record's own orderings. Above the cap
+    # there is no full pool to give.
+    if derive.ordering_space(w) > derive.DEFAULT_ORDERING_CAP:
+        return
     given = derive.enumerate_orderings(w)
     if strategy != "random" and sum(not c.is_gold for c in given) > k:
         with pytest.raises(ValueError):
