@@ -99,6 +99,37 @@ def _write_report(out_dir, report) -> None:
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
 
 
+# The JSON type each report config key must have, and its name in messages
+# (model_config is checked by ModelConfig).
+_REPORT_TYPES = {
+    **dict.fromkeys(
+        ("language", "input", "out_dir", "lexicon", "cache", "templates", "order_mode",
+         "strategy", "instruction_language", "variant"),
+        ((str,), "a string"),
+    ),
+    **dict.fromkeys(("tasks", "distributions"), ((list,), "a list of strings")),
+    **dict.fromkeys(("seed", "shots"), ((int,), "an integer")),
+    "k": ((int, type(None)), "an integer or null"),
+    "demo_fraction": ((int, float), "a number"),
+    "context": ((bool,), "true or false"),
+}
+
+
+def _check_report_types(cfg: dict, source) -> None:
+    """Raise SchemaError naming the first key whose value has the wrong JSON
+    type; true and false are not numbers."""
+    for key, (types, name) in _REPORT_TYPES.items():
+        if key not in cfg:
+            continue
+        value = cfg[key]
+        if isinstance(value, list):
+            ok = list in types and all(isinstance(v, str) for v in value)
+        else:
+            ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+        if not ok:
+            raise SchemaError(f"{source}: report config key {key!r} must be {name}")
+
+
 def _parse_strata(spec: str) -> list[int]:
     if "-" in spec:
         lo, hi = spec.split("-", 1)
@@ -310,6 +341,7 @@ def cmd_report(args) -> int:
     for required in ("language", "input", "model_config"):
         if required not in cfg:
             raise SchemaError(f"{args.config}: report config lacks {required!r}")
+    _check_report_types(cfg, args.config)
     model_cfg = cfg["model_config"]
     if isinstance(model_cfg, str):
         model = client.ModelConfig.from_file(model_cfg)

@@ -248,12 +248,13 @@ def _nearest(
     word: SegmentedWord,
     k: int,
     keep: Callable[[str], bool] | None = None,
-    prune: Callable[[str], bool] | None = None,
+    prune: Callable[[str, str], bool] | None = None,
 ) -> list[CandidateDerivation]:
     """The k distinct negatives nearest to gold whose surface passes keep,
     sorted by (distance, surface); the branch-and-bound search of the
-    module docstring. prune(text) may declare that no surface starting
-    with text passes keep."""
+    module docstring. prune(text, form) may declare that no surface starting
+    with text + form passes keep; it is asked only about a text that it
+    passed form by form, the root included."""
     if k < 1:
         return []
     gold = _gold(word)
@@ -283,7 +284,7 @@ def _nearest(
             searched.add(state)
             extended = pattern.advance(column, form)
             i = len(placed)
-            if pattern.cell(extended, i, i) > cutoff or (prune is not None and prune(placed)):
+            if pattern.cell(extended, i, i) > cutoff or (prune is not None and prune(text, form)):
                 continue
             order.append(form)
             permute(block, order, rest, extended, placed, then)
@@ -305,6 +306,8 @@ def _nearest(
             cutoff = best[-1][0]
 
     def after_prefixes(column: Column, text: str) -> None:
+        if prune is not None and prune(text, word.root):
+            return
         column, text = pattern.advance(column, word.root), text + word.root
         permute(SUFFIX, suffix_order, tuple(word.suffix_forms), column, text, leaf)
 
@@ -322,8 +325,9 @@ def _smooth_first(word: SegmentedWord, k: int, profile: profiles.LanguageProfile
     def clashes(surface: str) -> bool:
         return profiles.has_adjacent_vowels(surface, profile)
 
-    # A clashing prefix makes every completion clash, so it ends a smooth branch.
-    chosen = _nearest(word, k, lambda surface: not clashes(surface), clashes)
+    # A clashing prefix makes every completion clash, so it ends a smooth
+    # branch; the prune checks every form placed, so each surface found is smooth.
+    chosen = _nearest(word, k, prune=profiles.adjacent_vowels_after(profile))
     if len(chosen) < k:
         chosen += _nearest(word, k - len(chosen), clashes)
     return chosen

@@ -1,7 +1,25 @@
-"""JSONL reading/writing with the conventions used by every pipeline stage:
+r"""JSONL reading/writing with the conventions used by every pipeline stage:
 UTF-8, NFC-normalized strings, sorted keys, one object per line.
 
 Sorted keys plus NFC make outputs byte-reproducible across runs.
+
+Invariant: every string that is written or read is in NFC, and the bytes are
+those of json.dumps(nfc(obj), ensure_ascii=False, sort_keys=True). The walk
+of nfc is skipped whenever it cannot change anything, which is exact because
+JSON punctuation and escapes never compose under NFC (UAX #15):
+
+- Writing. A quote, comma, colon, bracket or whitespace between JSON tokens
+  composes with no neighbour, so the serialized text is NFC exactly when
+  each escaped string in it is. An escape replaces a quote, backslash or
+  control character (which compose with nothing) by ASCII text that can
+  only make the result non-NFC (the n of ``\n`` composes with a following
+  U+0303), never hide a string that is not NFC. So when the text of
+  json.dumps(obj) is NFC, every string and key of obj is NFC already and
+  that text is returned; otherwise obj goes through nfc first.
+- Reading. Decoding a two-character escape (``\n``, ``\t``, ``\"``,
+  ``\\``, ...) yields a character that composes with nothing, so a line
+  that is NFC and holds no ``\u`` escape decodes to NFC strings. Other lines
+  go through nfc.
 """
 import json
 import unicodedata
@@ -21,8 +39,12 @@ def nfc(value):
     return value
 
 
-def dumps(obj) -> str:
-    return json.dumps(nfc(obj), ensure_ascii=False, sort_keys=True)
+def dumps(obj, indent=None) -> str:
+    """obj as sorted-key JSON text with NFC strings (see the module docstring)."""
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent)
+    if unicodedata.is_normalized("NFC", text):
+        return text
+    return json.dumps(nfc(obj), ensure_ascii=False, sort_keys=True, indent=indent)
 
 
 def write_jsonl(path, rows) -> int:
@@ -67,9 +89,12 @@ def read_jsonl(path):
     """Yield (line_number, object) pairs; malformed lines raise SchemaError."""
     for lineno, line in read_lines(path):
         try:
-            yield lineno, nfc(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if "\\u" in line or not unicodedata.is_normalized("NFC", line):
+            obj = nfc(obj)
+        yield lineno, obj
 
 
 def read_objects(path, from_row):
@@ -102,5 +127,5 @@ def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(nfc(obj), f, ensure_ascii=False, sort_keys=True, indent=2)
+        f.write(dumps(obj, indent=2))
         f.write("\n")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from morphsuite.errors import NoVowel, SchemaError, UnknownLetter
 
@@ -44,6 +45,19 @@ class LanguageProfile:
     @property
     def alphabet(self) -> frozenset[str]:
         return self.vowels | self.consonants
+
+    @cached_property
+    def stable_letters(self) -> frozenset[str]:
+        """The one-character letters and uppercase letters of the profile if
+        each is a starter that NFC keeps as it is and NFC composes no two of
+        them; else the empty set."""
+        letters = [ch for ch in self.alphabet | self.casing_pairs.keys() if len(ch) == 1]
+        pairs = "".join(a + b for a in letters for b in letters)
+        if all(unicodedata.combining(ch) == 0 for ch in letters) and unicodedata.is_normalized(
+            "NFC", pairs
+        ):
+            return frozenset(letters)
+        return frozenset()
 
     def vowels_in_class(self, harmony: str) -> list[str]:
         return sorted(v for v in self.vowels if self.harmony_class_of[v] == harmony)
@@ -88,9 +102,44 @@ def check_letters(word: str, profile: LanguageProfile) -> str:
 
 def has_adjacent_vowels(word: str, profile: LanguageProfile) -> bool:
     """True iff two vowels occur next to each other anywhere in the word."""
-    folded = check_letters(word, profile)
-    vowels = profile.vowels
+    return _vowel_pair(check_letters(word, profile), profile.vowels)
+
+
+def _vowel_pair(folded: str, vowels) -> bool:
     return any(a in vowels and b in vowels for a, b in zip(folded, folded[1:]))
+
+
+def adjacent_vowels_after(profile: LanguageProfile) -> Callable[[str, str], bool]:
+    """A function clashes(text, form) equal to has_adjacent_vowels(text +
+    form, profile), raising the same exception type, for a text that passes
+    check_letters and has no adjacent vowels.
+
+    A starter composes only with the character just before it. So when the
+    last two characters of text and the first of form are stable letters,
+    NFC acts on text and form apart, text + form folds to the folded text
+    followed by the folded form, and only the last letter of text and the
+    form (folded once per form) need a look. Otherwise the whole of text +
+    form is scanned.
+    """
+    stable = profile.stable_letters
+    edge = stable | {""}  # text[-1:] and text[-2:-1] are empty at its start
+    vowels = profile.vowels
+    casing = profile.casing_pairs
+    forms: dict[str, tuple[bool, bool]] = {}  # form -> (starts with a vowel, clashes)
+
+    def clashes(text: str, form: str) -> bool:
+        if not (form[:1] in stable and text[-1:] in edge and text[-2:-1] in edge):
+            return has_adjacent_vowels(text + form, profile)
+        facts = forms.get(form)
+        if facts is None:
+            folded = check_letters(form, profile)
+            facts = forms[form] = (folded[0] in vowels, _vowel_pair(folded, vowels))
+        starts_with_vowel, clashes_inside = facts
+        return clashes_inside or (
+            starts_with_vowel and casing.get(text[-1:], text[-1:]) in vowels
+        )
+
+    return clashes
 
 
 def last_vowel_suffix_span(word: str, profile: LanguageProfile) -> tuple[int, int]:

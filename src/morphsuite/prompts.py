@@ -301,13 +301,21 @@ def render_suite(
     and parse metadata the evaluation stage needs (ids, task, variant, gold
     answer, affix blocks for the composition baselines).
     """
-    demo_pool = [i for i in instances if i.split == suite_mod.DEMO_SPLIT]
+    # render keeps only the demos of the query's task, distribution and
+    # morpheme count; grouping them once, in pool order, leaves its pick unchanged.
+    demo_groups: dict[tuple, list] = {}
+    for i in instances:
+        if i.split == suite_mod.DEMO_SPLIT:
+            demo_groups.setdefault((i.task, i.distribution, i.morpheme_count), []).append(i)
     rows = []
     for instance in instances:
         if instance.split != suite_mod.EVAL_SPLIT:
             continue
         ts = catalog.get(
             instruction_language, instance.task, instance.distribution, variant
+        )
+        demo_pool = demo_groups.get(
+            (instance.task, instance.distribution, instance.morpheme_count), []
         )
         option_indices = (
             [None]

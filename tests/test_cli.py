@@ -165,6 +165,18 @@ class TestPipeline:
         ({"language": None}, "'language'"),
         ({"model_config": None}, "'model_config'"),
         ({"model_config": {"endpoint_url": "mock://echo-gold", "model_nmae": "m"}}, "'model_nmae'"),
+        ({"shots": "5"}, "'shots' must be an integer"),
+        ({"shots": True}, "'shots' must be an integer"),
+        ({"seed": 1.5}, "'seed' must be an integer"),
+        ({"k": "x"}, "'k' must be an integer or null"),
+        ({"demo_fraction": "x"}, "'demo_fraction' must be a number"),
+        ({"demo_fraction": False}, "'demo_fraction' must be a number"),
+        ({"context": 1}, "'context' must be true or false"),
+        ({"tasks": "productivity"}, "'tasks' must be a list of strings"),
+        ({"distributions": ["id", 2]}, "'distributions' must be a list of strings"),
+        ({"variant": ["standard"]}, "'variant' must be a string"),
+        ({"language": 7}, "'language' must be a string"),
+        ({"out_dir": 7}, "'out_dir' must be a string"),
     ])
     def test_bad_report_config_exits_1_with_one_line(self, workdir, capsys, change, named):
         mock_config(Path("model.json"))

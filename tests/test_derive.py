@@ -16,6 +16,7 @@ from morphsuite.errors import (
 from morphsuite.profiles import has_adjacent_vowels
 from morphsuite.rng import make_rng
 from test_distance import dp_oracle
+from test_profiles import outcome
 
 
 def word(root, suffixes, prefixes=(), language="turkish", **kwargs):
@@ -308,6 +309,42 @@ def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, see
             w, strategy, k, make_rng(seed), profile=turkish, candidates=given
         )
         assert _as_tuples(given_pool) == want
+
+
+def full_text_smooth_first(w, k, profile):
+    """lang_specific_tr with the prune that re-folds and re-scans the whole
+    placed text at every node: the oracle of profiles.adjacent_vowels_after."""
+
+    def clashes(surface):
+        return has_adjacent_vowels(surface, profile)
+
+    chosen = derive._nearest(
+        w, k, lambda surface: not clashes(surface), lambda text, form: clashes(text + form)
+    )
+    if len(chosen) < k:
+        chosen += derive._nearest(w, k - len(chosen), clashes)
+    return chosen
+
+
+# Uppercase I/İ and combining marks at form joins (I + U+0307 is İ), and a
+# letter outside the alphabet.
+_JOIN_FORMS = st.sampled_from(
+    ["a", "ı", "e", "l", "ar", "k", "I", "İ", "Ia", "\u0307", "\u0308", "\u0307a", "o", "q"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["k", "kI", "ko", "İk", "\u0307k"]),
+    st.lists(_JOIN_FORMS, max_size=2),
+    st.lists(_JOIN_FORMS, min_size=1, max_size=5),
+    st.integers(1, 4),
+)
+@example("kap", [], ["ab", "ba", "a", "b", "ab", "ba", "aa", "bb", "la", "le"], 4)
+def test_smooth_first_matches_full_text_prune(turkish, root, prefixes, suffixes, k):
+    w = word(root, suffixes, prefixes=prefixes)
+    got = outcome(lambda: _as_tuples(derive._smooth_first(w, k, turkish)))
+    assert got == outcome(lambda: _as_tuples(full_text_smooth_first(w, k, turkish)))
 
 
 def test_select_negatives_above_cap(turkish):

@@ -1,5 +1,7 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from morphsuite import profiles
@@ -127,3 +129,53 @@ def test_profile_roundtrip_from_path(tmp_path, turkish):
     loaded = profiles.load_profile(p)
     assert loaded.vowels == turkish.vowels
     assert loaded.letter_frequency == turkish.letter_frequency
+
+
+def outcome(function, *args):
+    """function(*args), or the type of the exception it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+# Letters, uppercase I/İ, combining marks that compose with the letter before
+# them (I + U+0307 is İ, o + U+0308 is ö), letters outside the alphabet, and
+# the Hangul jamo U+1100 and U+1161, which compose to the syllable U+AC00.
+_JOIN_PIECES = st.sampled_from(
+    ["a", "e", "ı", "i", "o", "k", "l", "ar", "I", "İ", "Ia", "\u0307", "\u0308",
+     "ö", "\u0327a", "ş", "ğ", "q", "\u1100", "\u1161", "\u1100\u1161", "\uac00"]
+)
+
+
+@given(
+    st.sampled_from(["turkish", "turkish+hangul"]),
+    st.lists(_JOIN_PIECES, max_size=8),
+    st.lists(st.lists(_JOIN_PIECES, min_size=1, max_size=3).map("".join), min_size=1, max_size=4),
+)
+@example("turkish", ["kI"], ["\u0307a"])  # I + U+0307 is İ, a vowel
+@example("turkish+hangul", ["\u1100\u1161"], ["a"])  # ends in a consonant
+def test_adjacent_vowels_after_matches_full_text(turkish, which, pieces, forms):
+    profile = turkish
+    if which == "turkish+hangul":
+        # The vowel U+1161 is stable beside every letter, but after U+1100,
+        # which is no letter, it composes into the consonant U+AC00.
+        profile = replace(turkish, consonants=turkish.consonants | {"\uac00"},
+                          vowels=turkish.vowels | {"\u1161"})
+        assert {"\uac00", "\u1161"} <= profile.stable_letters
+    # Grow text piece by piece as the search does, keeping only pieces after
+    # which it still passes the full-text check without a clash.
+    text = ""
+    for piece in pieces:
+        if outcome(profiles.has_adjacent_vowels, text + piece, profile) is False:
+            text += piece
+    clashes = profiles.adjacent_vowels_after(profile)
+    for form in forms + forms:  # the second round reads the per-form facts
+        want = outcome(profiles.has_adjacent_vowels, text + form, profile)
+        assert outcome(clashes, text, form) == want
+
+
+def test_stable_letters(turkish, finnish):
+    assert turkish.stable_letters == turkish.alphabet | turkish.casing_pairs.keys()
+    assert "İ" in turkish.stable_letters and "I" in turkish.stable_letters
+    assert finnish.stable_letters == finnish.alphabet | finnish.casing_pairs.keys()

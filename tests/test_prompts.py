@@ -149,3 +149,39 @@ def test_turkish_instruction_language(catalog):
     for row in rows:
         assert "Sadece Evet veya Hayır ile cevap verin" in row["prompt"]
         assert row["gold_answer"] in ("Evet", "Hayır")
+
+
+def render_suite_reference(instances, catalog, instruction_language, variant, n_shots, seed):
+    """render_suite as a plain loop: every prompt filters the whole demo pool."""
+    pool = [i for i in instances if i.split == suite.DEMO_SPLIT]
+    out = []
+    for instance in instances:
+        if instance.split != suite.EVAL_SPLIT:
+            continue
+        ts = catalog.get(instruction_language, instance.task, instance.distribution, variant)
+        options = [None] if instance.task == suite.PRODUCTIVITY else range(len(instance.options))
+        for option_index in options:
+            rng = make_rng(seed, "render", instance.instance_id, option_index)
+            out.append(prompts.render(instance, ts, n_shots, pool, rng, option_index))
+    return out
+
+
+@pytest.mark.parametrize("variant", prompts.VARIANTS)
+def test_render_suite_matches_ungrouped_pool(catalog, variant):
+    # One pool mixing both tasks, both distributions and two morpheme counts,
+    # so each prompt's demos come from about an eighth of it.
+    records = synth_turkish_records(24, [2, 3], seed=41)
+    for record in records:
+        record.nonce_root = record.root[:-1] + ("a" if record.root[-1] != "a" else "o")
+    instances = []
+    for task in suite.TASKS:
+        for dist in suite.DISTRIBUTIONS:
+            built, _ = suite.build_suite(
+                records, task, dist, context=variant == prompts.CONTEXT, seed=41,
+                demo_fraction=0.3,
+            )
+            instances += built
+    rows = prompts.render_suite(instances, catalog, "english", variant, 2, seed=4)
+    want = render_suite_reference(instances, catalog, "english", variant, 2, seed=4)
+    assert {row["task"] for row in rows} == set(suite.TASKS)
+    assert [(row["prompt"], row["demo_ids"]) for row in rows] == want
