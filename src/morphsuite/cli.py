@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from morphsuite import __version__, client, derive, metrics, nonce, prompts, suite
+from morphsuite import __version__, client, derive, metrics, nonce, profiles, prompts, suite
 from morphsuite.errors import (
     AuthError,
     DuplicateRecord,
@@ -23,7 +24,7 @@ from morphsuite.errors import (
     TransportError,
     UsageError,
 )
-from morphsuite.jsonl import read_json, read_objects, write_json, write_jsonl
+from morphsuite.jsonl import read_config, read_json, read_objects, write_json, write_jsonl
 from morphsuite.rng import derive_seed
 
 # Answer-normalization rules recorded in evaluate manifests so reported
@@ -99,42 +100,54 @@ def _write_report(out_dir, report) -> None:
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
 
 
-# The JSON type each report config key must have, and its name in messages
-# (model_config is checked by ModelConfig).
-_REPORT_TYPES = {
-    **dict.fromkeys(
-        ("language", "input", "out_dir", "lexicon", "cache", "templates", "order_mode",
-         "strategy", "instruction_language", "variant"),
-        ((str,), "a string"),
-    ),
-    **dict.fromkeys(("tasks", "distributions"), ((list,), "a list of strings")),
-    **dict.fromkeys(("seed", "shots"), ((int,), "an integer")),
-    "k": ((int, type(None)), "an integer or null"),
-    "demo_fraction": ((int, float), "a number"),
-    "context": ((bool,), "true or false"),
-}
+@dataclass
+class ReportConfig:
+    """A report config file: one run over the (task, distribution) cells.
+    model_config is a model config path or the same object inline."""
+
+    language: str
+    input: str
+    model_config: str | dict
+    out_dir: str = "morphsuite-run"
+    seed: int = 0
+    lexicon: str | None = None
+    cache: str | None = None  # default: <out_dir>/cache
+    templates: str | None = None  # default: bundled
+    tasks: list[str] = field(default_factory=lambda: list(suite.TASKS))
+    distributions: list[str] = field(default_factory=lambda: list(suite.DISTRIBUTIONS))
+    context: bool = False
+    order_mode: str = suite.DEFAULT_ORDER_MODE
+    strategy: str = suite.DEFAULT_STRATEGY
+    k: int | None = None
+    demo_fraction: float = suite.DEFAULT_DEMO_FRACTION
+    instruction_language: str = prompts.DEFAULT_INSTRUCTION_LANGUAGE
+    variant: str = prompts.DEFAULT_VARIANT
+    shots: int = prompts.DEFAULT_SHOTS
 
 
-def _check_report_types(cfg: dict, source) -> None:
-    """Raise SchemaError naming the first key whose value has the wrong JSON
-    type; true and false are not numbers."""
-    for key, (types, name) in _REPORT_TYPES.items():
-        if key not in cfg:
-            continue
-        value = cfg[key]
-        if isinstance(value, list):
-            ok = list in types and all(isinstance(v, str) for v in value)
+def _strata(spec: str) -> list[int]:
+    """The morpheme counts of a --strata value such as 1-7 or 1,2,3."""
+    try:
+        if "-" in spec:
+            lo, hi = spec.split("-", 1)
+            strata = list(range(int(lo), int(hi) + 1))
         else:
-            ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
-        if not ok:
-            raise SchemaError(f"{source}: report config key {key!r} must be {name}")
+            strata = [int(x) for x in spec.split(",")]
+    except ValueError:
+        strata = []
+    if not strata:
+        raise argparse.ArgumentTypeError(f"expected e.g. 1-7 or 1,2,3, got {spec!r}")
+    return strata
 
 
-def _parse_strata(spec: str) -> list[int]:
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +156,7 @@ def _parse_strata(spec: str) -> list[int]:
 
 def cmd_gen_nonce(args) -> int:
     in_path = resolve_input(args.input)
-    profile = suite.profile_for(args.lang)
+    profile = profiles.load_profile(args.lang)
     records = [r for r in _ingest_or_die(in_path) if r.language_id == args.lang]
     if not records:
         raise SchemaError(f"no {args.lang} records in {in_path}")
@@ -181,10 +194,10 @@ def cmd_build_suite(args) -> int:
         raise SchemaError(f"input mixes languages {sorted(languages)}; split first")
 
     sampling = None
-    if args.per_stratum:
-        strata = _parse_strata(args.strata) if args.strata else sorted(
-            {r.morpheme_count for r in records}
-        )
+    if args.strata is not None and args.per_stratum is None:
+        raise UsageError("--strata needs --per-stratum")
+    if args.per_stratum is not None:
+        strata = args.strata or sorted({r.morpheme_count for r in records})
         sample = suite.stratified_sample(records, args.per_stratum, strata, args.seed)
         records = sample.records
         sampling = {
@@ -335,60 +348,48 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise SchemaError(f"{args.config}: report config must be a JSON object")
-    for required in ("language", "input", "model_config"):
-        if required not in cfg:
-            raise SchemaError(f"{args.config}: report config lacks {required!r}")
-    _check_report_types(cfg, args.config)
-    model_cfg = cfg["model_config"]
-    if isinstance(model_cfg, str):
-        model = client.ModelConfig.from_file(model_cfg)
+    raw = read_json(args.config)
+    cfg = read_config(ReportConfig, raw, args.config, "report config")
+    if isinstance(cfg.model_config, str):
+        model = client.ModelConfig.from_file(cfg.model_config)
     else:
-        model = client.ModelConfig.from_dict(model_cfg, f"{args.config}: model_config")
+        model = read_config(
+            client.ModelConfig, cfg.model_config, f"{args.config}: model_config", "model config"
+        )
 
-    out_dir = Path(cfg.get("out_dir") or args.out_dir or "morphsuite-run")
-    seed = cfg.get("seed", 0)
-    language = cfg["language"]
-    in_path = resolve_input(cfg["input"])
-    records = [r for r in _ingest_or_die(in_path) if r.language_id == language]
+    out_dir = Path(cfg.out_dir)
+    in_path = resolve_input(cfg.input)
+    records = [r for r in _ingest_or_die(in_path) if r.language_id == cfg.language]
 
-    distributions = cfg.get("distributions", list(suite.DISTRIBUTIONS))
-    if suite.OUT_DIST in distributions and any(not r.nonce_root for r in records):
-        profile = suite.profile_for(language)
-        lexicon = nonce.load_lexicon(cfg["lexicon"], profile) if cfg.get("lexicon") else None
-        records, _ = _add_nonces(records, profile, lexicon, seed)
+    if suite.OUT_DIST in cfg.distributions and any(not r.nonce_root for r in records):
+        profile = profiles.load_profile(cfg.language)
+        lexicon = nonce.load_lexicon(cfg.lexicon, profile) if cfg.lexicon else None
+        records, _ = _add_nonces(records, profile, lexicon, cfg.seed)
 
-    cache = client.ResponseCache(cfg.get("cache") or out_dir / "cache")
-    catalog = prompts.load_templates(cfg.get("templates"))
+    cache = client.ResponseCache(cfg.cache or out_dir / "cache")
+    catalog = prompts.load_templates(cfg.templates)
 
     negative_cache: dict = {}  # shared by this run's cells, freed with it
     summary = {}
-    for task in cfg.get("tasks", list(suite.TASKS)):
-        for dist in distributions:
+    for task in cfg.tasks:
+        for dist in cfg.distributions:
             cell_dir = out_dir / f"{task}_{dist}"
             instances, manifest = suite.build_suite(
                 records,
                 task,
                 dist,
-                context=cfg.get("context", False),
-                order_mode=cfg.get("order_mode", suite.DEFAULT_ORDER_MODE),
-                strategy=cfg.get("strategy", suite.DEFAULT_STRATEGY),
-                k=cfg.get("k"),
-                seed=seed,
-                demo_fraction=cfg.get("demo_fraction", suite.DEFAULT_DEMO_FRACTION),
+                context=cfg.context,
+                order_mode=cfg.order_mode,
+                strategy=cfg.strategy,
+                k=cfg.k,
+                seed=cfg.seed,
+                demo_fraction=cfg.demo_fraction,
                 negative_cache=negative_cache,
             )
             suite.write_suite(cell_dir / "suite.jsonl", instances)
             write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
             rows = prompts.render_suite(
-                instances,
-                catalog,
-                cfg.get("instruction_language", prompts.DEFAULT_INSTRUCTION_LANGUAGE),
-                cfg.get("variant", prompts.DEFAULT_VARIANT),
-                cfg.get("shots", prompts.DEFAULT_SHOTS),
-                seed,
+                instances, catalog, cfg.instruction_language, cfg.variant, cfg.shots, cfg.seed
             )
             write_jsonl(cell_dir / "prompts.jsonl", rows)
             eval_records = client.evaluate_rows(rows, model, cache)
@@ -403,7 +404,7 @@ def cmd_report(args) -> int:
     run_manifest = {
         "command": "report",
         "version": __version__,
-        "config": cfg,
+        "config": raw,
         "input_digest": suite.file_digest(in_path),
         "summary": summary,
     }
@@ -437,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default=suite.DEFAULT_STRATEGY, choices=list(derive.STRATEGIES))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--per-stratum", type=int, default=None)
-    p.add_argument("--strata", default=None, help="e.g. 1-7 or 1,2,3")
+    p.add_argument("--per-stratum", type=_positive_int, default=None)
+    p.add_argument("--strata", type=_strata, default=None, help="e.g. 1-7; needs --per-stratum")
     p.add_argument("--demo-fraction", type=float, default=suite.DEFAULT_DEMO_FRACTION)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
@@ -479,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -17,7 +17,7 @@ import sys
 import threading
 import time
 import unicodedata
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from morphsuite import derive, profiles
@@ -28,7 +28,7 @@ from morphsuite.errors import (
     SchemaError,
     TransportError,
 )
-from morphsuite.jsonl import dumps, read_json
+from morphsuite.jsonl import dumps, read_config, read_json
 from morphsuite.rng import make_rng
 
 WORD = "word"
@@ -42,9 +42,6 @@ _POLARITY = {
     "kyllä": suite_mod.YES,
     "ei": suite_mod.NO,
 }
-
-# JSON value types accepted for each ModelConfig field annotation.
-_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
 _ANSWER_TAG = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
 _STRIP_CHARS = " \t\"'`“”‘’.,;:!?()[]{}<>«»*_-–—"
@@ -78,28 +75,8 @@ class ModelConfig:
             raise SchemaError("parallelism must be >= 1")
 
     @classmethod
-    def from_dict(cls, data, source) -> "ModelConfig":
-        """Build a config from parsed JSON; a non-object, an unknown key, a
-        missing required key or a value of the wrong JSON type raises
-        SchemaError naming it."""
-        if not isinstance(data, dict):
-            raise SchemaError(f"{source}: model config must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise SchemaError(f"{source}: unknown model config key {unknown[0]!r}")
-        for f in fields(cls):
-            if f.name not in data:
-                if f.default is MISSING:
-                    raise SchemaError(f"{source}: model config lacks {f.name!r}")
-                continue
-            value = data[f.name]
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
-                raise SchemaError(f"{source}: model config key {f.name!r} must be {f.type}")
-        return cls(**data)
-
-    @classmethod
     def from_file(cls, path) -> "ModelConfig":
-        return cls.from_dict(read_json(path), path)
+        return read_config(cls, read_json(path), path, "model config")
 
     @property
     def is_mock(self) -> bool:
@@ -386,7 +363,7 @@ class EvalRecord:
 def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:
     """Parse one raw response according to the prompt row's task."""
     if row["task"] == suite_mod.PRODUCTIVITY:
-        profile = suite_mod.profile_for(row["language_id"])
+        profile = profiles.load_profile(row["language_id"])
         word = parse_productivity(raw_text, profile)
         return (WORD, word) if word is not None else (suite_mod.PARSE_FAILURE, None)
     polarity = parse_systematicity(raw_text)

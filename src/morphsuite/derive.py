@@ -353,7 +353,6 @@ def select_negatives(
     k: int | None = None,
     rng=None,
     *,
-    profile: profiles.LanguageProfile | None = None,
     candidates: list[CandidateDerivation] | None = None,
 ) -> list[CandidateDerivation]:
     """Pick k invalid orderings for a record under the given strategy.
@@ -392,8 +391,6 @@ def select_negatives(
 
     if word.morpheme_count == 1:
         return [_manual_negative(word)]
-    if strategy == LANG_SPECIFIC_TR and profile is None:
-        profile = profiles.load_profile(word.language_id)
 
     if candidates is None and samples_orderings(word, strategy):
         candidates, _ = candidate_pool(word, rng=rng)
@@ -413,4 +410,4 @@ def select_negatives(
         raise ValueError(f"candidates= is a pool for {RANDOM} only, not for {strategy}")
     if strategy == LANG_AGNOSTIC:
         return _nearest(word, k)
-    return _smooth_first(word, k, profile)
+    return _smooth_first(word, k, profiles.load_profile(word.language_id))

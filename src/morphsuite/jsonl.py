@@ -23,6 +23,7 @@ JSON punctuation and escapes never compose under NFC (UAX #15):
 """
 import json
 import unicodedata
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from morphsuite.errors import SchemaError
@@ -129,3 +130,42 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(dumps(obj, indent=2))
         f.write("\n")
+
+
+# The JSON values a config field of each annotation accepts, and their name in
+# messages. Only bool fields take true and false, which Python counts as ints.
+_CONFIG_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "list[str]": ((list,), "a list of strings"),
+    "str | dict": ((str, dict), "a string or an object"),
+}
+
+
+def read_config(cls, data, source, what):
+    """cls(**data) for a dataclass whose field annotations (strings, under
+    ``from __future__ import annotations``) are keys of _CONFIG_TYPES. Data
+    that is not an object, an unknown key, a missing required key or a value
+    of another JSON type raises SchemaError naming source, what and the key."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{source}: {what} must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SchemaError(f"{source}: unknown {what} key {unknown[0]!r}")
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise SchemaError(f"{source}: {what} lacks {f.name!r}")
+            continue
+        value = data[f.name]
+        types, name = _CONFIG_TYPES[f.type]
+        ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+        if isinstance(value, list):
+            ok = ok and all(isinstance(v, str) for v in value)
+        if not ok:
+            raise SchemaError(f"{source}: {what} key {f.name!r} must be {name}")
+    return cls(**data)

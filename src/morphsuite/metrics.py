@@ -184,7 +184,7 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
                 missing += 1
                 value = 0.0
             else:
-                profile = suite_mod.profile_for(instance.language_id)
+                profile = profiles.load_profile(instance.language_id)
                 value = float(
                     exact_match(record.parsed_value, instance.gold_surface, profile)
                 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
@@ -246,13 +246,17 @@ def _load_profile_entries(entries: dict, source: str) -> LanguageProfile:
 
 
 def load_profile(language_or_path: str | Path) -> LanguageProfile:
-    """Load a profile from a bundled language name or an explicit file path."""
+    """Load a profile from a bundled language name, read once per process,
+    or from an explicit file path, read on every call."""
     if isinstance(language_or_path, str) and language_or_path in (TURKISH, FINNISH):
-        ref = resources.files("morphsuite").joinpath(f"data/{language_or_path}.profile")
-        text = ref.read_text(encoding="utf-8")
-        source = f"data/{language_or_path}.profile"
-    else:
-        path = Path(language_or_path)
-        text = path.read_text(encoding="utf-8")
-        source = str(path)
+        return _bundled_profile(language_or_path)
+    source = str(language_or_path)
+    text = Path(language_or_path).read_text(encoding="utf-8")
+    return _load_profile_entries(_parse_profile_text(text, source), source)
+
+
+@cache
+def _bundled_profile(language: str) -> LanguageProfile:
+    source = f"data/{language}.profile"
+    text = resources.files("morphsuite").joinpath(source).read_text(encoding="utf-8")
     return _load_profile_entries(_parse_profile_text(text, source), source)

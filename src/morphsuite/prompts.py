@@ -299,8 +299,11 @@ def render_suite(
 
     Systematicity instances get one prompt per option. Rows carry the join
     and parse metadata the evaluation stage needs (ids, task, variant, gold
-    answer, affix blocks for the composition baselines).
+    answer, affix blocks for the composition baselines). A negative n_shots
+    raises SchemaError.
     """
+    if n_shots < 0:
+        raise SchemaError(f"shots must be >= 0, got {n_shots}")
     # render keeps only the demos of the query's task, distribution and
     # morpheme count; grouping them once, in pool order, leaves its pick unchanged.
     demo_groups: dict[tuple, list] = {}

@@ -172,15 +172,6 @@ class IngestResult:
     issues: list[IngestIssue]
 
 
-_PROFILE_CACHE: dict[str, profiles.LanguageProfile] = {}
-
-
-def profile_for(language_id: str) -> profiles.LanguageProfile:
-    if language_id not in _PROFILE_CACHE:
-        _PROFILE_CACHE[language_id] = profiles.load_profile(language_id)
-    return _PROFILE_CACHE[language_id]
-
-
 def validate_record(row: dict) -> SegmentedWord:
     """Validate one ingestion row and return the normalized record.
 
@@ -194,7 +185,7 @@ def validate_record(row: dict) -> SegmentedWord:
     language_id = row["language_id"]
     if language_id not in (profiles.TURKISH, profiles.FINNISH):
         raise SchemaError(f"unsupported language_id {language_id!r}")
-    profile = profile_for(language_id)
+    profile = profiles.load_profile(language_id)
 
     root = profiles.check_letters(row["root"], profile)
     if not root:
@@ -281,20 +272,15 @@ def record_to_row(record: SegmentedWord) -> dict:
     return row
 
 
-def ingest(path, *, strict: bool = False) -> IngestResult:
-    """Load and validate a SegmentedWord JSONL file.
-
-    Invalid records are rejected with per-record diagnostics; with
-    strict=True the first violation raises instead.
-    """
+def ingest(path) -> IngestResult:
+    """Load and validate a SegmentedWord JSONL file; invalid records are
+    rejected with per-record diagnostics."""
     records: list[SegmentedWord] = []
     issues: list[IngestIssue] = []
     for lineno, row in read_jsonl(path):
         try:
             records.append(validate_record(row))
         except MorphSuiteError as exc:
-            if strict:
-                raise
             record_id = row.get("record_id") if isinstance(row, dict) else None
             issues.append(IngestIssue(lineno, record_id, type(exc).__name__, str(exc)))
     return IngestResult(records, issues)
@@ -405,7 +391,6 @@ def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
             strategy,
             k,
             make_rng(seed, record.record_id, "negatives"),
-            profile=profile_for(record.language_id),
         ) or "no distinct negative ordering"
     except NoNegativeAvailable as exc:
         outcome = str(exc)
@@ -547,7 +532,12 @@ def build_suite(
     negative_cache: dict | None = None,
 ) -> tuple[list[TaskInstance], dict]:
     """Build eval + demo instances and the manifest skeleton for one suite;
-    negative_cache is passed to build_instances."""
+    negative_cache is passed to build_instances. A k below 1 or a
+    demo_fraction outside [0, 1] raises SchemaError."""
+    if k is not None and k < 1:
+        raise SchemaError(f"k must be >= 1 (or null for the default), got {k}")
+    if not 0 <= demo_fraction <= 1:  # NaN fails too
+        raise SchemaError(f"demo_fraction must be in [0, 1], got {demo_fraction}")
     eval_records, demo_records = split_demo_pool(records, demo_fraction, seed)
     built_eval = build_instances(
         eval_records, task, distribution, context=context, order_mode=order_mode,

@@ -23,7 +23,8 @@ def turkish_examples():
     from morphsuite.cli import resolve_input
     from morphsuite.suite import ingest
 
-    result = ingest(resolve_input("bundled:turkish_examples"), strict=True)
+    result = ingest(resolve_input("bundled:turkish_examples"))
+    assert result.issues == []
     return result.records
 
 
@@ -32,5 +33,6 @@ def finnish_examples():
     from morphsuite.cli import resolve_input
     from morphsuite.suite import ingest
 
-    result = ingest(resolve_input("bundled:finnish_examples"), strict=True)
+    result = ingest(resolve_input("bundled:finnish_examples"))
+    assert result.issues == []
     return result.records

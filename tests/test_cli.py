@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from factory import synth_turkish_records
-from morphsuite import cli, derive
-from morphsuite.jsonl import write_jsonl
+from morphsuite import cli, client, derive
+from morphsuite.errors import SchemaError
+from morphsuite.jsonl import read_config, write_jsonl
 from morphsuite.suite import record_to_row
 
 
@@ -24,6 +28,10 @@ def mock_config(path, endpoint="mock://echo-gold", **extra):
 
 def run(argv):
     return cli.main(argv)
+
+
+BUILD = ["build-suite", "--task", "systematicity", "--dist", "id", "--in", "corpus.jsonl",
+         "--out", "s.jsonl"]
 
 
 class TestUsage:
@@ -136,7 +144,7 @@ class TestPipeline:
         ('"mock://echo-gold"', "JSON object"),
         ('{"endpoint_url": ', "invalid JSON"),
         ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "temperature": "hot"}',
-         "'temperature' must be float"),
+         "'temperature' must be a number"),
         ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "timeout": -1}',
          "timeout must be > 0"),
         ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "max_retries": -1}',
@@ -177,6 +185,10 @@ class TestPipeline:
         ({"variant": ["standard"]}, "'variant' must be a string"),
         ({"language": 7}, "'language' must be a string"),
         ({"out_dir": 7}, "'out_dir' must be a string"),
+        ({"shot": 3}, "unknown report config key 'shot'"),
+        ({"demo_fraction": 2.0}, "demo_fraction must be in [0, 1], got 2.0"),
+        ({"k": -1}, "k must be >= 1"),
+        ({"shots": -1}, "shots must be >= 0, got -1"),
     ])
     def test_bad_report_config_exits_1_with_one_line(self, workdir, capsys, change, named):
         mock_config(Path("model.json"))
@@ -260,6 +272,15 @@ class TestPipeline:
          "SchemaError", "latin1_lexicon.txt:3001: not UTF-8"),
         (["evaluate", "--prompts", "prompts.jsonl", "--model-config", "latin1_model.json",
           "--out", "r.jsonl"], "SchemaError", "latin1_model.json:3: not UTF-8"),
+        (BUILD + ["--demo-fraction", "2"], "SchemaError", "demo_fraction must be in [0, 1]"),
+        (BUILD + ["--demo-fraction", "-1"], "SchemaError", "demo_fraction must be in [0, 1]"),
+        (BUILD + ["--k", "-1", "--strategy", "random"], "SchemaError", "k must be >= 1"),
+        (BUILD + ["--k", "0"], "SchemaError", "k must be >= 1"),
+        (BUILD + ["--strata", "3-x"], "argument --strata", "'3-x'"),
+        (BUILD + ["--strata", "3-x", "--per-stratum", "2"], "argument --strata", "'3-x'"),
+        (BUILD + ["--strata", "1,a", "--per-stratum", "2"], "argument --strata", "'1,a'"),
+        (BUILD + ["--per-stratum", "0"], "argument --per-stratum", "integer >= 1"),
+        (BUILD + ["--strata", "2"], "UsageError", "--strata needs --per-stratum"),
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
         capsys.readouterr()
@@ -358,3 +379,62 @@ class TestReproducibility:
                 )
             }
         assert outputs["run1"] == outputs["run2"]
+
+
+# One strategy per kind of JSON value, and the kinds each config field
+# annotation accepts. Numbers stay within every ModelConfig range but top_p's.
+JSON_VALUES = {
+    "string": st.text(max_size=6),
+    "null": st.none(),
+    "integer": st.integers(1, 3),
+    "fraction": st.floats(0.5, 1.0),
+    "boolean": st.booleans(),
+    "string list": st.lists(st.text(max_size=3), max_size=3),
+    "list holding a number": st.lists(st.text(max_size=3), max_size=2).map(lambda v: v + [1]),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+ACCEPTED = {
+    "str": {"string"},
+    "str | None": {"string", "null"},
+    "int": {"integer"},
+    "int | None": {"integer", "null"},
+    "float": {"integer", "fraction"},
+    "bool": {"boolean"},
+    "list[str]": {"string list"},
+    "str | dict": {"string", "object"},
+}
+MODEL = {"endpoint_url": "mock://echo-gold", "model_name": "m"}
+REPORT = {"language": "turkish", "input": "bundled:turkish_demo", "model_config": MODEL}
+CONFIG_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in (cli.ReportConfig, client.ModelConfig)
+    for f in fields(cls)
+]
+
+
+@pytest.mark.parametrize("cls, f", CONFIG_FIELDS)
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_config_reader_checks_the_json_type_of_every_field(tmp_path, capsys, cls, f, data):
+    """A value of each kind of JSON in the field: accepted when the
+    annotation names its kind, else report exits 1 with one line naming it."""
+    path = tmp_path / "run.json"
+    for kind, values in JSON_VALUES.items():
+        value = data.draw(values, label=kind)
+        section = (REPORT if cls is cli.ReportConfig else MODEL) | {f.name: value}
+        if kind in ACCEPTED[f.type]:
+            try:
+                got = read_config(cls, section, "config", "config")
+            except SchemaError as exc:  # a ModelConfig range check, not the reader
+                assert f"key {f.name!r}" not in str(exc)
+            else:
+                assert getattr(got, f.name) == value
+            continue
+        config = section if cls is cli.ReportConfig else REPORT | {"model_config": section}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SchemaError" in err
+        assert f"key {f.name!r} must be" in err

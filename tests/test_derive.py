@@ -174,7 +174,7 @@ def test_select_negatives_tr_heuristic_prefers_no_adjacent_vowels(turkish):
     from morphsuite.profiles import has_adjacent_vowels
 
     w = word("sınıf", ["lan", "dır", "ıl", "ma", "lar", "ı", "nı"])
-    selected = derive.select_negatives(w, "lang_specific_tr", 4, profile=turkish)
+    selected = derive.select_negatives(w, "lang_specific_tr", 4)
     assert len(selected) == 4
     cands = derive.enumerate_orderings(w)
     smooth_pool = [
@@ -184,11 +184,11 @@ def test_select_negatives_tr_heuristic_prefers_no_adjacent_vowels(turkish):
         assert all(not has_adjacent_vowels(c.surface, turkish) for c in selected)
 
 
-def test_select_negatives_tr_heuristic_backfills(turkish):
+def test_select_negatives_tr_heuristic_backfills():
     # Both non-gold orderings of two vowel-initial suffixes clash, so the
     # heuristic has to fall back to adjacent-vowel candidates.
     w = word("masa", ["ı", "a", "lar"])
-    selected = derive.select_negatives(w, "lang_specific_tr", 4, profile=turkish)
+    selected = derive.select_negatives(w, "lang_specific_tr", 4)
     assert len(selected) == 4
 
 
@@ -293,7 +293,7 @@ def _words(draw):
 @example(word("kap", ["ab", "ba", "a", "b", "ab", "ba", "aa", "bb"]), "lang_specific_tr", 4, 0)
 def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, seed):
     want = oracle_negatives(w, strategy, k, make_rng(seed), turkish)
-    got = derive.select_negatives(w, strategy, k, make_rng(seed), profile=turkish)
+    got = derive.select_negatives(w, strategy, k, make_rng(seed))
     assert _as_tuples(got) == want
     # A given pool feeds random and the small-pool return; the distance
     # strategies always search the record's own orderings. Above the cap
@@ -303,11 +303,9 @@ def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, see
     given = derive.enumerate_orderings(w)
     if strategy != "random" and sum(not c.is_gold for c in given) > k:
         with pytest.raises(ValueError):
-            derive.select_negatives(w, strategy, k, profile=turkish, candidates=given)
+            derive.select_negatives(w, strategy, k, candidates=given)
     else:
-        given_pool = derive.select_negatives(
-            w, strategy, k, make_rng(seed), profile=turkish, candidates=given
-        )
+        given_pool = derive.select_negatives(w, strategy, k, make_rng(seed), candidates=given)
         assert _as_tuples(given_pool) == want
 
 
@@ -358,7 +356,7 @@ def test_select_negatives_above_cap(turkish):
     colliding = word("kök", ["a" * n for n in range(1, 8)] + ["b"])
     for w_exact in (w, colliding):
         for strategy in ("lang_agnostic", "lang_specific_tr"):
-            got = derive.select_negatives(w_exact, strategy, 4, profile=turkish)
+            got = derive.select_negatives(w_exact, strategy, 4)
             assert _as_tuples(got) == oracle_negatives(w_exact, strategy, 4, None, turkish)
     # random keeps drawing from a seeded sample of DEFAULT_ORDERING_CAP orderings
     rng = make_rng(3)

@@ -67,8 +67,6 @@ class TestIngest:
         assert len(result.records) == 1
         assert len(result.issues) == 1
         assert result.issues[0].error == "CompositionMismatch"
-        with pytest.raises(CompositionMismatch):
-            suite.ingest(path, strict=True)
 
 
 class TestStratifiedSample:
