@@ -124,6 +124,26 @@ class ReportConfig:
     variant: str = prompts.DEFAULT_VARIANT
     shots: int = prompts.DEFAULT_SHOTS
 
+    def __post_init__(self):
+        for key, allowed in (
+            ("language", profiles.LANGUAGES),
+            ("order_mode", suite.ORDER_MODES),
+            ("strategy", derive.STRATEGIES),
+            ("instruction_language", prompts.INSTRUCTION_LANGUAGES),
+            ("variant", prompts.VARIANTS),
+        ):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise SchemaError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        for key, allowed in (("tasks", suite.TASKS), ("distributions", suite.DISTRIBUTIONS)):
+            values = getattr(self, key)
+            if not values or len(set(values)) < len(values) or not set(values) <= set(allowed):
+                raise SchemaError(f"{key} must list distinct values of {', '.join(allowed)}")
+        if self.strategy == derive.LANG_SPECIFIC_TR and self.language != profiles.TURKISH:
+            raise SchemaError(f"strategy {self.strategy} only applies to {profiles.TURKISH}")
+        suite.check_build_options(self.k, self.demo_fraction)
+        prompts.check_shots(self.shots)
+
 
 def _strata(spec: str) -> list[int]:
     """The morpheme counts of a --strata value such as 1-7 or 1,2,3."""
@@ -360,14 +380,16 @@ def cmd_report(args) -> int:
     out_dir = Path(cfg.out_dir)
     in_path = resolve_input(cfg.input)
     records = [r for r in _ingest_or_die(in_path) if r.language_id == cfg.language]
+    if not records:
+        raise SchemaError(f"no {cfg.language} records in {in_path}")
 
     if suite.OUT_DIST in cfg.distributions and any(not r.nonce_root for r in records):
         profile = profiles.load_profile(cfg.language)
         lexicon = nonce.load_lexicon(cfg.lexicon, profile) if cfg.lexicon else None
         records, _ = _add_nonces(records, profile, lexicon, cfg.seed)
 
-    cache = client.ResponseCache(cfg.cache or out_dir / "cache")
     catalog = prompts.load_templates(cfg.templates)
+    cache = client.ResponseCache(cfg.cache or out_dir / "cache")
 
     negative_cache: dict = {}  # shared by this run's cells, freed with it
     summary = {}
@@ -423,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-nonce", help="add nonce roots to a segmented corpus")
-    p.add_argument("--lang", required=True, choices=["turkish", "finnish"])
+    p.add_argument("--lang", required=True, choices=list(profiles.LANGUAGES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lexicon", help="word list; absent words are required for nonces")
     p.add_argument("--in", dest="input", required=True)

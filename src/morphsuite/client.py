@@ -371,11 +371,26 @@ def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:
 
 
 def check_prompt_row(row: dict) -> dict:
-    """A rendered prompt row, unchanged; KeyError names a key that
-    evaluation reads and the row lacks."""
+    """A rendered prompt row, unchanged. KeyError names a key that
+    evaluation reads and the row lacks; TypeError or ValueError a value it
+    cannot use."""
     for key in ("instance_id", "prompt", "task", "language_id", "gold_answer", "shown_root"):
         if key not in row:
             raise KeyError(key)
+    for key in ("instance_id", "prompt", "gold_answer", "shown_root"):
+        if not isinstance(row[key], str):
+            raise TypeError(f"{key} must be a string")
+    if row["task"] not in suite_mod.TASKS:
+        raise ValueError(f"unknown task {row['task']!r}")
+    if row["language_id"] not in profiles.LANGUAGES:
+        raise ValueError(f"unsupported language_id {row['language_id']!r}")
+    option_index = row.get("option_index")
+    if option_index is not None and type(option_index) is not int:
+        raise TypeError("option_index must be an integer or null")
+    for key in ("prefix_forms", "suffix_forms"):
+        forms = row.get(key, [])
+        if not (isinstance(forms, list) and all(isinstance(form, str) for form in forms)):
+            raise TypeError(f"{key} must be a list of strings")
     return row
 
 

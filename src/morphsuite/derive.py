@@ -15,16 +15,24 @@ column of edit distances to the gold surface (distance.Pattern) by that
 affix's characters, so orderings that share a prefix share its columns.
 Orderings that place the same text with the same forms left have the same
 completions, so only the first of them is searched; this also keeps one
-ordering per surface. Every ordering has the gold surface's length, so
-with i characters placed, every completion is at least D(i, i) away from
-gold, the distance between the first i characters of each: an alignment
-leaves the column through some cell D(r, i), still pays |i - r| for the
-unequal lengths left, and neighbouring cells differ by at most 1 (the
-cutoff of Ukkonen, 1985). A branch is pruned only when that bound is
-strictly greater than the current k-th best distance: ties survive, which
-keeps the (distance, surface) order exact. The search is still exponential
-in the number of affixes at worst (many distinct surfaces tied at the k-th
-distance); no ordering cap bounds it.
+ordering per surface.
+
+A surface ranks by (clashes, distance, surface): under lang_specific_tr a
+surface with adjacent vowels clashes, under lang_agnostic none does. The
+search adds len(gold) + 1 to a clashing surface's distance, which keeps the
+rank one number: every ordering has gold's length, so no distance exceeds
+len(gold) and each smooth surface ranks first. Placed text that clashes
+clashes in every completion, so a branch carries that as a flag. With i
+characters placed, every completion is at least D(i, i) from gold, the
+distance between the first i characters of each: an alignment leaves the
+column through some cell D(r, i), still pays |i - r| for the unequal
+lengths left, and neighbouring cells differ by at most 1 (the cutoff of
+Ukkonen, 1985). A branch is pruned only when that bound, plus len(gold) + 1
+if it clashes, is strictly greater than the current k-th best rank: ties
+survive, which keeps the order exact. A smooth branch may stay smooth, so
+every one is searched while fewer than k smooth surfaces are known. The
+search is still exponential in the number of affixes at worst (many
+distinct surfaces tied at the k-th rank); no ordering cap bounds it.
 """
 from __future__ import annotations
 
@@ -245,32 +253,30 @@ def _candidate(word: SegmentedWord, surface: str, prefix_order, suffix_order):
 
 
 def _nearest(
-    word: SegmentedWord,
-    k: int,
-    keep: Callable[[str], bool] | None = None,
-    prune: Callable[[str, str], bool] | None = None,
+    word: SegmentedWord, k: int, clashes: Callable[[str, str], bool] | None = None
 ) -> list[CandidateDerivation]:
-    """The k distinct negatives nearest to gold whose surface passes keep,
-    sorted by (distance, surface); the branch-and-bound search of the
-    module docstring. prune(text, form) may declare that no surface starting
-    with text + form passes keep; it is asked only about a text that it
-    passed form by form, the root included."""
+    """The k distinct negatives that rank first, by the branch-and-bound
+    search of the module docstring. clashes(text, form) tells whether text +
+    form has adjacent vowels; it is asked only while the placed text is
+    smooth, form by form, the root included. Without it nothing clashes."""
     if k < 1:
         return []
     gold = _gold(word)
     excluded = {gold} | word.known_valid_alternatives
-    best: list[tuple[int, str, tuple, tuple]] = []  # sorted (distance, surface, orders)
-    cutoff = math.inf  # k-th best distance once k negatives are known
+    clash_rank = len(gold) + 1  # above any distance: see the module docstring
+    best: list[tuple[int, str, tuple, tuple, int]] = []  # sorted (rank, surface, orders, distance)
+    cutoff = math.inf  # k-th best rank once k negatives are known
     prefix_order: list[str] = []
     suffix_order: list[str] = []
     searched: set[str] = set()  # block + placed text, then the sorted forms left, NUL-joined
     pattern = Pattern(gold)
 
     def permute(
-        block: str, order: list[str], remaining: tuple, column: Column, text: str, then
+        block: str, order: list[str], remaining: tuple, column: Column, text: str,
+        clashed: bool, then,
     ) -> None:
         if not remaining:
-            then(column, text)
+            then(column, text, clashed)
             return
         for index, form in enumerate(remaining):
             rest = remaining[:index] + remaining[index + 1:]
@@ -284,53 +290,43 @@ def _nearest(
             searched.add(state)
             extended = pattern.advance(column, form)
             i = len(placed)
-            if pattern.cell(extended, i, i) > cutoff or (prune is not None and prune(text, form)):
+            bound = pattern.cell(extended, i, i)
+            if bound > cutoff:
+                continue
+            # Placed text that clashes makes every completion clash.
+            now = clashed or (clashes is not None and clashes(text, form))
+            if now and bound + clash_rank > cutoff:
                 continue
             order.append(form)
-            permute(block, order, rest, extended, placed, then)
+            permute(block, order, rest, extended, placed, now, then)
             order.pop()
 
-    def leaf(column: Column, surface: str) -> None:
+    def leaf(column: Column, surface: str, clashed: bool) -> None:
         nonlocal cutoff
         distance = column[2]
-        if distance > cutoff or surface in excluded:
-            return
-        if keep is not None and not keep(surface):
+        rank = distance + clash_rank if clashed else distance
+        if rank > cutoff or surface in excluded:
             return
         if len(best) == k:
-            if (distance, surface) > best[-1][:2]:
+            if (rank, surface) > best[-1][:2]:
                 return
             best.pop()
-        insort(best, (distance, surface, tuple(prefix_order), tuple(suffix_order)))
+        insort(best, (rank, surface, tuple(prefix_order), tuple(suffix_order), distance))
         if len(best) == k:
             cutoff = best[-1][0]
 
-    def after_prefixes(column: Column, text: str) -> None:
-        if prune is not None and prune(text, word.root):
-            return
+    def after_prefixes(column: Column, text: str, clashed: bool) -> None:
+        clashed = clashed or (clashes is not None and clashes(text, word.root))
         column, text = pattern.advance(column, word.root), text + word.root
-        permute(SUFFIX, suffix_order, tuple(word.suffix_forms), column, text, leaf)
+        permute(SUFFIX, suffix_order, tuple(word.suffix_forms), column, text, clashed, leaf)
 
-    permute(PREFIX, prefix_order, tuple(word.prefix_forms), pattern.start, "", after_prefixes)
+    permute(
+        PREFIX, prefix_order, tuple(word.prefix_forms), pattern.start, "", False, after_prefixes
+    )
     return [
         CandidateDerivation(surface, po, so, False, distance)
-        for distance, surface, po, so in best
+        for _, surface, po, so, distance in best
     ]
-
-
-def _smooth_first(word: SegmentedWord, k: int, profile: profiles.LanguageProfile) -> list:
-    """lang_specific_tr: the nearest surfaces without adjacent vowels, then
-    the nearest clashing ones, only when fewer than k smooth ones exist."""
-
-    def clashes(surface: str) -> bool:
-        return profiles.has_adjacent_vowels(surface, profile)
-
-    # A clashing prefix makes every completion clash, so it ends a smooth
-    # branch; the prune checks every form placed, so each surface found is smooth.
-    chosen = _nearest(word, k, prune=profiles.adjacent_vowels_after(profile))
-    if len(chosen) < k:
-        chosen += _nearest(word, k - len(chosen), clashes)
-    return chosen
 
 
 def _manual_negative(word: SegmentedWord) -> CandidateDerivation:
@@ -362,16 +358,12 @@ def select_negatives(
     picks only. Above DEFAULT_ORDERING_CAP orderings the pool is a seeded
     sample of that many orderings (sample_orderings).
 
-    lang_agnostic: the k surfaces with the smallest edit distance to gold,
-    ties broken by the surface string. The branch-and-bound search of the
-    module docstring finds them exactly at any ordering-space size: a branch
-    with i characters placed is pruned only when its column's bound D(i, i)
-    is strictly greater than the k-th best distance found so far.
-
-    lang_specific_tr: as lang_agnostic over surfaces without adjacent
-    vowels (a branch whose placed text already clashes is cut); a second
-    search backfills from the clashing surfaces only when fewer than k
-    smooth ones exist.
+    lang_agnostic and lang_specific_tr: the k surfaces that rank first in
+    the one branch-and-bound search of the module docstring, exact at any
+    ordering-space size. lang_agnostic ranks by (distance to gold, surface);
+    lang_specific_tr ranks every surface without adjacent vowels first, so
+    it returns the k nearest smooth surfaces, and the nearest clashing ones
+    only when fewer than k smooth ones exist.
 
     A record with at most k distinct negative surfaces gets all of them, in
     enumeration order rather than ranked, under every strategy. Gold and
@@ -408,6 +400,7 @@ def select_negatives(
         return [_candidate(word, *ordering) for ordering in rng.sample(pool, k)]
     if candidates is not None:
         raise ValueError(f"candidates= is a pool for {RANDOM} only, not for {strategy}")
-    if strategy == LANG_AGNOSTIC:
-        return _nearest(word, k)
-    return _smooth_first(word, k, profiles.load_profile(word.language_id))
+    clashes = None
+    if strategy == LANG_SPECIFIC_TR:
+        clashes = profiles.adjacent_vowels_after(profiles.load_profile(word.language_id))
+    return _nearest(word, k, clashes)

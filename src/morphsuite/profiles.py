@@ -18,6 +18,7 @@ from morphsuite.errors import NoVowel, SchemaError, UnknownLetter
 
 TURKISH = "turkish"
 FINNISH = "finnish"
+LANGUAGES = (TURKISH, FINNISH)  # bundled profiles
 
 FRONT = "front"
 BACK = "back"
@@ -248,7 +249,7 @@ def _load_profile_entries(entries: dict, source: str) -> LanguageProfile:
 def load_profile(language_or_path: str | Path) -> LanguageProfile:
     """Load a profile from a bundled language name, read once per process,
     or from an explicit file path, read on every call."""
-    if isinstance(language_or_path, str) and language_or_path in (TURKISH, FINNISH):
+    if isinstance(language_or_path, str) and language_or_path in LANGUAGES:
         return _bundled_profile(language_or_path)
     source = str(language_or_path)
     text = Path(language_or_path).read_text(encoding="utf-8")

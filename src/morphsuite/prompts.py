@@ -287,6 +287,11 @@ def gold_answer(instance, instruction_language: str, option_index: int | None) -
     return instance.gold_surface or ""
 
 
+def check_shots(n_shots: int) -> None:
+    if n_shots < 0:
+        raise SchemaError(f"shots must be >= 0, got {n_shots}")
+
+
 def render_suite(
     instances,
     catalog: TemplateCatalog,
@@ -302,8 +307,7 @@ def render_suite(
     answer, affix blocks for the composition baselines). A negative n_shots
     raises SchemaError.
     """
-    if n_shots < 0:
-        raise SchemaError(f"shots must be >= 0, got {n_shots}")
+    check_shots(n_shots)
     # render keeps only the demos of the query's task, distribution and
     # morpheme count; grouping them once, in pool order, leaves its pick unchanged.
     demo_groups: dict[tuple, list] = {}

@@ -183,7 +183,7 @@ def validate_record(row: dict) -> SegmentedWord:
         if key not in row:
             raise SchemaError(f"missing required field {key!r}")
     language_id = row["language_id"]
-    if language_id not in (profiles.TURKISH, profiles.FINNISH):
+    if language_id not in profiles.LANGUAGES:
         raise SchemaError(f"unsupported language_id {language_id!r}")
     profile = profiles.load_profile(language_id)
 
@@ -518,6 +518,14 @@ def split_demo_pool(records, demo_fraction: float, seed: int):
     return eval_records, demo_records
 
 
+def check_build_options(k: int | None, demo_fraction: float) -> None:
+    """SchemaError for a k below 1 or a demo_fraction outside [0, 1]."""
+    if k is not None and k < 1:
+        raise SchemaError(f"k must be >= 1 (or null for the default), got {k}")
+    if not 0 <= demo_fraction <= 1:  # NaN fails too
+        raise SchemaError(f"demo_fraction must be in [0, 1], got {demo_fraction}")
+
+
 def build_suite(
     records,
     task: str,
@@ -534,10 +542,7 @@ def build_suite(
     """Build eval + demo instances and the manifest skeleton for one suite;
     negative_cache is passed to build_instances. A k below 1 or a
     demo_fraction outside [0, 1] raises SchemaError."""
-    if k is not None and k < 1:
-        raise SchemaError(f"k must be >= 1 (or null for the default), got {k}")
-    if not 0 <= demo_fraction <= 1:  # NaN fails too
-        raise SchemaError(f"demo_fraction must be in [0, 1], got {demo_fraction}")
+    check_build_options(k, demo_fraction)
     eval_records, demo_records = split_demo_pool(records, demo_fraction, seed)
     built_eval = build_instances(
         eval_records, task, distribution, context=context, order_mode=order_mode,

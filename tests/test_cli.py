@@ -30,6 +30,19 @@ def run(argv):
     return cli.main(argv)
 
 
+# (key, value, reason): a prompt-row value that evaluate cannot use
+BAD_PROMPT_VALUES = [
+    ("shown_root", 5, "shown_root must be a string"),
+    ("prompt", ["p"], "prompt must be a string"),
+    ("instance_id", 3, "instance_id must be a string"),
+    ("gold_answer", None, "gold_answer must be a string"),
+    ("language_id", 7, "unsupported language_id 7"),
+    ("task", "translation", "unknown task 'translation'"),
+    ("option_index", "0", "option_index must be an integer or null"),
+    ("suffix_forms", "ler", "suffix_forms must be a list of strings"),
+    ("prefix_forms", [1], "prefix_forms must be a list of strings"),
+]
+
 BUILD = ["build-suite", "--task", "systematicity", "--dist", "id", "--in", "corpus.jsonl",
          "--out", "s.jsonl"]
 
@@ -189,6 +202,20 @@ class TestPipeline:
         ({"demo_fraction": 2.0}, "demo_fraction must be in [0, 1], got 2.0"),
         ({"k": -1}, "k must be >= 1"),
         ({"shots": -1}, "shots must be >= 0, got -1"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"tasks": ["productivity", "translation"]},
+         "tasks must list distinct values of productivity, systematicity"),
+        ({"tasks": []}, "tasks must list distinct values"),
+        ({"tasks": ["productivity", "productivity"]}, "tasks must list distinct values"),
+        ({"distributions": []}, "distributions must list distinct values of id, ood"),
+        ({"order_mode": "bogus"}, "order_mode must be one of shuffled, correct, got 'bogus'"),
+        ({"variant": "bogus"}, "variant must be one of standard, context, cot, paraphrased"),
+        ({"strategy": "bogus"}, "strategy must be one of random, lang_agnostic, lang_specific_tr"),
+        ({"instruction_language": "klingon"}, "instruction_language must be one of english"),
+        ({"language": "klingon"}, "language must be one of turkish, finnish, got 'klingon'"),
+        ({"language": "finnish"}, "no finnish records in "),
+        ({"language": "finnish", "strategy": "lang_specific_tr"},
+         "strategy lang_specific_tr only applies to turkish"),
     ])
     def test_bad_report_config_exits_1_with_one_line(self, workdir, capsys, change, named):
         mock_config(Path("model.json"))
@@ -200,6 +227,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "SchemaError" in err and named in err
+        assert not Path("morphsuite-run").exists()
 
     @pytest.fixture()
     def stage_files(self, workdir):
@@ -225,6 +253,9 @@ class TestPipeline:
         Path("no_id_suite.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
         Path("list_prompts.jsonl").write_text("[1, 2]\n", encoding="utf-8")
         Path("no_text_prompts.jsonl").write_text('{"instance_id": "i"}\n', encoding="utf-8")
+        prompt = json.loads(Path("prompts.jsonl").read_text("utf-8").splitlines()[0])
+        for key, value, _ in BAD_PROMPT_VALUES:
+            write_jsonl(f"bad_{key}_prompts.jsonl", [prompt | {key: value}])
         records = Path("records.jsonl").read_text("utf-8")
         Path("twice.jsonl").write_text(records + records, encoding="utf-8")
         write_jsonl("one_label.jsonl", [{"instance_id": "a", "label": "x"}])
@@ -256,6 +287,9 @@ class TestPipeline:
           "--out", "r.jsonl"], "SchemaError", "list_prompts.jsonl:1: row is not a JSON object"),
         (["evaluate", "--prompts", "no_text_prompts.jsonl", "--model-config", "model.json",
           "--out", "r.jsonl"], "SchemaError", "no_text_prompts.jsonl:1: row lacks 'prompt'"),
+        *[(["evaluate", "--prompts", f"bad_{key}_prompts.jsonl", "--model-config", "model.json",
+            "--out", "r.jsonl"], "SchemaError", f"bad_{key}_prompts.jsonl:1: malformed row ({why})")
+          for key, _, why in BAD_PROMPT_VALUES],
         (["score", "--records", "twice.jsonl", "--suite", "suite.jsonl", "--out-dir", "r"],
          "DuplicateRecord", "two records for ({first_id}, None)"),
         (["kappa", "--a", "two_labels.jsonl", "--b", "one_label.jsonl"],
@@ -426,7 +460,7 @@ def test_config_reader_checks_the_json_type_of_every_field(tmp_path, capsys, cls
         if kind in ACCEPTED[f.type]:
             try:
                 got = read_config(cls, section, "config", "config")
-            except SchemaError as exc:  # a ModelConfig range check, not the reader
+            except SchemaError as exc:  # a range or membership check, not the reader
                 assert f"key {f.name!r}" not in str(exc)
             else:
                 assert getattr(got, f.name) == value

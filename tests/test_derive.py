@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphsuite import derive, suite
+from morphsuite import derive, profiles, suite
 from morphsuite.derive import Affix, SegmentedWord
 from morphsuite.errors import (
     CombinatorialCap,
@@ -291,6 +291,14 @@ def _words(draw):
 # forms whose surfaces mostly clash.
 @example(word("kök", ["a" * n for n in range(1, 8)] + ["b"]), "lang_agnostic", 4, 0)
 @example(word("kap", ["ab", "ba", "a", "b", "ab", "ba", "aa", "bb"]), "lang_specific_tr", 4, 0)
+# The only clash is at the prefix/root join (mle + ak), and the clashing
+# mleaklardı is nearer gold than the smooth lemakdılar.
+@example(word("ak", ["lar", "dı"], prefixes=["le", "m"]), "lang_specific_tr", 2, 0)
+# Three smooth negatives for k = 4: every smooth one, then the nearest clashing one.
+@example(word("kap", ["ı", "la", "m"]), "lang_specific_tr", 4, 0)
+# A returned smooth negative 8 edits further from gold than the nearest
+# clashing one (len(gold) is 14): the clash offset must exceed that gap.
+@example(word("sım", ["la", "ar", "dı", "e"], prefixes=["la", "ar"]), "lang_specific_tr", 2, 0)
 def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, seed):
     want = oracle_negatives(w, strategy, k, make_rng(seed), turkish)
     got = derive.select_negatives(w, strategy, k, make_rng(seed))
@@ -309,19 +317,10 @@ def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, see
         assert _as_tuples(given_pool) == want
 
 
-def full_text_smooth_first(w, k, profile):
-    """lang_specific_tr with the prune that re-folds and re-scans the whole
-    placed text at every node: the oracle of profiles.adjacent_vowels_after."""
-
-    def clashes(surface):
-        return has_adjacent_vowels(surface, profile)
-
-    chosen = derive._nearest(
-        w, k, lambda surface: not clashes(surface), lambda text, form: clashes(text + form)
-    )
-    if len(chosen) < k:
-        chosen += derive._nearest(w, k - len(chosen), clashes)
-    return chosen
+def full_text_clashes(profile):
+    """clashes(text, form) that re-folds and re-scans the whole of text +
+    form: the oracle of profiles.adjacent_vowels_after."""
+    return lambda text, form: has_adjacent_vowels(text + form, profile)
 
 
 # Uppercase I/İ and combining marks at form joins (I + U+0307 is İ), and a
@@ -339,10 +338,11 @@ _JOIN_FORMS = st.sampled_from(
     st.integers(1, 4),
 )
 @example("kap", [], ["ab", "ba", "a", "b", "ab", "ba", "aa", "bb", "la", "le"], 4)
-def test_smooth_first_matches_full_text_prune(turkish, root, prefixes, suffixes, k):
+def test_nearest_clashes_matches_full_text(turkish, root, prefixes, suffixes, k):
     w = word(root, suffixes, prefixes=prefixes)
-    got = outcome(lambda: _as_tuples(derive._smooth_first(w, k, turkish)))
-    assert got == outcome(lambda: _as_tuples(full_text_smooth_first(w, k, turkish)))
+    clashes = profiles.adjacent_vowels_after(turkish)
+    got = outcome(lambda: _as_tuples(derive._nearest(w, k, clashes)))
+    assert got == outcome(lambda: _as_tuples(derive._nearest(w, k, full_text_clashes(turkish))))
 
 
 def test_select_negatives_above_cap(turkish):
