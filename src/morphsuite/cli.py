@@ -17,6 +17,7 @@ from morphsuite import __version__, client, derive, metrics, nonce, profiles, pr
 from morphsuite.errors import (
     AuthError,
     DuplicateRecord,
+    IncompleteEvaluation,
     LengthMismatch,
     MorphSuiteError,
     RateLimited,
@@ -290,7 +291,10 @@ def cmd_evaluate(args) -> int:
     cfg = client.ModelConfig.from_file(args.model_config)
     cache = client.ResponseCache(args.cache) if args.cache else None
     rows = read_objects(args.prompts, client.check_prompt_row)
-    records = client.evaluate_rows(rows, cfg, cache)
+    try:
+        records, incomplete = client.evaluate_rows(rows, cfg, cache), None
+    except IncompleteEvaluation as exc:  # keep what was answered; score counts the rest missing
+        records, incomplete = exc.records, exc
     write_jsonl(args.out, (r.to_row() for r in records))
     n_cached = sum(1 for r in records if r.cached)
     n_failed = sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE)
@@ -312,7 +316,12 @@ def cmd_evaluate(args) -> int:
         "cached": n_cached,
         "parse_failures": n_failed,
     }
+    if incomplete is not None:
+        manifest["failed_prompts"] = incomplete.failed
     write_json(str(args.out) + ".manifest.json", manifest)
+    if incomplete is not None:
+        _eprint(f"transport error: {incomplete}; wrote the other {len(records)} records")
+        return 2
     _eprint(f"evaluate: {len(records)} records ({n_cached} cached, {n_failed} parse failures)")
     return 0
 

@@ -20,10 +20,11 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from morphsuite import derive, profiles
+from morphsuite import __version__, derive, profiles
 from morphsuite import suite as suite_mod
 from morphsuite.errors import (
     AuthError,
+    IncompleteEvaluation,
     RateLimited,
     SchemaError,
     TransportError,
@@ -32,6 +33,8 @@ from morphsuite.jsonl import dumps, read_config, read_json
 from morphsuite.rng import make_rng
 
 WORD = "word"
+USER_AGENT = f"morphsuite/{__version__}"
+MAX_RETRY_AFTER_S = 60.0  # a longer Retry-After is ignored, as openai-python does
 
 # Polarity tokens accepted from model output, lowercased.
 _POLARITY = {
@@ -146,19 +149,45 @@ class ResponseCache:
 
 
 def _default_transport(url, payload, headers, timeout):
-    """POST JSON and return (status_code, parsed_body_or_none, retry_after)."""
-    import requests
+    """POST JSON on a connection of its own and return (status_code,
+    parsed_body_or_none, retry_after). A non-2xx answer is returned, not
+    raised; only a failure to get any answer raises TransportError."""
+    import http.client
+    import urllib.error
+    import urllib.request
 
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode(),
+            headers={**headers, "User-Agent": USER_AGENT},
+            method="POST",
+        )
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # the answer of a non-2xx status
+            response = exc
+        with response:
+            status, retry_after = response.status, response.headers.get("Retry-After")
+            data = response.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    retry_after = resp.headers.get("Retry-After")
     try:
-        body = resp.json()
+        body = json.loads(data)
     except ValueError:
         body = None
-    return resp.status_code, body, retry_after
+    return status, body, retry_after
+
+
+def _retry_after_seconds(value) -> float:
+    """The wait a Retry-After header asks for, in seconds: 0, which leaves
+    the backoff alone, unless it is a number in [0, MAX_RETRY_AFTER_S]. An
+    absent header, an HTTP date, inf, NaN or 1e9 asks for nothing."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if 0 <= seconds <= MAX_RETRY_AFTER_S else 0.0
 
 
 def _extract_text(body) -> str:
@@ -179,7 +208,8 @@ def complete(
     (endpoint, model, params, prompt) digest hits.
 
     Retries 5xx and rate-limit responses with exponential backoff up to
-    cfg.max_retries, honoring Retry-After when present.
+    cfg.max_retries, honoring a Retry-After of at most MAX_RETRY_AFTER_S
+    seconds.
     """
     if cache is not None:
         key = cache.key(cfg, prompt)
@@ -206,13 +236,8 @@ def complete(
     last_retry_after = None
     for attempt in range(cfg.max_retries + 1):
         if attempt:
-            delay = min(0.25 * 2 ** (attempt - 1), 8.0)
-            if last_retry_after is not None:
-                try:
-                    delay = max(delay, float(last_retry_after))
-                except ValueError:
-                    pass
-            sleep(delay)
+            backoff = min(0.25 * 2 ** (attempt - 1), 8.0)
+            sleep(max(backoff, _retry_after_seconds(last_retry_after)))
         try:
             status, body, retry_after = transport(
                 cfg.endpoint_url, payload, headers, cfg.timeout
@@ -229,7 +254,7 @@ def complete(
         if status >= 500:
             last_error = TransportError(f"HTTP {status} from {cfg.endpoint_url}")
             continue
-        if status >= 400:
+        if status >= 300:  # urllib follows no 307 or 308 of a POST
             raise TransportError(f"HTTP {status} from {cfg.endpoint_url}")
         text = _extract_text(body)
         if cache is not None:
@@ -403,7 +428,11 @@ def evaluate_rows(
     """Answer every prompt row and parse the responses.
 
     HTTP requests run with cfg.parallelism workers; results are keyed by
-    (instance_id, option_index), so completion order never matters.
+    (instance_id, option_index), so completion order never matters. A
+    prompt that ends in TransportError or RateLimited does not stop the
+    others: once all are answered, IncompleteEvaluation carries the records
+    of the answered ones and the keys of the failed ones. AuthError stops
+    the run at once.
     """
     rows = list(rows)
 
@@ -417,9 +446,11 @@ def evaluate_rows(
                     cache.put(key, text)
                 return Completion(text, cached)
             return Completion(text, False)
-        return complete(row["prompt"], cfg, cache, transport=transport)
+        try:
+            return complete(row["prompt"], cfg, cache, transport=transport)
+        except (TransportError, RateLimited) as exc:
+            return exc
 
-    completions: list[Completion]
     if cfg.parallelism > 1 and not cfg.is_mock:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             completions = list(pool.map(answer, rows))
@@ -427,7 +458,13 @@ def evaluate_rows(
         completions = [answer(row) for row in rows]
 
     records = []
+    failed = []  # [instance_id, option_index] of each failed prompt
+    first_error = None
     for row, completion in zip(rows, completions):
+        if not isinstance(completion, Completion):
+            failed.append([row["instance_id"], row.get("option_index")])
+            first_error = first_error or completion
+            continue
         kind, value = parse_row_response(row, completion.text)
         records.append(
             EvalRecord(
@@ -440,5 +477,12 @@ def evaluate_rows(
                 model_name=cfg.model_name,
                 cached=completion.cached,
             )
+        )
+    if failed:
+        raise IncompleteEvaluation(
+            f"{len(failed)} of {len(rows)} prompts failed, the first"
+            f" (instance {failed[0][0]}, option {failed[0][1]}): {first_error}",
+            records,
+            failed,
         )
     return records

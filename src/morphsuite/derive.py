@@ -30,9 +30,11 @@ lengths left, and neighbouring cells differ by at most 1 (the cutoff of
 Ukkonen, 1985). A branch is pruned only when that bound, plus len(gold) + 1
 if it clashes, is strictly greater than the current k-th best rank: ties
 survive, which keeps the order exact. A smooth branch may stay smooth, so
-every one is searched while fewer than k smooth surfaces are known. The
-search is still exponential in the number of affixes at worst (many
-distinct surfaces tied at the k-th rank); no ordering cap bounds it.
+every one is searched while fewer than k smooth surfaces are known, unless
+the root or a form has adjacent vowels of its own: then every surface
+clashes, and the search starts clashed. The search is still exponential in
+the number of affixes at worst (many distinct surfaces tied at the k-th
+rank); no ordering cap bounds it.
 """
 from __future__ import annotations
 
@@ -320,8 +322,12 @@ def _nearest(
         column, text = pattern.advance(column, word.root), text + word.root
         permute(SUFFIX, suffix_order, tuple(word.suffix_forms), column, text, clashed, leaf)
 
+    # A root or form with adjacent vowels of its own is in every ordering.
+    clashed = clashes is not None and any(
+        clashes("", form) for form in (word.root, *word.prefix_forms, *word.suffix_forms)
+    )
     permute(
-        PREFIX, prefix_order, tuple(word.prefix_forms), pattern.start, "", False, after_prefixes
+        PREFIX, prefix_order, tuple(word.prefix_forms), pattern.start, "", clashed, after_prefixes
     )
     return [
         CandidateDerivation(surface, po, so, False, distance)

@@ -70,6 +70,16 @@ class TransportError(MorphSuiteError):
     """An HTTP request failed after all retries."""
 
 
+class IncompleteEvaluation(TransportError):
+    """Some prompts failed after all retries. records holds the answers to
+    the others; failed holds [instance_id, option_index] of each failed one."""
+
+    def __init__(self, message, records, failed):
+        super().__init__(message)
+        self.records = records
+        self.failed = failed
+
+
 class AuthError(MorphSuiteError):
     """The endpoint rejected the credentials."""
 

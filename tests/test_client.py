@@ -1,15 +1,28 @@
 import concurrent.futures
+import contextlib
 import json
+import os
+import socket
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
 from factory import synth_turkish_records
-from morphsuite import client, prompts, suite
+from morphsuite import __version__, cli, client, prompts, suite
 from morphsuite.client import Completion, ModelConfig, ResponseCache
-from morphsuite.errors import AuthError, RateLimited, SchemaError, TransportError
+from morphsuite.errors import (
+    AuthError,
+    IncompleteEvaluation,
+    RateLimited,
+    SchemaError,
+    TransportError,
+)
+from morphsuite.jsonl import read_jsonl, write_jsonl
+from morphsuite.suite import record_to_row
 
 
 def cfg(**overrides):
@@ -24,6 +37,57 @@ def ok_transport(text):
         return 200, body, None
 
     return transport
+
+
+def chat(text):
+    """A 200 chat-completions reply for local_server."""
+    body = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+    return 200, {"Content-Type": "application/json"}, json.dumps(body).encode("utf-8")
+
+
+@contextlib.contextmanager
+def local_server(reply):
+    """Serve POSTs on 127.0.0.1 and yield (url, seen). Each POST is answered
+    with reply(prompt) -> (status, headers, body bytes), or closed without an
+    answer when reply returns None; seen collects each POST's headers and
+    JSON payload."""
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append((self.headers, payload))
+            answer = reply(payload["messages"][-1]["content"])
+            if answer is None:
+                self.close_connection = True
+                return
+            status, headers, body = answer
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def scripted(*answers):
+    """A local_server reply giving answers in turn, one per POST."""
+    queue = list(answers)
+    return lambda prompt: queue.pop(0)
 
 
 class TestComplete:
@@ -138,46 +202,233 @@ class TestComplete:
             client.complete("p", cfg(auth_token_env="MORPHSUITE_TEST_TOKEN"), None)
 
     def test_wire_format_against_local_server(self, monkeypatch, tmp_path):
-        seen = {}
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                seen["payload"] = json.loads(self.rfile.read(length))
-                seen["auth"] = self.headers.get("Authorization")
-                body = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": "sohbetler"}}]}
-                ).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            monkeypatch.setenv("TOKEN_VAR", "sekret")
-            url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        monkeypatch.setenv("TOKEN_VAR", "sekret")
+        with local_server(lambda prompt: chat("sohbetler")) as (url, seen):
             result = client.complete(
                 "Kök: sohbet",
                 cfg(endpoint_url=url, auth_token_env="TOKEN_VAR", max_tokens=64),
                 ResponseCache(tmp_path),
             )
-        finally:
-            server.shutdown()
-            server.server_close()
         assert result.text == "sohbetler"
-        assert seen["payload"]["messages"] == [{"role": "user", "content": "Kök: sohbet"}]
-        assert seen["payload"]["model"] == "m"
-        assert seen["payload"]["temperature"] == 0.0
-        assert seen["payload"]["top_p"] == 1.0
-        assert seen["payload"]["max_tokens"] == 64
-        assert seen["auth"] == "Bearer sekret"
+        [(headers, payload)] = seen
+        assert payload["messages"] == [{"role": "user", "content": "Kök: sohbet"}]
+        assert payload["model"] == "m"
+        assert payload["temperature"] == 0.0
+        assert payload["top_p"] == 1.0
+        assert payload["max_tokens"] == 64
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["User-Agent"] == f"morphsuite/{__version__}"
+        assert headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("value, slept", [
+        ("0", 0.25),
+        ("5", 5.0),
+        ("60", 60.0),
+        ("61", 0.25),
+        ("inf", 0.25),
+        ("1e9", 0.25),
+        ("nan", 0.25),
+        ("-1", 0.25),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.25),
+        (None, 0.25),
+    ])
+    def test_retry_after_counts_only_in_0_to_60_seconds(self, value, slept):
+        answers = [(429, None, value), (200, {"choices": [{"message": {"content": "ok"}}]}, None)]
+        sleeps = []
+        result = client.complete(
+            "p", cfg(max_retries=1), None,
+            transport=lambda *args: answers.pop(0), sleep=sleeps.append,
+        )
+        assert result.text == "ok"
+        assert sleeps == [slept]
+
+
+class TestTransport:
+    """The standard-library transport against a real local server."""
+
+    def test_429_with_retry_after_then_200(self):
+        too_many = (429, {"Retry-After": "0"}, b'{"error": "slow down"}')
+        sleeps = []
+        with local_server(scripted(too_many, too_many, chat("tamam"))) as (url, seen):
+            with pytest.raises(RateLimited) as err:
+                client.complete("p", cfg(endpoint_url=url, max_retries=0), None)
+            assert err.value.retry_after == "0"
+            result = client.complete("p", cfg(endpoint_url=url, max_retries=1), None,
+                                     sleep=sleeps.append)
+        assert result.text == "tamam"
+        assert sleeps == [0.25]
+        assert len(seen) == 3
+
+    def test_503_with_a_non_json_body_then_200(self):
+        script = scripted((503, {}, b"<html>busy</html>"), chat("tamam"))
+        with local_server(script) as (url, seen):
+            result = client.complete("p", cfg(endpoint_url=url, max_retries=1), None,
+                                     sleep=lambda s: None)
+        assert result.text == "tamam"
+        assert len(seen) == 2
+
+    def test_401_raises_auth_error(self):
+        with local_server(scripted((401, {}, b'{"error": "bad key"}'))) as (url, seen):
+            with pytest.raises(AuthError, match="HTTP 401"):
+                client.complete("p", cfg(endpoint_url=url), None)
+        assert len(seen) == 1
+
+    def test_200_with_a_non_json_body_is_one_transport_error(self):
+        with local_server(scripted((200, {}, b"not json"))) as (url, seen):
+            with pytest.raises(TransportError) as err:
+                client.complete("p", cfg(endpoint_url=url), None)
+        assert str(err.value) == "malformed chat-completions response: None"
+
+    def test_307_is_not_followed(self):
+        moved = (307, {"Location": "/v2/chat/completions"}, b"{}")
+        with local_server(scripted(moved)) as (url, seen):
+            with pytest.raises(TransportError, match="HTTP 307 from"):
+                client.complete("p", cfg(endpoint_url=url), None)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("url", ["ftp:/nowhere", "not a url", "http://127.0.0.1:notaport/v1"])
+    def test_bad_url_is_a_transport_error(self, url):
+        with pytest.raises(TransportError, match="request to .* failed"):
+            client._default_transport(url, {}, {}, 5)
+
+
+def write_run(directory, rows, instances, url, **model):
+    """Prompts, suite and a model config for url under directory."""
+    write_jsonl(directory / "prompts.jsonl", rows)
+    suite.write_suite(directory / "suite.jsonl", instances)
+    config = {"endpoint_url": url, "model_name": "m", "timeout": 5, **model}
+    (directory / "model.json").write_text(json.dumps(config), encoding="utf-8")
+    return [
+        "evaluate", "--prompts", str(directory / "prompts.jsonl"),
+        "--model-config", str(directory / "model.json"),
+        "--cache", str(directory / "cache"), "--out", str(directory / "records.jsonl"),
+    ]
+
+
+def closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestEvaluateOverHttp:
+    def test_one_failing_prompt_keeps_the_others_and_resumes(self, small_run, tmp_path, capsys):
+        instances, rows = small_run
+        stuck = rows[1]
+        down = {"stuck": True}
+
+        def reply(prompt):
+            if prompt == stuck["prompt"] and down["stuck"]:
+                return 503, {}, b"down"
+            return chat("Yes")
+
+        with local_server(reply) as (url, seen):
+            argv = write_run(tmp_path, rows, instances, url, max_retries=1)
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"transport error: 1 of {len(rows)} prompts failed")
+            assert f"instance {stuck['instance_id']}, option {stuck['option_index']}" in err
+            records = [row for _, row in read_jsonl(tmp_path / "records.jsonl")]
+            assert [(r["instance_id"], r["option_index"]) for r in records] == [
+                (r["instance_id"], r["option_index"]) for r in rows if r is not stuck
+            ]
+            manifest = json.loads((tmp_path / "records.jsonl.manifest.json").read_text("utf-8"))
+            assert manifest["failed_prompts"] == [[stuck["instance_id"], stuck["option_index"]]]
+            assert manifest["records"] == len(rows) - 1
+            assert len(seen) == len(rows) + 1  # the stuck prompt was retried once
+
+            assert cli.main([
+                "score", "--records", str(tmp_path / "records.jsonl"),
+                "--suite", str(tmp_path / "suite.jsonl"), "--out-dir", str(tmp_path / "report"),
+            ]) == 0
+            report = json.loads((tmp_path / "report" / "report.json").read_text("utf-8"))
+            assert report["missing_predictions"] == 1
+
+            down["stuck"] = False
+            assert cli.main(argv) == 0
+        assert len(seen) == len(rows) + 2  # the re-run sent only the stuck prompt
+        records = [row for _, row in read_jsonl(tmp_path / "records.jsonl")]
+        assert len(records) == len(rows)
+        assert [r["cached"] for r in records] == [r is not stuck for r in rows]
+        manifest = json.loads((tmp_path / "records.jsonl.manifest.json").read_text("utf-8"))
+        assert "failed_prompts" not in manifest
+
+    def test_report_stops_at_the_failing_cell(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        records = synth_turkish_records(4, [2], seed=61)
+        write_jsonl("corpus.jsonl", (record_to_row(r) for r in records))
+        prompts_seen = []
+
+        def reply(prompt):
+            if prompt not in prompts_seen:
+                prompts_seen.append(prompt)
+            return (503, {}, b"down") if prompts_seen.index(prompt) == 1 else chat("Yes")
+
+        with local_server(reply) as (url, _):
+            config = {
+                "language": "turkish", "input": "corpus.jsonl", "out_dir": "run",
+                "model_config": {"endpoint_url": url, "model_name": "m", "max_retries": 0},
+                "tasks": ["systematicity"], "distributions": ["id"], "shots": 1,
+                "demo_fraction": 0.25,
+            }
+            Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+            assert cli.main(["report", "--config", "run.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("transport error: 1 of ")
+        assert not Path("run/systematicity_id/records.jsonl").exists()
+        assert not Path("run/run.json").exists()
+
+    def test_auth_error_is_not_kept_as_a_failed_prompt(self, small_run):
+        _, rows = small_run
+        with pytest.raises(AuthError):
+            client.evaluate_rows(rows, cfg(), transport=lambda *args: (401, None, None))
+
+    def test_evaluate_rows_names_every_failed_prompt(self, small_run):
+        _, rows = small_run
+        failing = {rows[0]["prompt"], rows[5]["prompt"]}
+
+        def transport(url, payload, headers, timeout):
+            if payload["messages"][0]["content"] in failing:
+                return 503, None, None
+            return 200, {"choices": [{"message": {"content": "No"}}]}, None
+
+        with pytest.raises(IncompleteEvaluation) as err:
+            client.evaluate_rows(rows, cfg(max_retries=0, parallelism=3), transport=transport)
+        assert err.value.failed == [
+            [row["instance_id"], row["option_index"]] for row in (rows[0], rows[5])
+        ]
+        assert len(err.value.records) == len(rows) - 2
+        assert isinstance(err.value, TransportError)
+
+    @pytest.mark.parametrize("server", ["closed port", "closes without answering"])
+    def test_connection_failures_exit_2_with_one_line(self, small_run, tmp_path, capsys, server):
+        instances, rows = small_run
+        with contextlib.ExitStack() as stack:
+            if server == "closed port":
+                url = f"http://127.0.0.1:{closed_port()}/v1/chat/completions"
+            else:
+                url, _ = stack.enter_context(local_server(lambda prompt: None))
+            argv = write_run(tmp_path, rows[:3], instances, url, max_retries=0)
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("transport error: 3 of 3 prompts failed")
+        assert f"request to {url} failed" in err
+
+    def test_evaluate_does_not_import_requests(self, small_run, tmp_path):
+        instances, rows = small_run
+        src = str(Path(client.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys; from morphsuite import cli; print(cli.main(sys.argv[1:]), 'requests' in sys.modules)"
+        with local_server(lambda prompt: chat("Yes")) as (url, seen):
+            argv = write_run(tmp_path, rows[:2], instances, url)
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+            )
+        assert done.stdout.split() == ["0", "False"], done.stderr
+        assert len(seen) == 2
 
 
 class TestModelConfig:

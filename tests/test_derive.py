@@ -299,6 +299,11 @@ def _words(draw):
 # A returned smooth negative 8 edits further from gold than the nearest
 # clashing one (len(gold) is 14): the clash offset must exceed that gap.
 @example(word("sım", ["la", "ar", "dı", "e"], prefixes=["la", "ar"]), "lang_specific_tr", 2, 0)
+# A suffix, a prefix or the root with adjacent vowels of its own: every
+# surface clashes, so the search starts clashed.
+@example(word("kap", ["la", "aa", "m", "dı"]), "lang_specific_tr", 2, 0)
+@example(word("ak", ["lar", "dı"], prefixes=["ee", "m"]), "lang_specific_tr", 2, 0)
+@example(word("kaap", ["la", "m", "ı"], prefixes=["e"]), "lang_specific_tr", 2, 0)
 def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, seed):
     want = oracle_negatives(w, strategy, k, make_rng(seed), turkish)
     got = derive.select_negatives(w, strategy, k, make_rng(seed))
@@ -343,6 +348,21 @@ def test_nearest_clashes_matches_full_text(turkish, root, prefixes, suffixes, k)
     clashes = profiles.adjacent_vowels_after(turkish)
     got = outcome(lambda: _as_tuples(derive._nearest(w, k, clashes)))
     assert got == outcome(lambda: _as_tuples(derive._nearest(w, k, full_text_clashes(turkish))))
+
+
+def test_nearest_asks_only_the_forms_when_one_clashes_alone(turkish):
+    # aa is in every ordering, so every surface clashes and ranks as under
+    # lang_agnostic; no placed text needs a look.
+    w = word("kap", ["ab", "ba", "a", "b", "ab", "ba", "aa", "bb", "la", "le"])
+    asked = []
+    clashes = profiles.adjacent_vowels_after(turkish)
+
+    def counting(text, form):
+        asked.append(text)
+        return clashes(text, form)
+
+    assert _as_tuples(derive._nearest(w, 4, counting)) == _as_tuples(derive._nearest(w, 4))
+    assert set(asked) == {""}
 
 
 def test_select_negatives_above_cap(turkish):
