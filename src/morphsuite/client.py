@@ -8,8 +8,8 @@ paper's random and majority baselines.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
+import heapq
 import json
 import os
 import re
@@ -141,7 +141,7 @@ class ResponseCache:
 
     def put(self, key: str, response: str) -> None:
         entry = json.dumps({"key": key, "response": response}).encode("ascii") + b"\n"
-        with self._lock:  # evaluate_rows puts from pool threads
+        with self._lock:  # _complete_all puts from worker threads
             line = self._separator + entry
             with open(self.path, "ab", buffering=0) as log:  # one write(2) with O_APPEND
                 self._separator = b"" if log.write(line) == len(line) else b"\n"
@@ -190,40 +190,17 @@ def _retry_after_seconds(value) -> float:
     return seconds if 0 <= seconds <= MAX_RETRY_AFTER_S else 0.0
 
 
-def _extract_text(body) -> str:
-    try:
-        return body["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError):
-        raise TransportError(f"malformed chat-completions response: {body!r}") from None
+def _retry_wait(attempt: int, retry_after: float) -> float:
+    """Seconds before retry number attempt (1, 2, ...): 0.25 s doubling up
+    to 8 s, or the Retry-After of the answer before it, if longer."""
+    return max(min(0.25 * 2 ** (attempt - 1), 8.0), retry_after)
 
 
-def complete(
-    prompt: str,
-    cfg: ModelConfig,
-    cache: ResponseCache | None = None,
-    transport=None,
-    sleep=time.sleep,
-) -> Completion:
-    """Return the raw completion for a prompt, served from cache when the
-    (endpoint, model, params, prompt) digest hits.
-
-    Retries 5xx and rate-limit responses with exponential backoff up to
-    cfg.max_retries, honoring a Retry-After of at most MAX_RETRY_AFTER_S
-    seconds.
-    """
-    if cache is not None:
-        key = cache.key(cfg, prompt)
-        hit = cache.get(key)
-        if hit is not None:
-            return Completion(hit, cached=True)
-
-    transport = transport or _default_transport
-    headers = {"Content-Type": "application/json"}
-    if cfg.auth_token_env:
-        token = os.environ.get(cfg.auth_token_env)
-        if not token:
-            raise AuthError(f"environment variable {cfg.auth_token_env} is not set")
-        headers["Authorization"] = f"Bearer {token}"
+def _attempt(prompt: str, cfg: ModelConfig, headers: dict, transport):
+    """Send prompt once. Returns (Completion or the error it ended in,
+    retry_after): retry_after is None unless the error is worth retrying (no
+    answer, a 429 or a 5xx), when it is this answer's Retry-After in
+    seconds. 401 and 403 raise AuthError."""
     payload = {
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -231,41 +208,126 @@ def complete(
         "top_p": cfg.top_p,
         "max_tokens": cfg.max_tokens,
     }
+    try:
+        status, body, retry_after = transport(cfg.endpoint_url, payload, headers, cfg.timeout)
+    except TransportError as exc:
+        return exc, 0.0
+    if status in (401, 403):
+        raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+    if status == 429:
+        return RateLimited("rate limited", retry_after=retry_after), _retry_after_seconds(retry_after)
+    if status >= 300:  # urllib follows no 307 or 308 of a POST
+        error = TransportError(f"HTTP {status} from {cfg.endpoint_url}")
+        return error, _retry_after_seconds(retry_after) if status >= 500 else None
+    try:
+        return Completion(body["choices"][0]["message"]["content"], cached=False), None
+    except (KeyError, IndexError, TypeError):
+        return TransportError(f"malformed chat-completions response: {body!r}"), None
 
-    last_error: Exception | None = None
-    last_retry_after = None
-    for attempt in range(cfg.max_retries + 1):
-        if attempt:
-            backoff = min(0.25 * 2 ** (attempt - 1), 8.0)
-            sleep(max(backoff, _retry_after_seconds(last_retry_after)))
-        try:
-            status, body, retry_after = transport(
-                cfg.endpoint_url, payload, headers, cfg.timeout
-            )
-        except TransportError as exc:
-            last_error = exc
-            continue
-        if status in (401, 403):
-            raise AuthError(f"endpoint rejected credentials (HTTP {status})")
-        if status == 429:
-            last_retry_after = retry_after
-            last_error = RateLimited("rate limited", retry_after=retry_after)
-            continue
-        if status >= 500:
-            last_error = TransportError(f"HTTP {status} from {cfg.endpoint_url}")
-            continue
-        if status >= 300:  # urllib follows no 307 or 308 of a POST
-            raise TransportError(f"HTTP {status} from {cfg.endpoint_url}")
-        text = _extract_text(body)
+
+def _complete_all(prompts, cfg, cache=None, transport=None, sleep=None, clock=time.monotonic_ns):
+    """A Completion, or the TransportError or RateLimited it ended in, for
+    each prompt, in order. Prompts that miss the cache wait in a heap keyed
+    by the time before which they may not be sent. cfg.parallelism workers,
+    the calling thread and at most parallelism - 1 more, each take the
+    earliest due prompt and make one attempt. A failure worth retrying puts
+    its prompt back at now + _retry_wait(...): a backoff holds back its
+    prompt, not a worker, while a 429's positive Retry-After holds back
+    every worker. An exception in any worker (AuthError, or
+    KeyboardInterrupt in the caller) stops dispatch: requests in flight
+    finish, no new one starts, and the exception is raised. Tests pass
+    sleep(seconds), taken to have slept its time, and clock() in ns."""
+    results = [None] * len(prompts)
+    keys = [None] * len(prompts)
+    heap = []  # (not before, prompt index, attempts made), built sorted
+    for index, prompt in enumerate(prompts):
         if cache is not None:
-            cache.put(key, text)
-        return Completion(text, cached=False)
+            keys[index] = cache.key(cfg, prompt)
+            hit = cache.get(keys[index])
+            if hit is not None:
+                results[index] = Completion(hit, cached=True)
+                continue
+        heap.append((0, index, 0))
+    if not heap:
+        return results
+    transport = transport or _default_transport
+    headers = {"Content-Type": "application/json"}
+    if cfg.auth_token_env:
+        token = os.environ.get(cfg.auth_token_env)
+        if not token:
+            raise AuthError(f"environment variable {cfg.auth_token_env} is not set")
+        headers["Authorization"] = f"Bearer {token}"
+    cond = threading.Condition()
+    now = resume_at = clock()  # now never goes back, so a wait that timed out has passed
+    busy = 0  # prompts in flight
+    stop = None  # the exception that stopped dispatch
 
-    if isinstance(last_error, RateLimited):
-        raise last_error
-    raise TransportError(
-        f"giving up after {cfg.max_retries + 1} attempts: {last_error}"
-    )
+    def work():
+        nonlocal now, resume_at, busy, stop
+        index = None
+        try:
+            while True:
+                with cond:
+                    now = max(now, clock())
+                    if index is not None:
+                        busy -= 1
+                        if isinstance(outcome, RateLimited) and retry_after > 0:
+                            resume_at = max(resume_at, now + round(retry_after * 1e9))
+                        if retry_after is not None and attempts <= cfg.max_retries:
+                            until = now + round(_retry_wait(attempts, retry_after) * 1e9)
+                            heapq.heappush(heap, (until, index, attempts))
+                        else:
+                            results[index] = outcome
+                        cond.notify_all()
+                    while True:
+                        if stop is not None or not (heap or busy):
+                            return
+                        if not heap:
+                            cond.wait()
+                        elif (due := max(heap[0][0], resume_at)) <= now:
+                            break
+                        elif not (sleep or cond.wait)((due - now) / 1e9):
+                            now = due
+                        now = max(now, clock())
+                    _, index, attempts = heapq.heappop(heap)
+                    busy += 1
+                outcome, retry_after = _attempt(prompts[index], cfg, headers, transport)
+                attempts += 1
+                if isinstance(outcome, Completion) and cache is not None:
+                    cache.put(keys[index], outcome.text)
+                elif retry_after is not None and attempts > cfg.max_retries:
+                    if not isinstance(outcome, RateLimited):
+                        outcome = TransportError(f"giving up after {attempts} attempts: {outcome}")
+        except BaseException as exc:  # raised in the calling thread once all workers are done
+            with cond:
+                stop = exc if stop is None else stop
+                cond.notify_all()
+
+    threads = [threading.Thread(target=work) for _ in range(min(cfg.parallelism, len(heap)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if stop is not None:
+        raise stop
+    return results
+
+
+def complete(
+    prompt: str,
+    cfg: ModelConfig,
+    cache: ResponseCache | None = None,
+    transport=None,
+    sleep=None,
+) -> Completion:
+    """Return the raw completion for a prompt, served from cache when the
+    (endpoint, model, params, prompt) digest hits; retries as _complete_all
+    does, up to cfg.max_retries."""
+    [result] = _complete_all([prompt], cfg, cache, transport, sleep)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -424,38 +486,35 @@ def evaluate_rows(
     cfg: ModelConfig,
     cache: ResponseCache | None = None,
     transport=None,
+    sleep=None,
+    clock=time.monotonic_ns,
 ) -> list[EvalRecord]:
     """Answer every prompt row and parse the responses.
 
-    HTTP requests run with cfg.parallelism workers; results are keyed by
-    (instance_id, option_index), so completion order never matters. A
-    prompt that ends in TransportError or RateLimited does not stop the
-    others: once all are answered, IncompleteEvaluation carries the records
-    of the answered ones and the keys of the failed ones. AuthError stops
-    the run at once.
+    HTTP requests go through _complete_all with cfg.parallelism workers;
+    records keep row order, whatever order the answers come in. A prompt
+    that ends in TransportError or RateLimited does not stop the others:
+    once all are answered, IncompleteEvaluation carries the records of the
+    answered ones and the keys of the failed ones. AuthError stops the run
+    at once. sleep and clock are for tests, as in _complete_all.
     """
     rows = list(rows)
 
-    def answer(row):
-        if cfg.is_mock:
-            text = mock_response(row, cfg)
-            if cache is not None:
-                key = cache.key(cfg, row["prompt"])
-                cached = cache.get(key) is not None
-                if not cached:
-                    cache.put(key, text)
-                return Completion(text, cached)
+    def mock(row):
+        text = mock_response(row, cfg)
+        if cache is None:
             return Completion(text, False)
-        try:
-            return complete(row["prompt"], cfg, cache, transport=transport)
-        except (TransportError, RateLimited) as exc:
-            return exc
+        key = cache.key(cfg, row["prompt"])
+        cached = cache.get(key) is not None
+        if not cached:
+            cache.put(key, text)
+        return Completion(text, cached)
 
-    if cfg.parallelism > 1 and not cfg.is_mock:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            completions = list(pool.map(answer, rows))
+    if cfg.is_mock:
+        completions = [mock(row) for row in rows]
     else:
-        completions = [answer(row) for row in rows]
+        prompts = [row["prompt"] for row in rows]
+        completions = _complete_all(prompts, cfg, cache, transport, sleep, clock)
 
     records = []
     failed = []  # [instance_id, option_index] of each failed prompt

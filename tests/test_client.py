@@ -6,10 +6,13 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factory import synth_turkish_records
 from morphsuite import __version__, cli, client, prompts, suite
@@ -82,6 +85,27 @@ def local_server(reply):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+class FakeClock:
+    """A clock in nanoseconds that moves only when sleep is called; sleeps
+    records each wait in seconds."""
+
+    def __init__(self):
+        self.now = 0
+        self.sleeps = []
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += round(seconds * 1e9)
+
+
+def ok_reply(text):
+    """A 200 chat-completions answer, as a transport returns it."""
+    return 200, {"choices": [{"message": {"content": text}}]}, None
 
 
 def scripted(*answers):
@@ -241,6 +265,23 @@ class TestComplete:
         )
         assert result.text == "ok"
         assert sleeps == [slept]
+
+    def test_each_answer_s_retry_after_counts_for_its_own_wait(self):
+        answers = [(429, None, "30"), (503, None, None), (503, None, None), ok_reply("ok")]
+        sleeps = []
+        result = client.complete(
+            "p", cfg(max_retries=3), None,
+            transport=lambda *args: answers.pop(0), sleep=sleeps.append,
+        )
+        assert result.text == "ok"
+        assert sleeps == [30.0, 0.5, 1.0]
+
+    def test_a_503_s_retry_after_is_read(self):
+        answers = [(503, None, "3"), (503, None, "x"), ok_reply("ok")]
+        sleeps = []
+        client.complete("p", cfg(max_retries=2), None,
+                        transport=lambda *args: answers.pop(0), sleep=sleeps.append)
+        assert sleeps == [3.0, 0.5]
 
 
 class TestTransport:
@@ -429,6 +470,181 @@ class TestEvaluateOverHttp:
             )
         assert done.stdout.split() == ["0", "False"], done.stderr
         assert len(seen) == 2
+
+
+# A failure an attempt can end in: (status, Retry-After) or a dropped connection.
+FAILURES = st.sampled_from([(503, None), (502, "2"), (429, None), (429, "1"), "drop"])
+
+
+def policy_wait_ns(retry, failure):
+    """The wait before retry number retry (1, 2, ...) after failure."""
+    retry_after = 0 if failure == "drop" or failure[1] is None else int(failure[1])
+    return round(max(0.25 * 2 ** (retry - 1), retry_after) * 1e9)
+
+
+class TestScheduler:
+    """evaluate_rows over HTTP: one scheduler, a retry waits in the queue."""
+
+    def test_a_backoff_holds_back_its_prompt_not_the_worker(self, small_run):
+        _, rows = small_run
+        first, second = rows[0]["prompt"], rows[1]["prompt"]
+        answers = {first: [(503, None, None), ok_reply("Yes")], second: [ok_reply("No")]}
+        sent = []
+
+        def transport(url, payload, headers, timeout):
+            prompt = payload["messages"][0]["content"]
+            sent.append(prompt)
+            return answers[prompt].pop(0)
+
+        clock = FakeClock()
+        records = client.evaluate_rows(
+            rows[:2], cfg(max_retries=1), transport=transport, sleep=clock.sleep, clock=clock
+        )
+        assert sent == [first, second, first]
+        assert [r.parsed_kind for r in records] == ["yes", "no"]
+        assert clock.sleeps == [0.25]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scripts=st.lists(st.lists(FAILURES, max_size=3), min_size=1, max_size=6),
+        parallelism=st.integers(1, 4),
+        max_retries=st.integers(0, 2),
+    )
+    def test_matches_a_sequential_reference(self, small_run, scripts, parallelism, max_retries):
+        _, all_rows = small_run
+        rows = all_rows[: len(scripts)]
+        index = {row["prompt"]: i for i, row in enumerate(rows)}
+        left = [list(script) for script in scripts]
+        log = [[] for _ in rows]  # per prompt: (sent at, answered at, failure or None)
+        clock = FakeClock()
+
+        def transport(url, payload, headers, timeout):
+            i = index[payload["messages"][0]["content"]]
+            sent = clock.now
+            failure = left[i].pop(0) if left[i] else None
+            log[i].append((sent, clock.now, failure))
+            if failure == "drop":
+                raise TransportError("dropped")
+            if failure is not None:
+                return failure[0], None, failure[1]
+            return ok_reply("Yes" if i % 2 else "No")
+
+        c = cfg(parallelism=parallelism, max_retries=max_retries)
+        try:
+            records, failed = client.evaluate_rows(
+                rows, c, transport=transport, sleep=clock.sleep, clock=clock
+            ), []
+        except IncompleteEvaluation as exc:
+            records, failed, error = exc.records, exc.failed, str(exc)
+
+        answered = [i for i, script in enumerate(scripts) if len(script) <= max_retries]
+        assert [(r.instance_id, r.option_index, r.raw_response) for r in records] == [
+            (rows[i]["instance_id"], rows[i]["option_index"], "Yes" if i % 2 else "No")
+            for i in answered
+        ]
+        assert failed == [
+            [row["instance_id"], row["option_index"]]
+            for i, row in enumerate(rows) if i not in answered
+        ]
+        if failed:
+            first = next(i for i in range(len(rows)) if i not in answered)
+            last = scripts[first][max_retries]
+            expected = (
+                "rate limited" if last != "drop" and last[0] == 429
+                else f"giving up after {max_retries + 1} attempts: "
+                + ("dropped" if last == "drop" else f"HTTP {last[0]} from {c.endpoint_url}")
+            )
+            assert error == (
+                f"{len(failed)} of {len(rows)} prompts failed, the first"
+                f" (instance {rows[first]['instance_id']}, option {rows[first]['option_index']}):"
+                f" {expected}"
+            )
+        for i, attempts in enumerate(log):
+            assert len(attempts) == min(len(scripts[i]), max_retries) + 1
+            for retry, ((_, answered_at, failure), (sent_at, _, _)) in enumerate(
+                zip(attempts, attempts[1:]), start=1
+            ):
+                assert sent_at >= answered_at + policy_wait_ns(retry, failure)
+
+    def test_many_workers_lose_no_prompt(self, small_run):
+        _, rows = small_run
+        tries = {row["prompt"]: 0 for row in rows}
+        lock = threading.Lock()
+
+        def transport(url, payload, headers, timeout):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                tries[prompt] += 1
+                n = tries[prompt]
+            if n <= len(prompt) % 3:
+                return 503, None, None
+            return ok_reply("Yes")
+
+        clock = FakeClock()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = client.evaluate_rows(
+                rows, cfg(parallelism=8, max_retries=2), transport=transport,
+                sleep=clock.sleep, clock=clock,
+            )
+        finally:
+            sys.setswitchinterval(switch)
+        assert [r.instance_id for r in records] == [row["instance_id"] for row in rows]
+        assert tries == {row["prompt"]: len(row["prompt"]) % 3 + 1 for row in rows}
+
+    def test_an_auth_error_lets_only_the_requests_in_flight_finish(self, small_run):
+        _, rows = small_run
+        parallelism = 3
+        together = threading.Barrier(parallelism, timeout=30)
+        lock = threading.Lock()
+        sent = []
+
+        def transport(url, payload, headers, timeout):
+            with lock:
+                n = len(sent)
+                sent.append(payload)
+            if n < parallelism:
+                together.wait()  # the first requests are in flight at once
+            if n == 0:
+                return 401, None, None
+            time.sleep(0.2)  # answer after the 401 has stopped dispatch
+            return ok_reply("Yes")
+
+        threads = threading.active_count()
+        with pytest.raises(AuthError):
+            client.evaluate_rows(rows, cfg(parallelism=parallelism), transport=transport)
+        assert len(sent) == parallelism  # the 401 and parallelism - 1 in flight with it
+        assert threading.active_count() == threads
+
+    def test_a_429_retry_after_holds_back_every_worker(self, small_run):
+        _, all_rows = small_run
+        rows = all_rows[:4]
+        limited, in_flight = rows[0]["prompt"], rows[1]["prompt"]
+        clock = FakeClock()
+        slept = threading.Event()
+        sent = []
+
+        def sleep(seconds):
+            clock.sleep(seconds)
+            slept.set()
+
+        def transport(url, payload, headers, timeout):
+            prompt = payload["messages"][0]["content"]
+            sent.append((prompt, clock.now))
+            if prompt == limited and len(sent) <= 2:
+                return 429, None, "1"
+            if prompt == in_flight:
+                slept.wait(10)  # answer once the 429 has been taken in
+            return ok_reply("No")
+
+        records = client.evaluate_rows(
+            rows, cfg(parallelism=2), transport=transport, sleep=sleep, clock=clock
+        )
+        assert len(records) == len(rows)
+        assert {prompt for prompt, _ in sent[:2]} == {limited, in_flight}
+        assert all(at >= 1e9 for prompt, at in sent[2:])
+        assert len(sent) == len(rows) + 1
 
 
 class TestModelConfig:
