@@ -290,7 +290,7 @@ def cmd_render(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = client.ModelConfig.from_file(args.model_config)
     cache = client.ResponseCache(args.cache) if args.cache else None
-    rows = read_objects(args.prompts, client.check_prompt_row)
+    rows = read_objects(args.prompts, prompts.PromptRow)
     try:
         records, incomplete = client.evaluate_rows(rows, cfg, cache), None
     except IncompleteEvaluation as exc:  # keep what was answered; score counts the rest missing
@@ -327,7 +327,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    records = read_objects(args.records, client.EvalRecord.from_row)
+    records = read_objects(args.records, client.EvalRecord)
     instances = suite.read_suite(args.suite)
     manifest = {
         "records": str(args.records),
@@ -341,23 +341,22 @@ def cmd_score(args) -> int:
     return 0
 
 
+@dataclass
+class LabelRow:
+    label: str
+    instance_id: str | None = None
+
+
 def _read_labels(path):
-    """(instance ids, labels) of an annotation file. Labels are strings; an
-    id may be absent, but a present one may not repeat."""
+    """(instance ids, labels) of an annotation file; a present id may not repeat."""
+    rows = read_objects(path, LabelRow)
     seen = set()
-
-    def from_row(row):
-        instance_id, label = row.get("instance_id"), row["label"]
-        if not isinstance(label, str):
-            raise TypeError("label must be a string")
-        if instance_id in seen:
-            raise DuplicateRecord(f"{path}: two rows for instance {instance_id!r}")
-        if instance_id is not None:
-            seen.add(instance_id)
-        return instance_id, label
-
-    rows = read_objects(path, from_row)
-    return [instance_id for instance_id, _ in rows], [label for _, label in rows]
+    for row in rows:
+        if row.instance_id in seen:
+            raise DuplicateRecord(f"{path}: two rows for instance {row.instance_id!r}")
+        if row.instance_id is not None:
+            seen.add(row.instance_id)
+    return [row.instance_id for row in rows], [row.label for row in rows]
 
 
 def cmd_kappa(args) -> int:

@@ -19,6 +19,7 @@ import time
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 from morphsuite import __version__, derive, profiles
 from morphsuite import suite as suite_mod
@@ -408,17 +409,17 @@ def mock_response(row: dict, cfg: ModelConfig) -> str:
 # Batch evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class EvalRecord:
     """One model (or baseline) answer joined to its prompt metadata."""
 
     instance_id: str
-    option_index: int | None
-    raw_response: str
-    parsed_kind: str          # word | yes | no | parse_failure
-    parsed_value: str | None
-    gold: str
-    model_name: str
+    option_index: int | None = None
+    raw_response: str = ""
+    parsed_kind: Literal[WORD, suite_mod.YES, suite_mod.NO, suite_mod.PARSE_FAILURE]
+    parsed_value: str | None = None
+    gold: str = ""
+    model_name: str = ""
     cached: bool = False
 
     def to_row(self) -> dict:
@@ -433,19 +434,6 @@ class EvalRecord:
             "cached": self.cached,
         }
 
-    @classmethod
-    def from_row(cls, row: dict) -> "EvalRecord":
-        return cls(
-            instance_id=row["instance_id"],
-            option_index=row.get("option_index"),
-            raw_response=row.get("raw_response", ""),
-            parsed_kind=row["parsed_kind"],
-            parsed_value=row.get("parsed_value"),
-            gold=row.get("gold", ""),
-            model_name=row.get("model_name", ""),
-            cached=row.get("cached", False),
-        )
-
 
 def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:
     """Parse one raw response according to the prompt row's task."""
@@ -455,30 +443,6 @@ def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:
         return (WORD, word) if word is not None else (suite_mod.PARSE_FAILURE, None)
     polarity = parse_systematicity(raw_text)
     return (polarity, polarity) if polarity is not None else (suite_mod.PARSE_FAILURE, None)
-
-
-def check_prompt_row(row: dict) -> dict:
-    """A rendered prompt row, unchanged. KeyError names a key that
-    evaluation reads and the row lacks; TypeError or ValueError a value it
-    cannot use."""
-    for key in ("instance_id", "prompt", "task", "language_id", "gold_answer", "shown_root"):
-        if key not in row:
-            raise KeyError(key)
-    for key in ("instance_id", "prompt", "gold_answer", "shown_root"):
-        if not isinstance(row[key], str):
-            raise TypeError(f"{key} must be a string")
-    if row["task"] not in suite_mod.TASKS:
-        raise ValueError(f"unknown task {row['task']!r}")
-    if row["language_id"] not in profiles.LANGUAGES:
-        raise ValueError(f"unsupported language_id {row['language_id']!r}")
-    option_index = row.get("option_index")
-    if option_index is not None and type(option_index) is not int:
-        raise TypeError("option_index must be an integer or null")
-    for key in ("prefix_forms", "suffix_forms"):
-        forms = row.get(key, [])
-        if not (isinstance(forms, list) and all(isinstance(form, str) for form in forms)):
-            raise TypeError(f"{key} must be a list of strings")
-    return row
 
 
 def evaluate_rows(

@@ -97,12 +97,12 @@ class LengthMismatch(MorphSuiteError):
 
 
 class OrphanRecord(MorphSuiteError):
-    """An evaluation record does not join to any suite instance."""
+    """An evaluation record does not join to a suite instance and option."""
 
 
 class DuplicateRecord(MorphSuiteError):
-    """Two rows share a key that must be unique: an evaluation record's
-    (instance_id, option_index) or an annotation's instance_id."""
+    """Two rows share a key that must be unique: a record_id, an evaluation
+    record's (instance_id, option_index) or an annotation's instance_id."""
 
 
 class UsageError(MorphSuiteError):

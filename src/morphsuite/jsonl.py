@@ -23,8 +23,10 @@ JSON punctuation and escapes never compose under NFC (UAX #15):
 """
 import json
 import unicodedata
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints, is_typeddict
 
 from morphsuite.errors import SchemaError
 
@@ -98,20 +100,23 @@ def read_jsonl(path):
         yield lineno, obj
 
 
-def read_objects(path, from_row):
-    """from_row applied to every row of a JSONL file, in order; a row that is
-    not an object, lacks a key or holds a value of the wrong type raises
-    SchemaError naming path:line."""
+def read_objects(path, cls, check=None):
+    """Every row of a JSONL file read as cls by read_config, in order, and passed
+    to check, if given. A row that is not an object or does not match cls, or
+    that check rejects with ValueError, raises SchemaError naming path:line."""
     out = []
     for lineno, row in read_jsonl(path):
         if not isinstance(row, dict):
             raise SchemaError(f"{path}:{lineno}: row is not a JSON object")
         try:
-            out.append(from_row(row))
-        except KeyError as exc:
-            raise SchemaError(f"{path}:{lineno}: row lacks {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+            obj = read_config(cls, row, None, "row")
+            if check is not None:
+                check(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed row ({exc})") from None
+        out.append(obj)
     return out
 
 
@@ -132,40 +137,132 @@ def write_json(path, obj) -> None:
         f.write("\n")
 
 
-# The JSON values a config field of each annotation accepts, and their name in
-# messages. Only bool fields take true and false, which Python counts as ints.
-_CONFIG_TYPES = {
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
-    "list[str]": ((list,), "a list of strings"),
-    "str | dict": ((str, dict), "a string or an object"),
-}
+# The name in messages of the JSON values of each type, alone and in a list.
+_NAMES = {str: ("a string", "strings"), int: ("an integer", "integers"),
+          float: ("a number", "numbers"), bool: ("true or false", "booleans"),
+          dict: ("an object", "objects"), type(None): ("null", "nulls")}
+
+
+def _compile(tp):
+    """(kinds, name, nested) of annotation tp: the exact types of the JSON
+    values it takes (so true is no number), their name in messages, and for a
+    list, (its items' kinds, the dataclass each item is read as or None, list
+    or tuple), else None. tp is a Literal of strings, or str, int, float,
+    bool, dict, None, list[T] or tuple[T, ...] of one of those or of a
+    dataclass, or a union of those with at most one list."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        return frozenset({str}), "one of " + ", ".join(args), None
+    if Literal in map(get_origin, args):  # _reader checks the values of a whole Literal only
+        raise TypeError(f"{tp}: a Literal must be the whole annotation")
+    if origin is Union or origin is UnionType:
+        kinds, names, nested = zip(*map(_compile, args))
+        [nested] = [part for part in nested if part] or [None]
+        return frozenset().union(*kinds), " or ".join(names), nested
+    if origin is list or origin is tuple:
+        item = args[0]
+        if is_dataclass(item):
+            return frozenset({list}), "a list of objects", (frozenset({dict}), item, origin)
+        return frozenset({list}), f"a list of {_NAMES[item][1]}", (_compile(item)[0], None, origin)
+    return frozenset({int, float} if tp is float else {tp}), _NAMES[tp][0], None
+
+
+def _reader(cls):
+    """read(data, source, what) for cls, a dataclass or a TypedDict: the
+    checks of read_config written out key by key, in declaration order, and
+    compiled once, the way dataclasses compiles __init__: rows are read by
+    the thousand, and the same checks in a loop over the keys were slower.
+    For a required key 'task' annotated with a Literal, read holds
+
+        value = data.get('task', MISSING)
+        if type(value) in kinds_2 and value in values_2:
+            values['task'] = value
+        else:
+            raise _fault(data, source, what, names, 'task')
+    """
+    hints = get_type_hints(cls)  # every key of cls, in declaration order
+    if is_typeddict(cls):
+        required, make = cls.__required_keys__, "values"
+    else:
+        required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+        # keyword arguments are matched by identity first: the interned key
+        # names of values make this several times faster than decoded keys
+        make = "cls(**values)"
+    names = {}  # key -> the name in messages of the values it takes
+    env = {"MISSING": MISSING, "_fault": _fault, "_items": _items, "cls": cls, "names": names}
+    code = ["def read(data, source, what):", "    values = {}"]
+    for i, (name, hint) in enumerate(hints.items()):
+        env[f"kinds_{i}"], names[name], nested = _compile(hint)
+        test, store = f"type(value) in kinds_{i}", "value"
+        if get_origin(hint) is Literal:
+            env[f"values_{i}"] = frozenset(get_args(hint))
+            test += f" and value in values_{i}"
+        if nested:
+            env[f"items_{i}"], env[f"item_{i}"], container = nested
+            test += f" and (type(value) is not list or items_{i}.issuperset(map(type, value)))"
+            if env[f"item_{i}"] is not None:
+                store = f"_items(item_{i}, value, source, {name!r}) if type(value) is list else value"
+            elif container is tuple:
+                store = "tuple(value) if type(value) is list else value"
+        code += [
+            f"    value = data.get({name!r}, MISSING)",
+            f"    if {test}:",
+            f"        values[{name!r}] = {store}",
+            "    else:" if name in required else "    elif value is not MISSING:",
+            f"        raise _fault(data, source, what, names, {name!r})",
+        ]
+    code += [
+        "    if len(values) < len(data):",
+        "        raise _fault(data, source, what, names, None)",
+        f"    return {make}",
+    ]
+    exec("\n".join(code), env)
+    _READERS[cls] = env["read"]
+    return env["read"]
+
+
+_READERS = {}  # cls -> _reader(cls)
+
+
+def _fault(data, source, what, names, key) -> SchemaError:
+    """The SchemaError of data, which read rejects at key (None: at an unknown
+    key). An unknown key is named first: it is most often a misspelt one."""
+    unknown = data.keys() - names.keys()
+    if unknown:
+        return _error(source, f"unknown {what} key {min(unknown)!r}")
+    if key not in data:
+        return _error(source, f"{what} lacks {key!r}")
+    return _error(source, f"{what} key {key!r} must be {names[key]}")
+
+
+def _items(cls, items, source, key):
+    """cls read from each object of the list at key, as read_config reads
+    it; the message of a rejected one names it key[i]."""
+    read = _READERS.get(cls) or _reader(cls)
+    try:
+        return [read(item, source, key) for item in items]
+    except SchemaError:  # read them again to find the index
+        for i, item in enumerate(items):
+            read(item, source, f"{key}[{i}]")
+        raise
 
 
 def read_config(cls, data, source, what):
-    """cls(**data) for a dataclass whose field annotations (strings, under
-    ``from __future__ import annotations``) are keys of _CONFIG_TYPES. Data
-    that is not an object, an unknown key, a missing required key or a value
-    of another JSON type raises SchemaError naming source, what and the key."""
+    """cls(**data) for a dataclass or a TypedDict, each key read as _compile
+    reads its annotation. Data that is not an object, an unknown key, a
+    missing required key or a value of another JSON type raises SchemaError
+    naming source (if any), what (options[0] for an object in a list) and the key."""
     if not isinstance(data, dict):
-        raise SchemaError(f"{source}: {what} must be a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise SchemaError(f"{source}: unknown {what} key {unknown[0]!r}")
-    for f in fields(cls):
-        if f.name not in data:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise SchemaError(f"{source}: {what} lacks {f.name!r}")
-            continue
-        value = data[f.name]
-        types, name = _CONFIG_TYPES[f.type]
-        ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
-        if isinstance(value, list):
-            ok = ok and all(isinstance(v, str) for v in value)
-        if not ok:
-            raise SchemaError(f"{source}: {what} key {f.name!r} must be {name}")
-    return cls(**data)
+        raise _error(source, f"{what} must be a JSON object")
+    return (_READERS.get(cls) or _reader(cls))(data, source, what)
+
+
+def field_values(obj) -> dict:
+    """{name: value} of the fields of a dataclass instance. vars(obj) holds the
+    same, but on CPython 3.11+ asking for it gives obj a dict of its own, and
+    every later attribute read on obj gets slower."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
+def _error(source, message) -> SchemaError:
+    return SchemaError(f"{source}: {message}" if source else message)

@@ -147,8 +147,10 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
     Systematicity samples are an instance's full option set; a missing or
     unparseable option prediction counts as the wrong class. Productivity
     samples score exact match of the parsed word against the gold surface.
-    A record outside the suite raises OrphanRecord, and a second record for
-    the same (instance_id, option_index) raises DuplicateRecord.
+    A record outside the suite, or whose option_index is not an index into
+    its instance's options (None on productivity), raises OrphanRecord, and
+    a second record for the same (instance_id, option_index) raises
+    DuplicateRecord.
     """
     instances = [i for i in instances if i.split == suite_mod.EVAL_SPLIT]
     by_id = {i.instance_id: i for i in instances}
@@ -163,8 +165,12 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
     grouped: dict[str, dict] = {}
     n_failures = 0
     for record in records:
-        if record.instance_id not in by_id:
+        instance = by_id.get(record.instance_id)
+        if instance is None:
             raise OrphanRecord(f"record {record.instance_id} not in suite")
+        options = (None,) if task == suite_mod.PRODUCTIVITY else range(len(instance.options))
+        if record.option_index not in options:
+            raise OrphanRecord(f"no option for ({record.instance_id}, {record.option_index})")
         answers = grouped.setdefault(record.instance_id, {})
         if record.option_index in answers:
             raise DuplicateRecord(f"two records for ({record.instance_id}, {record.option_index})")

@@ -16,7 +16,9 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Literal, TypedDict
 
+from morphsuite import profiles
 from morphsuite import suite as suite_mod
 from morphsuite.errors import (
     InsufficientDemos,
@@ -287,6 +289,24 @@ def gold_answer(instance, instruction_language: str, option_index: int | None) -
     return instance.gold_surface or ""
 
 
+class PromptRow(TypedDict):
+    """A row of a prompts file: what render_suite makes and evaluate reads."""
+
+    instance_id: str
+    prompt: str
+    option_index: int | None
+    gold_answer: str
+    task: Literal[suite_mod.TASKS]
+    language_id: Literal[profiles.LANGUAGES]
+    instruction_language: str
+    variant: str
+    morpheme_count: int
+    shown_root: str
+    prefix_forms: list[str]
+    suffix_forms: list[str]
+    demo_ids: list[str]
+
+
 def check_shots(n_shots: int) -> None:
     if n_shots < 0:
         raise SchemaError(f"shots must be >= 0, got {n_shots}")
@@ -334,21 +354,20 @@ def render_suite(
             prompt, demo_ids = render(
                 instance, ts, n_shots, demo_pool, rng, option_index
             )
-            rows.append(
-                {
-                    "instance_id": instance.instance_id,
-                    "option_index": option_index,
-                    "prompt": prompt,
-                    "gold_answer": gold_answer(instance, instruction_language, option_index),
-                    "task": instance.task,
-                    "language_id": instance.language_id,
-                    "instruction_language": instruction_language,
-                    "variant": variant,
-                    "morpheme_count": instance.morpheme_count,
-                    "shown_root": instance.shown_root,
-                    "prefix_forms": instance.prefix_forms,
-                    "suffix_forms": instance.suffix_forms,
-                    "demo_ids": demo_ids,
-                }
-            )
+            row: PromptRow = {
+                "instance_id": instance.instance_id,
+                "option_index": option_index,
+                "prompt": prompt,
+                "gold_answer": gold_answer(instance, instruction_language, option_index),
+                "task": instance.task,
+                "language_id": instance.language_id,
+                "instruction_language": instruction_language,
+                "variant": variant,
+                "morpheme_count": instance.morpheme_count,
+                "shown_root": instance.shown_root,
+                "prefix_forms": instance.prefix_forms,
+                "suffix_forms": instance.suffix_forms,
+                "demo_ids": demo_ids,
+            }
+            rows.append(row)
     return rows

@@ -13,18 +13,20 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 from morphsuite import derive, profiles
 from morphsuite.derive import Affix, SegmentedWord
 from morphsuite.errors import (
     CompositionMismatch,
+    DuplicateRecord,
     MissingContext,
     MissingNonce,
     MorphSuiteError,
     NoNegativeAvailable,
     SchemaError,
 )
-from morphsuite.jsonl import read_jsonl, read_objects, write_jsonl
+from morphsuite.jsonl import field_values, read_config, read_jsonl, read_objects, write_jsonl
 from morphsuite.rng import make_rng
 
 PRODUCTIVITY = "productivity"
@@ -78,16 +80,16 @@ class TaskInstance:
 
     instance_id: str
     record_id: str
-    task: str
-    distribution: str
-    language_id: str
+    task: Literal[TASKS]
+    distribution: Literal[DISTRIBUTIONS]
+    language_id: Literal[profiles.LANGUAGES]
     shown_root: str
     definition: str | None
     presented_affixes: list[str]
     order_mode: str
     context_sentence: str | None
     morpheme_count: int
-    split: str = EVAL_SPLIT
+    split: Literal[EVAL_SPLIT, DEMO_SPLIT] = EVAL_SPLIT
     options: list[Option] | None = None
     gold_surface: str | None = None
     # Gold-order affix blocks; used for scoring and baselines, never rendered.
@@ -95,63 +97,23 @@ class TaskInstance:
     suffix_forms: list[str] = field(default_factory=list)
 
     def to_row(self) -> dict:
-        row = {
-            "instance_id": self.instance_id,
-            "record_id": self.record_id,
-            "task": self.task,
-            "distribution": self.distribution,
-            "language_id": self.language_id,
-            "shown_root": self.shown_root,
-            "definition": self.definition,
-            "presented_affixes": self.presented_affixes,
-            "order_mode": self.order_mode,
-            "context_sentence": self.context_sentence,
-            "morpheme_count": self.morpheme_count,
-            "split": self.split,
-            "gold_surface": self.gold_surface,
-            "prefix_forms": self.prefix_forms,
-            "suffix_forms": self.suffix_forms,
-        }
-        if self.options is not None:
+        row = field_values(self)
+        options = row.pop("options")
+        if options is not None:
             row["options"] = [
                 {"surface": o.surface, "label": o.label}
                 | ({"affixes": list(o.affixes)} if o.affixes is not None else {})
-                for o in self.options
+                for o in options
             ]
         return row
 
-    @classmethod
-    def from_row(cls, row: dict) -> "TaskInstance":
-        options = None
-        if row.get("options") is not None:
-            if any(o["label"] not in LABEL_POLARITY for o in row["options"]):
-                raise ValueError("an option label is neither valid nor invalid")
-            options = [
-                Option(
-                    o["surface"],
-                    o["label"],
-                    tuple(o["affixes"]) if o.get("affixes") is not None else None,
-                )
-                for o in row["options"]
-            ]
-        return cls(
-            instance_id=row["instance_id"],
-            record_id=row["record_id"],
-            task=row["task"],
-            distribution=row["distribution"],
-            language_id=row["language_id"],
-            shown_root=row["shown_root"],
-            definition=row.get("definition"),
-            presented_affixes=list(row["presented_affixes"]),
-            order_mode=row["order_mode"],
-            context_sentence=row.get("context_sentence"),
-            morpheme_count=row["morpheme_count"],
-            split=row.get("split", EVAL_SPLIT),
-            options=options,
-            gold_surface=row.get("gold_surface"),
-            prefix_forms=list(row.get("prefix_forms", [])),
-            suffix_forms=list(row.get("suffix_forms", [])),
-        )
+    def check(self) -> None:
+        """ValueError for an unknown option label or a systematicity row
+        without options; read_suite runs it."""
+        if any(o.label not in LABEL_POLARITY for o in self.options or ()):
+            raise ValueError("an option label is neither valid nor invalid")
+        if self.task == SYSTEMATICITY and not self.options:
+            raise ValueError("a systematicity instance needs options")
 
 
 # ---------------------------------------------------------------------------
@@ -172,75 +134,68 @@ class IngestResult:
     issues: list[IngestIssue]
 
 
+@dataclass
+class AffixRow:
+    form: str
+    slot: Literal[derive.PREFIX, derive.SUFFIX] = derive.SUFFIX
+
+
+@dataclass
+class RecordRow:
+    """An input record as its JSONL row holds it (README "Input schema")."""
+
+    record_id: str
+    language_id: Literal[profiles.LANGUAGES]
+    root: str
+    affixes: list[AffixRow]
+    gold_surface: str
+    sentence: str | None = None
+    meta_affixes: list[str] = field(default_factory=list)
+    manual_negative_affix: str | None = None
+    known_valid_alternatives: list[str] = field(default_factory=list)
+    nonce_root: str | None = None
+
+
 def validate_record(row: dict) -> SegmentedWord:
     """Validate one ingestion row and return the normalized record.
 
     Raises SchemaError / UnknownLetter / CompositionMismatch on violations.
     """
-    if not isinstance(row, dict):
-        raise SchemaError("record must be a JSON object")
-    for key in ("record_id", "language_id", "root", "affixes", "gold_surface"):
-        if key not in row:
-            raise SchemaError(f"missing required field {key!r}")
-    language_id = row["language_id"]
-    if language_id not in profiles.LANGUAGES:
-        raise SchemaError(f"unsupported language_id {language_id!r}")
-    profile = profiles.load_profile(language_id)
+    row = read_config(RecordRow, row, None, "record")
+    profile = profiles.load_profile(row.language_id)
 
-    root = profiles.check_letters(row["root"], profile)
+    def letters(text):
+        return None if text is None else profiles.check_letters(text, profile)
+
+    root = letters(row.root)
     if not root:
         raise SchemaError("root must be nonempty")
-
-    raw_affixes = row["affixes"]
-    if not isinstance(raw_affixes, list) or not raw_affixes:
+    if not row.affixes:
         raise SchemaError("affixes must be a nonempty list")
     affixes: list[Affix] = []
     slot_counts = {derive.PREFIX: 0, derive.SUFFIX: 0}
-    for entry in raw_affixes:
-        if isinstance(entry, str):
-            form, slot = entry, derive.SUFFIX
-        elif isinstance(entry, dict) and "form" in entry:
-            form = entry["form"]
-            slot = entry.get("slot", derive.SUFFIX)
-        else:
-            raise SchemaError(f"bad affix entry {entry!r}")
-        if slot not in (derive.PREFIX, derive.SUFFIX):
-            raise SchemaError(f"bad affix slot {slot!r}")
-        form = profiles.check_letters(form, profile)
+    for entry in row.affixes:
+        form = letters(entry.form)
         if not form:
             raise SchemaError("affix forms must be nonempty")
-        affixes.append(Affix(form=form, slot=slot, gold_index=slot_counts[slot]))
-        slot_counts[slot] += 1
+        affixes.append(Affix(form=form, slot=entry.slot, gold_index=slot_counts[entry.slot]))
+        slot_counts[entry.slot] += 1
 
-    gold = profiles.check_letters(row["gold_surface"], profile)
-    sentence = row.get("sentence")
-    if sentence is not None:
-        if not isinstance(sentence, str) or sentence.count(BLANK) != 1:
-            raise SchemaError(f"sentence must contain exactly one {BLANK!r} marker")
-
-    manual = row.get("manual_negative_affix")
-    if manual is not None:
-        manual = profiles.check_letters(manual, profile)
-    nonce_root = row.get("nonce_root")
-    if nonce_root is not None:
-        nonce_root = profiles.check_letters(nonce_root, profile)
-
-    known_valid = {
-        profiles.check_letters(s, profile)
-        for s in row.get("known_valid_alternatives", [])
-    }
+    gold = letters(row.gold_surface)
+    if row.sentence is not None and row.sentence.count(BLANK) != 1:
+        raise SchemaError(f"sentence must contain exactly one {BLANK!r} marker")
 
     record = SegmentedWord(
-        record_id=str(row["record_id"]),
-        language_id=language_id,
+        record_id=row.record_id,
+        language_id=row.language_id,
         root=root,
         affixes=affixes,
         gold_surface=gold,
-        sentence=sentence,
-        meta_affixes=list(row.get("meta_affixes", [])),
-        manual_negative_affix=manual,
-        known_valid_alternatives=known_valid,
-        nonce_root=nonce_root,
+        sentence=row.sentence,
+        meta_affixes=row.meta_affixes,
+        manual_negative_affix=letters(row.manual_negative_affix),
+        known_valid_alternatives={letters(s) for s in row.known_valid_alternatives},
+        nonce_root=letters(row.nonce_root),
     )
     composed = derive.compose(record.root, record.affixes)
     if composed != record.gold_surface:
@@ -252,34 +207,29 @@ def validate_record(row: dict) -> SegmentedWord:
 
 
 def record_to_row(record: SegmentedWord) -> dict:
-    row = {
-        "record_id": record.record_id,
-        "language_id": record.language_id,
-        "root": record.root,
+    """The input row of a record: its fields, which are RecordRow's keys,
+    less those that are null or empty."""
+    row = field_values(record) | {
         "affixes": [{"form": a.form, "slot": a.slot} for a in record.affixes],
-        "gold_surface": record.gold_surface,
+        "known_valid_alternatives": sorted(record.known_valid_alternatives),
     }
-    if record.sentence is not None:
-        row["sentence"] = record.sentence
-    if record.meta_affixes:
-        row["meta_affixes"] = record.meta_affixes
-    if record.manual_negative_affix is not None:
-        row["manual_negative_affix"] = record.manual_negative_affix
-    if record.known_valid_alternatives:
-        row["known_valid_alternatives"] = sorted(record.known_valid_alternatives)
-    if record.nonce_root is not None:
-        row["nonce_root"] = record.nonce_root
-    return row
+    return {key: value for key, value in row.items() if value is not None and value != []}
 
 
 def ingest(path) -> IngestResult:
-    """Load and validate a SegmentedWord JSONL file; invalid records are
+    """Load and validate a SegmentedWord JSONL file; invalid records, and
+    each record that repeats the record_id of an earlier valid one, are
     rejected with per-record diagnostics."""
     records: list[SegmentedWord] = []
     issues: list[IngestIssue] = []
+    first_line: dict[str, int] = {}  # the line of each record_id taken
     for lineno, row in read_jsonl(path):
         try:
-            records.append(validate_record(row))
+            record = validate_record(row)
+            first = first_line.setdefault(record.record_id, lineno)
+            if first != lineno:
+                raise DuplicateRecord(f"record_id repeated, first on line {first}")
+            records.append(record)
         except MorphSuiteError as exc:
             record_id = row.get("record_id") if isinstance(row, dict) else None
             issues.append(IngestIssue(lineno, record_id, type(exc).__name__, str(exc)))
@@ -584,4 +534,4 @@ def write_suite(path, instances) -> int:
 
 
 def read_suite(path) -> list[TaskInstance]:
-    return read_objects(path, TaskInstance.from_row)
+    return read_objects(path, TaskInstance, TaskInstance.check)

@@ -1,6 +1,8 @@
 import json
-from dataclasses import fields
+import os
+from dataclasses import fields, make_dataclass
 from pathlib import Path
+from typing import Literal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,17 +32,17 @@ def run(argv):
     return cli.main(argv)
 
 
-# (key, value, reason): a prompt-row value that evaluate cannot use
+# (key, value, message): a prompt-row value that evaluate cannot use
 BAD_PROMPT_VALUES = [
-    ("shown_root", 5, "shown_root must be a string"),
-    ("prompt", ["p"], "prompt must be a string"),
-    ("instance_id", 3, "instance_id must be a string"),
-    ("gold_answer", None, "gold_answer must be a string"),
-    ("language_id", 7, "unsupported language_id 7"),
-    ("task", "translation", "unknown task 'translation'"),
-    ("option_index", "0", "option_index must be an integer or null"),
-    ("suffix_forms", "ler", "suffix_forms must be a list of strings"),
-    ("prefix_forms", [1], "prefix_forms must be a list of strings"),
+    ("shown_root", 5, "row key 'shown_root' must be a string"),
+    ("prompt", ["p"], "row key 'prompt' must be a string"),
+    ("instance_id", 3, "row key 'instance_id' must be a string"),
+    ("gold_answer", None, "row key 'gold_answer' must be a string"),
+    ("language_id", 7, "row key 'language_id' must be one of turkish, finnish"),
+    ("task", "translation", "row key 'task' must be one of productivity, systematicity"),
+    ("option_index", "0", "row key 'option_index' must be an integer or null"),
+    ("suffix_forms", "ler", "row key 'suffix_forms' must be a list of strings"),
+    ("prefix_forms", [1], "row key 'prefix_forms' must be a list of strings"),
 ]
 
 BUILD = ["build-suite", "--task", "systematicity", "--dist", "id", "--in", "corpus.jsonl",
@@ -288,14 +290,14 @@ class TestPipeline:
         (["evaluate", "--prompts", "no_text_prompts.jsonl", "--model-config", "model.json",
           "--out", "r.jsonl"], "SchemaError", "no_text_prompts.jsonl:1: row lacks 'prompt'"),
         *[(["evaluate", "--prompts", f"bad_{key}_prompts.jsonl", "--model-config", "model.json",
-            "--out", "r.jsonl"], "SchemaError", f"bad_{key}_prompts.jsonl:1: malformed row ({why})")
+            "--out", "r.jsonl"], "SchemaError", f"bad_{key}_prompts.jsonl:1: {why}")
           for key, _, why in BAD_PROMPT_VALUES],
         (["score", "--records", "twice.jsonl", "--suite", "suite.jsonl", "--out-dir", "r"],
          "DuplicateRecord", "two records for ({first_id}, None)"),
         (["kappa", "--a", "two_labels.jsonl", "--b", "one_label.jsonl"],
          "DuplicateRecord", "two_labels.jsonl: two rows for instance 'a'"),
         (["kappa", "--a", "one_label.jsonl", "--b", "list_label.jsonl"],
-         "SchemaError", "list_label.jsonl:1: malformed row (label must be a string)"),
+         "SchemaError", "list_label.jsonl:1: row key 'label' must be a string"),
         (["build-suite", "--task", "productivity", "--dist", "id", "--in", "utf16.jsonl",
           "--out", "s.jsonl"], "SchemaError", "utf16.jsonl:1: not UTF-8"),
         (["kappa", "--a", "utf16.jsonl", "--b", "one_label.jsonl"],
@@ -472,3 +474,163 @@ def test_config_reader_checks_the_json_type_of_every_field(tmp_path, capsys, cls
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "SchemaError" in err
         assert f"key {f.name!r} must be" in err
+
+
+@pytest.mark.parametrize("annotation", [Literal["a"] | None, list[Literal["a"]]])
+def test_config_reader_refuses_a_literal_inside_an_annotation(annotation):
+    """Only a Literal that is a whole annotation has its values checked, so
+    one inside a union or a list is refused rather than read as any string."""
+    row = make_dataclass("Row", [("kind", annotation)])
+    with pytest.raises(TypeError, match="a Literal must be the whole annotation"):
+        read_config(row, {"kind": "b"}, None, "row")
+
+
+# A value of each kind of JSON, for the fuzz test below: strings that mean
+# something somewhere, numbers in and out of the ranges, lists and objects.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["", "x", "demo", "valid", "productivity", "mock://majority"]),
+    st.integers(-2, 3),
+    st.just(0.5),
+    st.booleans(),
+    st.none(),
+    st.lists(st.sampled_from(["x", 1, None]), max_size=2),
+    st.dictionaries(st.sampled_from(["form", "surface", "label", "x"]), st.sampled_from(["x", 1]),
+                    max_size=2),
+)
+
+# kind -> (the valid file, whether it is JSONL, the commands that read it,
+# with {} for the path of its mutated copy)
+FUZZ_TARGETS = {
+    "input record": ("corpus.jsonl", True, [
+        ["build-suite", "--task", "productivity", "--dist", "id", "--in", "{}", "--out", "o.jsonl"],
+    ]),
+    "suite row": ("suite.jsonl", True, [
+        ["render", "--suite", "{}", "--shots", "1", "--out", "o.jsonl"],
+        ["score", "--records", "records.jsonl", "--suite", "{}", "--out-dir", "o"],
+    ]),
+    "prompt row": ("prompts.jsonl", True, [
+        ["evaluate", "--prompts", "{}", "--model-config", "model.json", "--out", "o.jsonl"],
+    ]),
+    "record": ("records.jsonl", True, [
+        ["score", "--records", "{}", "--suite", "suite.jsonl", "--out-dir", "o"],
+    ]),
+    "label row": ("labels.jsonl", True, [["kappa", "--a", "{}", "--b", "labels.jsonl"]]),
+    "model config": ("model.json", False, [
+        ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "{}", "--out", "o.jsonl"],
+    ]),
+    "report config": ("report.json", False, [["report", "--config", "{}"]]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The valid files of FUZZ_TARGETS, each parsed: a list of rows or a config."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    cwd = Path.cwd()
+    os.chdir(directory)
+    try:
+        write_corpus(Path("corpus.jsonl"), per_stratum=10, strata=(2, 3), seed=7)
+        mock_config(Path("model.json"), max_retries=0)
+        write_jsonl("labels.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(3)])
+        Path("report.json").write_text(json.dumps({
+            "language": "turkish", "input": "corpus.jsonl", "model_config": "model.json",
+            "out_dir": "run", "tasks": ["productivity"], "distributions": ["id"], "shots": 1,
+        }), encoding="utf-8")
+        for argv in (
+            ["build-suite", "--task", "systematicity", "--dist", "id", "--seed", "1",
+             "--in", "corpus.jsonl", "--out", "suite.jsonl"],
+            ["render", "--suite", "suite.jsonl", "--shots", "1", "--out", "prompts.jsonl"],
+            ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
+             "--out", "records.jsonl"],
+        ):
+            assert run(argv) == 0
+    finally:
+        os.chdir(cwd)
+    parsed = {}
+    for kind, (name, is_jsonl, _) in FUZZ_TARGETS.items():
+        lines = [json.loads(line) for line in (directory / name).read_text("utf-8").splitlines()]
+        parsed[kind] = lines if is_jsonl else lines[0]
+    return directory, parsed
+
+
+@pytest.mark.parametrize("kind", list(FUZZ_TARGETS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_mutated_row_or_config_exits_0_or_1_with_one_line(fuzz_dir, monkeypatch, capsys, kind,
+                                                            data):
+    """A valid file with one key of one row (or of a config, or of an object
+    in a row) dropped, added or set to another kind of JSON: each command
+    that reads it ends with exit 0, or exit 1 and one error line, never a
+    traceback. An error about the row names path:line, and an input record
+    is rejected on its own line."""
+    directory, parsed = fuzz_dir
+    monkeypatch.chdir(directory)
+    name, is_jsonl, commands = FUZZ_TARGETS[kind]
+    rows = json.loads(json.dumps(parsed[kind] if is_jsonl else [parsed[kind]]))
+    index = data.draw(st.integers(0, len(rows) - 1), label="row")
+    target = rows[index]
+    nested = [v for v in target.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
+    if nested and data.draw(st.booleans(), label="inside an object of the row"):
+        target = data.draw(st.sampled_from(nested[0]))
+    key = data.draw(st.sampled_from(sorted(target)), label="key")
+    how = data.draw(st.sampled_from(["drop", "add", "set"]), label="change")
+    if how == "drop":
+        del target[key]
+    else:
+        target["extra" if how == "add" else key] = data.draw(FUZZ_VALUES, label="value")
+    path = f"mutated_{name}"
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    Path(path).write_text(text if is_jsonl else text.strip(), encoding="utf-8")
+    for argv in commands:
+        capsys.readouterr()
+        code = run([arg.format(path) for arg in argv])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # a config may send evaluate to an endpoint that is not there
+        transport = kind == "model config" and key == "endpoint_url" and how == "set"
+        assert code in (0, 1) or (code == 2 and transport), err
+        errors = [line for line in err.splitlines()
+                  if line.startswith(("error: ", "transport error: "))]
+        assert len(errors) == (code != 0), err
+        if is_jsonl and errors and path in errors[0]:
+            assert f"{path}:{index + 1}: " in errors[0]
+        for line in err.splitlines():
+            if line.startswith("reject line"):
+                assert line.startswith(f"reject line {index + 1} ")
+
+
+def _set_surface(row):
+    row["options"][0]["surface"] = 5
+
+
+@pytest.mark.parametrize("kind, change, named", [
+    ("suite row", {"shown_root": None}, "row key 'shown_root' must be a string"),
+    ("suite row", {"presented_affixes": "abc"}, "row key 'presented_affixes' must be a list"),
+    ("suite row", {"morpheme_count": "3"}, "row key 'morpheme_count' must be an integer"),
+    ("suite row", _set_surface, "options[0] key 'surface' must be a string"),
+    ("suite row", {"split": "dmo"}, "row key 'split' must be one of eval, demo"),
+    ("record", {"option_index": "0"}, "row key 'option_index' must be an integer or null"),
+    ("record", {"parsed_kind": 5}, "row key 'parsed_kind' must be one of word, yes, no"),
+    ("record", {"parsed_kind": "maybe"}, "row key 'parsed_kind' must be one of word, yes, no"),
+    ("record", {"cached": "no"}, "row key 'cached' must be true or false"),
+    ("record", {"parsed_value": ["yes"]}, "row key 'parsed_value' must be a string or null"),
+    ("label row", {"instance_id": ["a"]}, "row key 'instance_id' must be a string or null"),
+])
+def test_a_mistyped_row_exits_1_naming_path_line_and_key(fuzz_dir, monkeypatch, capsys, kind,
+                                                          change, named):
+    directory, parsed = fuzz_dir
+    monkeypatch.chdir(directory)
+    name, _, commands = FUZZ_TARGETS[kind]
+    rows = json.loads(json.dumps(parsed[kind]))
+    if callable(change):
+        change(rows[0])
+    else:
+        rows[0].update(change)
+    path = f"mistyped_{name}"
+    Path(path).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    for argv in commands:
+        capsys.readouterr()
+        assert run([arg.format(path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"error: SchemaError: {path}:1: {named}" in err

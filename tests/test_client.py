@@ -24,7 +24,7 @@ from morphsuite.errors import (
     SchemaError,
     TransportError,
 )
-from morphsuite.jsonl import read_jsonl, write_jsonl
+from morphsuite.jsonl import read_config, read_jsonl, write_jsonl
 from morphsuite.suite import record_to_row
 
 
@@ -777,4 +777,4 @@ class TestBaselinesAndMocks:
             model_name="m",
             cached=True,
         )
-        assert client.EvalRecord.from_row(record.to_row()) == record
+        assert read_config(client.EvalRecord, record.to_row(), None, "record") == record

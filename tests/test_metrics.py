@@ -166,6 +166,18 @@ class TestStratifyReport:
         with pytest.raises(OrphanRecord):
             metrics.stratify_report([report_input], instances)
 
+    @pytest.mark.parametrize("task, option_index", [
+        ("systematicity", 99), ("systematicity", -1), ("systematicity", None), ("productivity", 0),
+    ])
+    def test_record_naming_no_option_is_an_orphan(self, task, option_index):
+        records = synth_turkish_records(10, [2], seed=54)
+        instances, _ = suite.build_suite(records, task, "id", seed=54)
+        instance = next(i for i in instances if i.split == "eval")
+        record = EvalRecord(instance_id=instance.instance_id, option_index=option_index,
+                            parsed_kind="no")
+        with pytest.raises(OrphanRecord, match=rf"\({instance.instance_id}, {option_index}\)"):
+            metrics.stratify_report([record], instances)
+
     def test_missing_predictions_score_zero(self):
         records = synth_turkish_records(10, [2], seed=53)
         instances, _ = suite.build_suite(records, "productivity", "id", seed=53)

@@ -69,6 +69,35 @@ class TestIngest:
         assert result.issues[0].error == "CompositionMismatch"
 
 
+    @pytest.mark.parametrize("change, message", [
+        ({"meta_affixes": 5}, "record key 'meta_affixes' must be a list of strings"),
+        ({"root": 5}, "record key 'root' must be a string"),
+        ({"known_valid_alternatives": "kitaplar"},
+         "record key 'known_valid_alternatives' must be a list of strings"),
+        ({"record_id": ["x"]}, "record key 'record_id' must be a string"),
+        ({"affixes": ["len", "dir", "ip"]}, "record key 'affixes' must be a list of objects"),
+        ({"affixes": [{"form": "len", "slot": "suffix", "gloss": "x"}]},
+         "unknown affixes[0] key 'gloss'"),
+        ({"affixes": [{"form": "len", "slot": "infix"}]},
+         "affixes[0] key 'slot' must be one of prefix, suffix"),
+        ({"colour": "red"}, "unknown record key 'colour'"),
+        ({"sentence": True}, "record key 'sentence' must be a string or null"),
+    ])
+    def test_rejects_a_row_off_the_schema(self, change, message):
+        with pytest.raises(SchemaError) as err:
+            suite.validate_record(base_row(**change))
+        assert str(err.value) == message
+
+    def test_ingest_rejects_a_repeated_record_id(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [base_row(), base_row(record_id="r2"), base_row()])
+        result = suite.ingest(path)
+        assert [r.record_id for r in result.records] == ["r1", "r2"]
+        [issue] = result.issues
+        assert (issue.lineno, issue.record_id, issue.error) == (3, "r1", "DuplicateRecord")
+        assert "first on line 1" in issue.message
+
+
 class TestStratifiedSample:
     def test_enough_diversity(self):
         pool = synth_turkish_records(40, [3], seed=1)
