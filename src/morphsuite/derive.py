@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import islice, permutations, repeat
+from itertools import islice, permutations, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from morphsuite import profiles
@@ -198,28 +198,23 @@ def _unrank_permutation(items: Sequence[str], index: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def sample_orderings(word: SegmentedWord, n: int, rng) -> list[CandidateDerivation]:
-    """Uniform sample of n orderings without replacement, always incl. gold.
+def _order(word: SegmentedWord, index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The index-th (prefix_order, suffix_order) in enumeration order."""
+    p_index, s_index = divmod(index, math.factorial(len(word.suffix_forms)))
+    prefix_order = _unrank_permutation(word.prefix_forms, p_index)
+    return prefix_order, _unrank_permutation(word.suffix_forms, s_index)
 
-    Used when the full ordering space exceeds the cap; index 0 is the gold
-    ordering in the factorial numbering.
-    """
+
+def _sample_indices(word: SegmentedWord, n: int, rng) -> list[int]:
+    """The seeded draw of n ordering indices, ascending; index 0 (gold) first."""
     total = ordering_space(word)
-    n = min(n, total)
-    indices = [0]
-    if n > 1:
-        indices += sorted(rng.sample(range(1, total), n - 1))
-    n_suffix = math.factorial(len(word.suffix_forms))
-    orders = []
-    for index in indices:
-        p_index, s_index = divmod(index, n_suffix)
-        orders.append(
-            (
-                _unrank_permutation(word.prefix_forms, p_index),
-                _unrank_permutation(word.suffix_forms, s_index),
-            )
-        )
-    return _candidates_from_orders(word, orders)
+    return [0] + sorted(rng.sample(range(1, total), max(0, min(n, total) - 1)))
+
+
+def sample_orderings(word: SegmentedWord, n: int, rng) -> list[CandidateDerivation]:
+    """Uniform sample of n orderings without replacement, always incl. gold
+    (index 0 in the factorial numbering); used above the cap."""
+    return _candidates_from_orders(word, [_order(word, i) for i in _sample_indices(word, n, rng)])
 
 
 def candidate_pool(word: SegmentedWord, *, rng=None) -> tuple[list[CandidateDerivation], bool]:
@@ -239,11 +234,6 @@ def samples_orderings(word: SegmentedWord, strategy: str) -> bool:
     return strategy == RANDOM and ordering_space(word) > DEFAULT_ORDERING_CAP
 
 
-def _negative_orderings(word: SegmentedWord) -> Iterator[tuple[str, tuple, tuple]]:
-    """_distinct over every ordering, without gold and known-valid surfaces."""
-    return _distinct(word, _all_orders(word), {_gold(word)} | word.known_valid_alternatives)
-
-
 def _candidate(word: SegmentedWord, surface: str, prefix_order, suffix_order):
     return CandidateDerivation(
         surface=surface,
@@ -252,6 +242,31 @@ def _candidate(word: SegmentedWord, surface: str, prefix_order, suffix_order):
         is_gold=False,
         levenshtein_to_gold=levenshtein(surface, _gold(word)),
     )
+
+
+def _random_negatives(word: SegmentedWord, k: int, rng) -> list[CandidateDerivation]:
+    """random from the record's own orderings: see select_negatives."""
+    total = ordering_space(word)
+    if total <= DEFAULT_ORDERING_CAP:
+        indices = range(total)
+        prefixes = map("".join, permutations(word.prefix_forms))
+        suffixes = map("".join, permutations(word.suffix_forms))
+        surfaces = list(map("".join, product(prefixes, (word.root,), suffixes)))
+    elif rng is None:
+        raise CombinatorialCap(
+            f"record {word.record_id}: {total} orderings exceed cap {DEFAULT_ORDERING_CAP}"
+        )
+    else:
+        indices = _sample_indices(word, DEFAULT_ORDERING_CAP, rng)
+        surfaces = [compose_forms(word.root, *_order(word, index)) for index in indices]
+    pool = dict.fromkeys(surfaces)  # first ordering per surface, in order
+    for surface in {_gold(word)} | word.known_valid_alternatives:
+        pool.pop(surface, None)
+    if len(pool) > k:
+        if rng is None:
+            raise ValueError("random strategy needs an rng")
+        pool = rng.sample(list(pool), k)
+    return [_candidate(word, s, *_order(word, indices[surfaces.index(s)])) for s in pool]
 
 
 def _nearest(
@@ -360,9 +375,10 @@ def select_negatives(
     """Pick k invalid orderings for a record under the given strategy.
 
     random: uniform k-subset, drawn with rng.sample from the distinct
-    surfaces in enumeration order; edit distances are computed for the
-    picks only. Above DEFAULT_ORDERING_CAP orderings the pool is a seeded
-    sample of that many orderings (sample_orderings).
+    surfaces in enumeration order. Up to DEFAULT_ORDERING_CAP orderings the
+    pool costs one string per ordering; above it, only a seeded sample of
+    that many orderings is unranked (the draw of sample_orderings). The
+    orderings and edit distances are computed for the k picks only.
 
     lang_agnostic and lang_specific_tr: the k surfaces that rank first in
     the one branch-and-bound search of the module docstring, exact at any
@@ -390,11 +406,12 @@ def select_negatives(
     if word.morpheme_count == 1:
         return [_manual_negative(word)]
 
-    if candidates is None and samples_orderings(word, strategy):
-        candidates, _ = candidate_pool(word, rng=rng)
+    if candidates is None and strategy == RANDOM:
+        return _random_negatives(word, k, rng)
     if candidates is None:
-        # Only random needs the whole pool; the others need to know if it exceeds k.
-        pool = list(islice(_negative_orderings(word), None if strategy == RANDOM else k + 1))
+        # The distance strategies only need to know if the pool exceeds k.
+        excluded = {_gold(word)} | word.known_valid_alternatives
+        pool = list(islice(_distinct(word, _all_orders(word), excluded), k + 1))
     else:
         pool = [(c.surface, c.prefix_order, c.suffix_order) for c in candidates if not c.is_gold]
 

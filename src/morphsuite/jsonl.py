@@ -102,8 +102,8 @@ def read_jsonl(path):
 
 def read_objects(path, cls, check=None):
     """Every row of a JSONL file read as cls by read_config, in order, and passed
-    to check, if given. A row that is not an object or does not match cls, or
-    that check rejects with ValueError, raises SchemaError naming path:line."""
+    to check(obj, lineno), if given. A row that is not an object, does not match
+    cls or fails check (ValueError) raises SchemaError naming path:line."""
     out = []
     for lineno, row in read_jsonl(path):
         if not isinstance(row, dict):
@@ -111,7 +111,7 @@ def read_objects(path, cls, check=None):
         try:
             obj = read_config(cls, row, None, "row")
             if check is not None:
-                check(obj)
+                check(obj, lineno)
         except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
         except ValueError as exc:

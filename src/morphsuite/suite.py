@@ -534,4 +534,14 @@ def write_suite(path, instances) -> int:
 
 
 def read_suite(path) -> list[TaskInstance]:
-    return read_objects(path, TaskInstance, TaskInstance.check)
+    """The instances of a suite file, each checked by TaskInstance.check; a repeated
+    instance_id raises SchemaError naming path:line and the line of its first use."""
+    first_line: dict[str, int] = {}
+
+    def check(row: TaskInstance, lineno: int) -> None:
+        row.check()
+        first = first_line.setdefault(row.instance_id, lineno)
+        if first != lineno:
+            raise SchemaError(f"repeated instance_id {row.instance_id!r}, first on line {first}")
+
+    return read_objects(path, TaskInstance, check)

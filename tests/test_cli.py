@@ -60,6 +60,34 @@ class TestUsage:
     def test_missing_required_flag_exits_1(self):
         assert run(["score"]) == 1
 
+    def test_main_calls_share_no_parsed_state(self, monkeypatch):
+        """main reuses one parser; each call parses as a fresh parser would,
+        with no option, default or func left over from the call before."""
+        parser = cli._parser()
+        assert cli._parser() is parser
+        parse, seen = parser.parse_args, []
+
+        def recording(argv):
+            args = parse(argv)
+            seen.append(dict(vars(args)))
+            args.func = lambda args: 0
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", recording)
+        calls = [
+            BUILD + ["--k", "3", "--seed", "9", "--strategy", "random", "--context"],
+            ["render", "--suite", "s.jsonl", "--shots", "3", "--out", "p.jsonl"],
+            BUILD,
+            ["kappa", "--a", "a.jsonl", "--b", "b.jsonl"],
+        ]
+        for argv in calls:
+            assert run(argv) == 0
+        assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in calls]
+        assert [args["func"] for args in seen] == [
+            cli.cmd_build_suite, cli.cmd_render, cli.cmd_build_suite, cli.cmd_kappa,
+        ]
+        assert (seen[2]["k"], seen[2]["seed"], seen[2]["context"]) == (None, 0, False)
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -260,6 +288,11 @@ class TestPipeline:
             write_jsonl(f"bad_{key}_prompts.jsonl", [prompt | {key: value}])
         records = Path("records.jsonl").read_text("utf-8")
         Path("twice.jsonl").write_text(records + records, encoding="utf-8")
+        first_id = json.loads(records.splitlines()[0])["instance_id"]
+        suite_rows = Path("suite.jsonl").read_text("utf-8").splitlines()
+        first = [r for r in suite_rows if json.loads(r)["instance_id"] == first_id]
+        others = [r for r in suite_rows if r not in first]
+        Path("dup_suite.jsonl").write_text("\n".join(first * 2 + others) + "\n", "utf-8")
         write_jsonl("one_label.jsonl", [{"instance_id": "a", "label": "x"}])
         write_jsonl("two_labels.jsonl", [
             {"instance_id": "a", "label": "x"}, {"instance_id": "a", "label": "y"},
@@ -270,7 +303,7 @@ class TestPipeline:
         # past the first block the reader decodes, so the line must be found
         Path("latin1_lexicon.txt").write_bytes(b"kedi\n" * 3000 + b"k\xf6pek\n")
         Path("latin1_model.json").write_bytes(b'{\n  "model_name":\n  "k\xf6pek"\n}\n')
-        return json.loads(records.splitlines()[0])["instance_id"]
+        return first_id
 
     @pytest.mark.parametrize("argv, error, named", [
         (["gen-nonce", "--lang", "turkish", "--in", "missing.jsonl", "--out", "n.jsonl"],
@@ -317,6 +350,13 @@ class TestPipeline:
         (BUILD + ["--strata", "1,a", "--per-stratum", "2"], "argument --strata", "'1,a'"),
         (BUILD + ["--per-stratum", "0"], "argument --per-stratum", "integer >= 1"),
         (BUILD + ["--strata", "2"], "UsageError", "--strata needs --per-stratum"),
+        *[(argv, "SchemaError",
+           "dup_suite.jsonl:2: repeated instance_id '{first_id}', first on line 1")
+          for argv in (
+              ["render", "--suite", "dup_suite.jsonl", "--shots", "1", "--out", "p.jsonl"],
+              ["score", "--records", "records.jsonl", "--suite", "dup_suite.jsonl",
+               "--out-dir", "r"],
+          )],
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
         capsys.readouterr()

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -261,11 +261,11 @@ _FORMS = st.sampled_from(["l", "ar", "la", "r", "a", "ı", "e", "ler", "ki", "ı
 
 
 @st.composite
-def _words(draw):
+def _words(draw, forms=_FORMS):
     root = draw(st.text(alphabet="aeıklmrs", min_size=1, max_size=4))
-    prefixes = draw(st.lists(_FORMS, max_size=2))
+    prefixes = draw(st.lists(forms, max_size=2))
     n_prefixes = len(prefixes)
-    suffixes = draw(st.lists(_FORMS, min_size=max(0, 2 - n_prefixes), max_size=6 - n_prefixes))
+    suffixes = draw(st.lists(forms, min_size=max(0, 2 - n_prefixes), max_size=6 - n_prefixes))
     w = word(root, suffixes, prefixes=prefixes)
     surfaces = {
         "".join(pp) + root + "".join(sp)
@@ -320,6 +320,59 @@ def test_select_negatives_matches_bruteforce_oracle(turkish, w, strategy, k, see
     else:
         given_pool = derive.select_negatives(w, strategy, k, make_rng(seed), candidates=given)
         assert _as_tuples(given_pool) == want
+
+
+def oracle_random(w, k, seed):
+    """random by brute force: the list of every ordering, or above the cap
+    that list indexed by the seeded draw [0] + sorted(rng.sample(range(1,
+    total), cap - 1)); the first ordering per surface, gold and known-valid
+    surfaces dropped, rng.sample(pool, k) when the pool exceeds k, and a
+    full-matrix DP distance for each pick. seed None means no rng."""
+    rng = None if seed is None else make_rng(seed)
+    orders = list(product(permutations(w.prefix_forms), permutations(w.suffix_forms)))
+    cap = derive.DEFAULT_ORDERING_CAP
+    if len(orders) > cap:
+        if rng is None:
+            raise CombinatorialCap
+        orders = [orders[i] for i in [0] + sorted(rng.sample(range(1, len(orders)), cap - 1))]
+    gold = "".join(w.prefix_forms) + w.root + "".join(w.suffix_forms)
+    first = {}
+    for pp, sp in orders:
+        first.setdefault("".join(pp) + w.root + "".join(sp), (pp, sp))
+    pool = [
+        (surface, pp, sp)
+        for surface, (pp, sp) in first.items()
+        if surface != gold and surface not in w.known_valid_alternatives
+    ]
+    if len(pool) > k:
+        if rng is None:
+            raise ValueError
+        pool = rng.sample(pool, k)
+    return [(surface, pp, sp, dp_oracle(surface, gold)) for surface, pp, sp in pool]
+
+
+_KALEM = ["la", "ma", "di", "ki", "ce", "sı", "nu", "pe"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Colliding (a + ab = aa + b = aab) and repeated forms in both blocks.
+    _words(st.sampled_from(["a", "aa", "ab", "ba", "b", "ler"])),
+    st.integers(1, 8),
+    st.none() | st.integers(0, 2**16),
+)
+# Above the cap: only the seeded draw of 10,080 of the 8! orderings is a pool,
+# and without an rng there is none.
+@example(word("kalem", _KALEM), 4, 3)
+@example(word("kalem", _KALEM), 4, None)
+# Above the cap with a prefix block (3! * 7!), and exactly at the cap (2! * 7!).
+@example(word("kalem", _KALEM[:7], prefixes=["ön", "ar", "ab"]), 4, 11)
+@example(word("kalem", _KALEM[:7], prefixes=["ön", "ar"]), 4, 11)
+def test_select_random_matches_bruteforce_oracle(w, k, seed):
+    want = outcome(oracle_random, w, k, seed)
+    rng = None if seed is None else make_rng(seed)
+    got = outcome(lambda: _as_tuples(derive.select_negatives(w, "random", k, rng)))
+    assert got == want
 
 
 def full_text_clashes(profile):
