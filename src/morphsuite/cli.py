@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
+from typing import Literal
 
 from morphsuite import __version__, client, derive, metrics, nonce, profiles, prompts, suite
 from morphsuite.errors import (
@@ -38,6 +39,8 @@ _NORMALIZATION_NOTE = {
     "yes/no/evet/hayır/kyllä/ei (case-insensitive); anything else is a parse "
     "failure and scores as wrong",
 }
+# The model config keys an evaluate manifest records.
+_MODEL_KEYS = ("endpoint_url", "model_name", "temperature", "top_p", "max_tokens", "auth_token_env")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,9 +108,10 @@ def _write_report(out_dir, report) -> None:
 @dataclass
 class ReportConfig:
     """A report config file: one run over the (task, distribution) cells.
-    model_config is a model config path or the same object inline."""
+    model_config is a model config path or the same object inline. read_config
+    checks each Literal key's value."""
 
-    language: str
+    language: Literal[profiles.LANGUAGES]
     input: str
     model_config: str | dict
     out_dir: str = "morphsuite-run"
@@ -118,25 +122,17 @@ class ReportConfig:
     tasks: list[str] = field(default_factory=lambda: list(suite.TASKS))
     distributions: list[str] = field(default_factory=lambda: list(suite.DISTRIBUTIONS))
     context: bool = False
-    order_mode: str = suite.DEFAULT_ORDER_MODE
-    strategy: str = suite.DEFAULT_STRATEGY
+    order_mode: Literal[suite.ORDER_MODES] = suite.DEFAULT_ORDER_MODE
+    strategy: Literal[derive.STRATEGIES] = suite.DEFAULT_STRATEGY
     k: int | None = None
     demo_fraction: float = suite.DEFAULT_DEMO_FRACTION
-    instruction_language: str = prompts.DEFAULT_INSTRUCTION_LANGUAGE
-    variant: str = prompts.DEFAULT_VARIANT
+    instruction_language: Literal[prompts.INSTRUCTION_LANGUAGES] = (
+        prompts.DEFAULT_INSTRUCTION_LANGUAGE
+    )
+    variant: Literal[prompts.VARIANTS] = prompts.DEFAULT_VARIANT
     shots: int = prompts.DEFAULT_SHOTS
 
     def __post_init__(self):
-        for key, allowed in (
-            ("language", profiles.LANGUAGES),
-            ("order_mode", suite.ORDER_MODES),
-            ("strategy", derive.STRATEGIES),
-            ("instruction_language", prompts.INSTRUCTION_LANGUAGES),
-            ("variant", prompts.VARIANTS),
-        ):
-            value = getattr(self, key)
-            if value not in allowed:
-                raise SchemaError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
         for key, allowed in (("tasks", suite.TASKS), ("distributions", suite.DISTRIBUTIONS)):
             values = getattr(self, key)
             if not values or len(set(values)) < len(values) or not set(values) <= set(allowed):
@@ -173,6 +169,74 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Stages: each writes its output file and returns its outputs and manifest.
+# The subcommands and every report cell run these same functions; opts is
+# the parsed arguments or a ReportConfig.
+# ---------------------------------------------------------------------------
+
+def _build(records, task, dist, opts, out, negative_cache=None):
+    instances, manifest = suite.build_suite(
+        records, task, dist, context=opts.context, order_mode=opts.order_mode,
+        strategy=opts.strategy, k=opts.k, seed=opts.seed, demo_fraction=opts.demo_fraction,
+        negative_cache=negative_cache,
+    )
+    for warning in manifest["warnings"]:
+        _eprint(f"warning: {warning}")
+    suite.write_suite(out, instances)
+    return instances, manifest
+
+
+def _render(instances, suite_path, catalog, opts, out):
+    rows = prompts.render_suite(
+        instances, catalog, opts.instruction_language, opts.variant, opts.shots, opts.seed
+    )
+    write_jsonl(out, rows)
+    return rows, {
+        "command": "render",
+        "version": __version__,
+        "suite": str(suite_path),
+        "templates": opts.templates or "bundled",
+        "instruction_language": opts.instruction_language,
+        "variant": opts.variant,
+        "shots": opts.shots,
+        "seed": opts.seed,
+        "prompts": len(rows),
+    }
+
+
+def _evaluate(rows, prompts_path, cfg, cache, out):
+    """A prompt that fails after its retries is left out of the records,
+    listed under failed_prompts in the manifest and named on one
+    transport error line; score counts it missing."""
+    try:
+        records, incomplete = client.evaluate_rows(rows, cfg, cache), None
+    except IncompleteEvaluation as exc:
+        records, incomplete = exc.records, exc
+    write_jsonl(out, (r.to_row() for r in records))
+    manifest = {
+        "command": "evaluate",
+        "version": __version__,
+        "prompts": str(prompts_path),
+        "model": {key: getattr(cfg, key) for key in _MODEL_KEYS},
+        "answer_normalization": _NORMALIZATION_NOTE,
+        "records": len(records),
+        "cached": sum(1 for r in records if r.cached),
+        "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE),
+    }
+    if incomplete is not None:
+        manifest["failed_prompts"] = incomplete.failed
+        _eprint(f"transport error: {incomplete}; wrote the other {len(records)} records")
+    return records, manifest
+
+
+def _write_manifest(out, manifest, **inputs) -> None:
+    """Write manifest to <out>.manifest.json with the digest of each input
+    file the subcommand read, as <name>_digest."""
+    manifest.update({f"{name}_digest": suite.file_digest(path) for name, path in inputs.items()})
+    write_json(f"{out}.manifest.json", manifest)
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -193,7 +257,6 @@ def cmd_gen_nonce(args) -> int:
         "language": args.lang,
         "seed": args.seed,
         "input": str(in_path),
-        "input_digest": suite.file_digest(in_path),
         "lexicon": (
             {"path": args.lexicon, "words": len(lexicon)}
             if lexicon is not None
@@ -203,7 +266,7 @@ def cmd_gen_nonce(args) -> int:
         "skipped_records": skipped,
         "written": len(kept),
     }
-    write_json(str(args.out) + ".manifest.json", manifest)
+    _write_manifest(args.out, manifest, input=in_path)
     _eprint(f"gen-nonce: wrote {len(kept)} records, skipped {len(skipped)}")
     return 0
 
@@ -231,32 +294,12 @@ def cmd_build_suite(args) -> int:
         for stratum, short in sample.deficits.items():
             _eprint(f"stratum {stratum}: short {short} records")
 
-    instances, manifest = suite.build_suite(
-        records,
-        args.task,
-        args.dist,
-        context=args.context,
-        order_mode=args.order,
-        strategy=args.strategy,
-        k=args.k,
-        seed=args.seed,
-        demo_fraction=args.demo_fraction,
-    )
-    for warning in manifest["warnings"]:
-        _eprint(f"warning: {warning}")
-    suite.write_suite(args.out, instances)
+    instances, manifest = _build(records, args.task, args.dist, args, args.out)
     manifest.update(
-        {
-            "command": "build-suite",
-            "version": __version__,
-            "language": languages.pop(),
-            "input": str(in_path),
-            "input_digest": suite.file_digest(in_path),
-            "sampling": sampling,
-            "output": str(args.out),
-        }
+        command="build-suite", version=__version__, language=languages.pop(),
+        input=str(in_path), sampling=sampling, output=str(args.out),
     )
-    write_json(args.manifest or str(args.out) + ".manifest.json", manifest)
+    _write_manifest(args.out, manifest, input=in_path)
     _eprint(f"build-suite: wrote {len(instances)} instances")
     return 0
 
@@ -267,23 +310,8 @@ def cmd_render(args) -> int:
     if catalog.missing and args.templates is not None:
         for key in catalog.missing:
             _eprint(f"missing template for {key}")
-    rows = prompts.render_suite(
-        instances, catalog, args.lang, args.variant, args.shots, args.seed
-    )
-    write_jsonl(args.out, rows)
-    manifest = {
-        "command": "render",
-        "version": __version__,
-        "suite": str(args.suite),
-        "suite_digest": suite.file_digest(args.suite),
-        "templates": args.templates or "bundled",
-        "instruction_language": args.lang,
-        "variant": args.variant,
-        "shots": args.shots,
-        "seed": args.seed,
-        "prompts": len(rows),
-    }
-    write_json(str(args.out) + ".manifest.json", manifest)
+    rows, manifest = _render(instances, args.suite, catalog, args, args.out)
+    _write_manifest(args.out, manifest, suite=args.suite)
     _eprint(f"render: wrote {len(rows)} prompts")
     return 0
 
@@ -292,38 +320,14 @@ def cmd_evaluate(args) -> int:
     cfg = client.ModelConfig.from_file(args.model_config)
     cache = client.ResponseCache(args.cache) if args.cache else None
     rows = read_objects(args.prompts, prompts.PromptRow)
-    try:
-        records, incomplete = client.evaluate_rows(rows, cfg, cache), None
-    except IncompleteEvaluation as exc:  # keep what was answered; score counts the rest missing
-        records, incomplete = exc.records, exc
-    write_jsonl(args.out, (r.to_row() for r in records))
-    n_cached = sum(1 for r in records if r.cached)
-    n_failed = sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE)
-    manifest = {
-        "command": "evaluate",
-        "version": __version__,
-        "prompts": str(args.prompts),
-        "prompts_digest": suite.file_digest(args.prompts),
-        "model": {
-            "endpoint_url": cfg.endpoint_url,
-            "model_name": cfg.model_name,
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-            "max_tokens": cfg.max_tokens,
-            "auth_token_env": cfg.auth_token_env,
-        },
-        "answer_normalization": _NORMALIZATION_NOTE,
-        "records": len(records),
-        "cached": n_cached,
-        "parse_failures": n_failed,
-    }
-    if incomplete is not None:
-        manifest["failed_prompts"] = incomplete.failed
-    write_json(str(args.out) + ".manifest.json", manifest)
-    if incomplete is not None:
-        _eprint(f"transport error: {incomplete}; wrote the other {len(records)} records")
+    records, manifest = _evaluate(rows, args.prompts, cfg, cache, args.out)
+    _write_manifest(args.out, manifest, prompts=args.prompts)
+    if "failed_prompts" in manifest:
         return 2
-    _eprint(f"evaluate: {len(records)} records ({n_cached} cached, {n_failed} parse failures)")
+    _eprint(
+        f"evaluate: {len(records)} records ({manifest['cached']} cached,"
+        f" {manifest['parse_failures']} parse failures)"
+    )
     return 0
 
 
@@ -392,44 +396,33 @@ def cmd_report(args) -> int:
     if not records:
         raise SchemaError(f"no {cfg.language} records in {in_path}")
 
-    if suite.OUT_DIST in cfg.distributions and any(not r.nonce_root for r in records):
+    skipped = []
+    missing = [r for r in records if not r.nonce_root]  # a supplied root is kept
+    if suite.OUT_DIST in cfg.distributions and missing:
         profile = profiles.load_profile(cfg.language)
         lexicon = nonce.load_lexicon(cfg.lexicon, profile) if cfg.lexicon else None
-        records, _ = _add_nonces(records, profile, lexicon, cfg.seed)
+        _, skipped = _add_nonces(missing, profile, lexicon, cfg.seed)
+        records = [r for r in records if r.nonce_root]
 
     catalog = prompts.load_templates(cfg.templates)
     cache = client.ResponseCache(cfg.cache or out_dir / "cache")
 
     negative_cache: dict = {}  # shared by this run's cells, freed with it
-    summary = {}
+    summary, cells = {}, {}
     for task in cfg.tasks:
         for dist in cfg.distributions:
-            cell_dir = out_dir / f"{task}_{dist}"
-            instances, manifest = suite.build_suite(
-                records,
-                task,
-                dist,
-                context=cfg.context,
-                order_mode=cfg.order_mode,
-                strategy=cfg.strategy,
-                k=cfg.k,
-                seed=cfg.seed,
-                demo_fraction=cfg.demo_fraction,
-                negative_cache=negative_cache,
-            )
-            suite.write_suite(cell_dir / "suite.jsonl", instances)
+            cell, cell_dir = f"{task}_{dist}", out_dir / f"{task}_{dist}"
+            suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
+            instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
             write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
-            rows = prompts.render_suite(
-                instances, catalog, cfg.instruction_language, cfg.variant, cfg.shots, cfg.seed
+            rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
+            answers, evaluated = _evaluate(
+                rows, prompts_path, model, cache, cell_dir / "records.jsonl"
             )
-            write_jsonl(cell_dir / "prompts.jsonl", rows)
-            eval_records = client.evaluate_rows(rows, model, cache)
-            write_jsonl(cell_dir / "records.jsonl", (r.to_row() for r in eval_records))
-            report = metrics.stratify_report(eval_records, instances, manifest)
+            report = metrics.stratify_report(answers, instances, manifest)
             _write_report(cell_dir, report)
-            summary[f"{task}_{dist}"] = {
-                m: metrics.round1(v) for m, v in report.overall.items()
-            }
+            summary[cell] = {m: metrics.round1(v) for m, v in report.overall.items()}
+            cells[cell] = {"render": rendered, "evaluate": evaluated}
             _eprint(f"report: {task}/{dist} -> {cell_dir}")
 
     run_manifest = {
@@ -437,11 +430,13 @@ def cmd_report(args) -> int:
         "version": __version__,
         "config": raw,
         "input_digest": suite.file_digest(in_path),
+        "skipped_records": skipped,
+        "cells": cells,
         "summary": summary,
     }
     write_json(out_dir / "run.json", run_manifest)
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
-    return 0
+    return 2 if any("failed_prompts" in c["evaluate"] for c in cells.values()) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=list(suite.TASKS))
     p.add_argument("--dist", required=True, choices=list(suite.DISTRIBUTIONS))
     p.add_argument("--context", action="store_true")
-    p.add_argument("--order", default=suite.DEFAULT_ORDER_MODE, choices=list(suite.ORDER_MODES))
+    p.add_argument("--order", dest="order_mode", default=suite.DEFAULT_ORDER_MODE,
+                   choices=list(suite.ORDER_MODES))
     p.add_argument("--strategy", default=suite.DEFAULT_STRATEGY, choices=list(derive.STRATEGIES))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -474,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo-fraction", type=float, default=suite.DEFAULT_DEMO_FRACTION)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_build_suite)
 
     p = sub.add_parser("render", help="render few-shot prompts for a suite")
@@ -482,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", default=None, help="template dir (default: bundled)")
     p.add_argument(
         "--lang",
+        dest="instruction_language",
         default=prompts.DEFAULT_INSTRUCTION_LANGUAGE,
         choices=list(prompts.INSTRUCTION_LANGUAGES),
     )

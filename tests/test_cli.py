@@ -2,14 +2,14 @@ import json
 import os
 from dataclasses import fields, make_dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from factory import synth_turkish_records
-from morphsuite import cli, client, derive
+from morphsuite import cli, client, derive, prompts, suite
 from morphsuite.errors import SchemaError
 from morphsuite.jsonl import read_config, write_jsonl
 from morphsuite.suite import record_to_row
@@ -225,8 +225,9 @@ class TestPipeline:
         ({"context": 1}, "'context' must be true or false"),
         ({"tasks": "productivity"}, "'tasks' must be a list of strings"),
         ({"distributions": ["id", 2]}, "'distributions' must be a list of strings"),
-        ({"variant": ["standard"]}, "'variant' must be a string"),
-        ({"language": 7}, "'language' must be a string"),
+        ({"variant": ["standard"]},
+         "'variant' must be one of standard, context, cot, paraphrased"),
+        ({"language": 7}, "'language' must be one of turkish, finnish"),
         ({"out_dir": 7}, "'out_dir' must be a string"),
         ({"shot": 3}, "unknown report config key 'shot'"),
         ({"demo_fraction": 2.0}, "demo_fraction must be in [0, 1], got 2.0"),
@@ -238,11 +239,12 @@ class TestPipeline:
         ({"tasks": []}, "tasks must list distinct values"),
         ({"tasks": ["productivity", "productivity"]}, "tasks must list distinct values"),
         ({"distributions": []}, "distributions must list distinct values of id, ood"),
-        ({"order_mode": "bogus"}, "order_mode must be one of shuffled, correct, got 'bogus'"),
-        ({"variant": "bogus"}, "variant must be one of standard, context, cot, paraphrased"),
-        ({"strategy": "bogus"}, "strategy must be one of random, lang_agnostic, lang_specific_tr"),
-        ({"instruction_language": "klingon"}, "instruction_language must be one of english"),
-        ({"language": "klingon"}, "language must be one of turkish, finnish, got 'klingon'"),
+        ({"order_mode": "bogus"}, "'order_mode' must be one of shuffled, correct"),
+        ({"variant": "bogus"}, "'variant' must be one of standard, context, cot, paraphrased"),
+        ({"strategy": "bogus"},
+         "'strategy' must be one of random, lang_agnostic, lang_specific_tr"),
+        ({"instruction_language": "klingon"}, "'instruction_language' must be one of english"),
+        ({"language": "klingon"}, "'language' must be one of turkish, finnish"),
         ({"language": "finnish"}, "no finnish records in "),
         ({"language": "finnish", "strategy": "lang_specific_tr"},
          "strategy lang_specific_tr only applies to turkish"),
@@ -422,6 +424,28 @@ class TestPipeline:
             rows = Path("run1", cell, "suite.jsonl").read_text("utf-8").splitlines()
             assert len(rows) == len(ids)
 
+    def test_report_keeps_supplied_nonce_roots_and_lists_skipped_records(self, workdir):
+        rows = [record_to_row(r) for r in synth_turkish_records(6, [2], seed=61)]
+        rows[0]["nonce_root"] = "pumak"
+        rows.append({"record_id": "no-vowel", "language_id": "turkish", "root": "krt",
+                     "affixes": [{"form": "lar", "slot": "suffix"}], "gold_surface": "krtlar"})
+        write_jsonl("corpus.jsonl", rows)
+        mock_config(Path("model.json"))
+        Path("run.json").write_text(json.dumps({
+            "language": "turkish", "input": "corpus.jsonl", "out_dir": "run",
+            "model_config": "model.json", "tasks": ["productivity"], "distributions": ["ood"],
+            "shots": 1, "demo_fraction": 0.25,
+        }), encoding="utf-8")
+        assert run(["report", "--config", "run.json"]) == 0
+        assert json.loads(Path("run/run.json").read_text("utf-8"))["skipped_records"] == [
+            "no-vowel"
+        ]
+        suite_rows = Path("run/productivity_ood/suite.jsonl").read_text("utf-8").splitlines()
+        shown = {row["record_id"]: row["shown_root"] for row in map(json.loads, suite_rows)}
+        assert set(shown) == {row["record_id"] for row in rows[:-1]}
+        assert shown[rows[0]["record_id"]] == "pumak"
+        assert all(shown[row["record_id"]] != row["root"] for row in rows[1:-1])
+
 
 class TestReproducibility:
     def test_same_seed_same_bytes(self, tmp_path, monkeypatch):
@@ -455,6 +479,47 @@ class TestReproducibility:
                 )
             }
         assert outputs["run1"] == outputs["run2"]
+
+    def test_report_cell_runs_the_stage_code(self, tmp_path, monkeypatch):
+        """A report cell and the stage commands with the same options write
+        the same suite, prompts and records bytes, and run.json holds the
+        render and evaluate manifests of the stages but for paths and digests."""
+        monkeypatch.chdir(tmp_path)
+        write_corpus(Path("corpus.jsonl"), per_stratum=20, strata=(2, 3))
+        mock_config(Path("model.json"), endpoint="mock://random", seed=2)
+        for argv in (
+            ["gen-nonce", "--lang", "turkish", "--seed", "7",
+             "--in", "corpus.jsonl", "--out", "nonced.jsonl"],
+            ["build-suite", "--task", "systematicity", "--dist", "ood",
+             "--strategy", "random", "--order", "correct", "--seed", "7", "--demo-fraction", "0.25",
+             "--in", "nonced.jsonl", "--out", "suite.jsonl"],
+            ["render", "--suite", "suite.jsonl", "--lang", "turkish", "--variant", "cot",
+             "--shots", "3", "--seed", "7", "--out", "prompts.jsonl"],
+            ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
+             "--cache", "cache", "--out", "records.jsonl"],
+        ):
+            assert run(argv) == 0
+        Path("run.json").write_text(json.dumps({
+            "language": "turkish", "seed": 7, "input": "corpus.jsonl", "out_dir": "run",
+            "model_config": "model.json", "tasks": ["systematicity"], "distributions": ["ood"],
+            "strategy": "random", "order_mode": "correct", "instruction_language": "turkish",
+            "variant": "cot", "shots": 3, "demo_fraction": 0.25,
+        }), encoding="utf-8")
+        assert run(["report", "--config", "run.json"]) == 0
+        for name in ("suite.jsonl", "prompts.jsonl", "records.jsonl"):
+            assert Path("run/systematicity_ood", name).read_bytes() == Path(name).read_bytes()
+        rows = prompts.render_suite(
+            suite.read_suite("suite.jsonl"), prompts.load_templates(), "turkish", "cot", 3, 7
+        )
+        write_jsonl("library_prompts.jsonl", rows)  # the options reach the renderer
+        assert Path("library_prompts.jsonl").read_bytes() == Path("prompts.jsonl").read_bytes()
+        cell = json.loads(Path("run/run.json").read_text("utf-8"))["cells"]["systematicity_ood"]
+        paths = {"suite", "suite_digest", "prompts", "prompts_digest"}
+        for stage, out in (("render", "prompts.jsonl"), ("evaluate", "records.jsonl")):
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text("utf-8"))
+            assert {k: v for k, v in cell[stage].items() if k not in paths} == {
+                k: v for k, v in manifest.items() if k not in paths
+            }
 
 
 # One strategy per kind of JSON value, and the kinds each config field
@@ -494,12 +559,20 @@ CONFIG_FIELDS = [
 @given(st.data())
 def test_config_reader_checks_the_json_type_of_every_field(tmp_path, capsys, cls, f, data):
     """A value of each kind of JSON in the field: accepted when the
-    annotation names its kind, else report exits 1 with one line naming it."""
+    annotation names its kind, else report exits 1 with one line naming it.
+    A Literal field takes its allowed values and no other string."""
     path = tmp_path / "run.json"
-    for kind, values in JSON_VALUES.items():
+    kinds, accepted = dict(JSON_VALUES), ACCEPTED.get(f.type)
+    hint = get_type_hints(cls)[f.name]
+    if get_origin(hint) is Literal:
+        allowed = get_args(hint)
+        kinds["allowed value"] = st.sampled_from(allowed)
+        kinds["string"] = kinds["string"].filter(lambda value: value not in allowed)
+        accepted = {"allowed value"}
+    for kind, values in kinds.items():
         value = data.draw(values, label=kind)
         section = (REPORT if cls is cli.ReportConfig else MODEL) | {f.name: value}
-        if kind in ACCEPTED[f.type]:
+        if kind in accepted:
             try:
                 got = read_config(cls, section, "config", "config")
             except SchemaError as exc:  # a range or membership check, not the reader

@@ -396,6 +396,9 @@ class TestEvaluateOverHttp:
         assert "failed_prompts" not in manifest
 
     def test_report_stops_at_the_failing_cell(self, tmp_path, monkeypatch, capsys):
+        """A failed prompt stops at its cell: the cell keeps its answered
+        records and its report, run.json lists the failed prompt, the other
+        cell runs, and report exits 2 with one transport error line."""
         monkeypatch.chdir(tmp_path)
         records = synth_turkish_records(4, [2], seed=61)
         write_jsonl("corpus.jsonl", (record_to_row(r) for r in records))
@@ -410,16 +413,26 @@ class TestEvaluateOverHttp:
             config = {
                 "language": "turkish", "input": "corpus.jsonl", "out_dir": "run",
                 "model_config": {"endpoint_url": url, "model_name": "m", "max_retries": 0},
-                "tasks": ["systematicity"], "distributions": ["id"], "shots": 1,
-                "demo_fraction": 0.25,
+                "tasks": ["systematicity"], "shots": 1, "demo_fraction": 0.25,
             }
             Path("run.json").write_text(json.dumps(config), encoding="utf-8")
             assert cli.main(["report", "--config", "run.json"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("transport error: 1 of ")
-        assert not Path("run/systematicity_id/records.jsonl").exists()
-        assert not Path("run/run.json").exists()
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines()
+                  if line.startswith(("error: ", "transport error: "))]
+        assert len(errors) == 1 and errors[0].startswith("transport error: 1 of ")
+        assert set(json.loads(out)) == {"systematicity_id", "systematicity_ood"}
+        run = json.loads(Path("run/run.json").read_text("utf-8"))
+        failed = run["cells"]["systematicity_id"]["evaluate"]["failed_prompts"]
+        assert len(failed) == 1
+        assert "failed_prompts" not in run["cells"]["systematicity_ood"]["evaluate"]
+        for cell, missing in (("systematicity_id", 1), ("systematicity_ood", 0)):
+            n_prompts = len(Path("run", cell, "prompts.jsonl").read_text("utf-8").splitlines())
+            answered = [row for _, row in read_jsonl(Path("run", cell, "records.jsonl"))]
+            assert len(answered) == n_prompts - missing
+            assert all([r["instance_id"], r["option_index"]] not in failed for r in answered)
+            report = json.loads(Path("run", cell, "report.json").read_text("utf-8"))
+            assert report["missing_predictions"] == missing
 
     def test_auth_error_is_not_kept_as_a_failed_prompt(self, small_run):
         _, rows = small_run
