@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cache
+from importlib import resources
 from pathlib import Path
 from typing import Literal
 
@@ -30,15 +31,6 @@ from morphsuite.errors import (
 from morphsuite.jsonl import read_config, read_json, read_objects, write_json, write_jsonl
 from morphsuite.rng import derive_seed
 
-# Answer-normalization rules recorded in evaluate manifests so reported
-# scores stay auditable.
-_NORMALIZATION_NOTE = {
-    "productivity": "last <Answer> tag else last nonempty line; text after last "
-    "colon; surrounding quotes/punctuation stripped; NFC; profile case fold",
-    "systematicity": "last <Answer> tag else last nonempty line; accepted tokens "
-    "yes/no/evet/hayır/kyllä/ei (case-insensitive); anything else is a parse "
-    "failure and scores as wrong",
-}
 # The model config keys an evaluate manifest records.
 _MODEL_KEYS = ("endpoint_url", "model_name", "temperature", "top_p", "max_tokens", "auth_token_env")
 
@@ -55,18 +47,8 @@ def _eprint(*parts):
 def resolve_input(path: str) -> Path:
     """Resolve an input path; bundled:<name> maps to packaged corpora."""
     if path.startswith("bundled:"):
-        import tempfile
-        from importlib import resources
-
         name = path.removeprefix("bundled:")
-        ref = resources.files("morphsuite").joinpath(f"data/corpora/{name}.jsonl")
-        concrete = Path(str(ref))
-        if concrete.is_file():
-            return concrete
-        # zip-installed package: materialize a stable copy
-        tmp = Path(tempfile.gettempdir()) / f"morphsuite-{name}.jsonl"
-        tmp.write_bytes(ref.read_bytes())
-        return tmp
+        return Path(str(resources.files("morphsuite").joinpath(f"data/corpora/{name}.jsonl")))
     return Path(path)
 
 
@@ -218,7 +200,7 @@ def _evaluate(rows, prompts_path, cfg, cache, out):
         "version": __version__,
         "prompts": str(prompts_path),
         "model": {key: getattr(cfg, key) for key in _MODEL_KEYS},
-        "answer_normalization": _NORMALIZATION_NOTE,
+        "answer_normalization": client.NORMALIZATION_NOTE,
         "records": len(records),
         "cached": sum(1 for r in records if r.cached),
         "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE),
@@ -482,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(prompts.INSTRUCTION_LANGUAGES),
     )
     p.add_argument("--variant", default=prompts.DEFAULT_VARIANT, choices=list(prompts.VARIANTS))
-    p.add_argument("--shots", type=int, default=prompts.DEFAULT_SHOTS, choices=[1, 3, 5])
+    p.add_argument("--shots", type=int, default=prompts.DEFAULT_SHOTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)

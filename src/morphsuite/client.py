@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
-from morphsuite import __version__, derive, profiles
+from morphsuite import __version__, derive, profiles, prompts
 from morphsuite import suite as suite_mod
 from morphsuite.errors import (
     AuthError,
@@ -30,22 +30,12 @@ from morphsuite.errors import (
     SchemaError,
     TransportError,
 )
-from morphsuite.jsonl import dumps, read_config, read_json
+from morphsuite.jsonl import dumps, field_values, read_config, read_json
 from morphsuite.rng import make_rng
 
 WORD = "word"
 USER_AGENT = f"morphsuite/{__version__}"
 MAX_RETRY_AFTER_S = 60.0  # a longer Retry-After is ignored, as openai-python does
-
-# Polarity tokens accepted from model output, lowercased.
-_POLARITY = {
-    "yes": suite_mod.YES,
-    "no": suite_mod.NO,
-    "evet": suite_mod.YES,
-    "hayır": suite_mod.NO,
-    "kyllä": suite_mod.YES,
-    "ei": suite_mod.NO,
-}
 
 _ANSWER_TAG = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
 _STRIP_CHARS = " \t\"'`“”‘’.,;:!?()[]{}<>«»*_-–—"
@@ -335,6 +325,23 @@ def complete(
 # Answer parsing
 # ---------------------------------------------------------------------------
 
+# The polarity of each answer word of prompts.LABEL_WORDS, casefolded: any
+# instruction language's word parses, whatever language the prompt was in.
+_POLARITY = {
+    word.casefold(): polarity
+    for words in prompts.LABEL_WORDS.values()
+    for polarity, word in words.items()
+}
+
+# The parse rules, recorded in evaluate manifests so reported scores stay auditable.
+NORMALIZATION_NOTE = {
+    "productivity": "last <Answer> tag else last nonempty line; text after last "
+    "colon; surrounding quotes/punctuation stripped; NFC; profile case fold",
+    "systematicity": "last <Answer> tag else last nonempty line; accepted tokens "
+    f"{'/'.join(_POLARITY)} (case-insensitive); anything else is a parse "
+    "failure and scores as wrong",
+}
+
 def _extract_answer(raw_text: str | None) -> str | None:
     """The answer span of a raw response, NFC-normalized; None when empty.
 
@@ -368,8 +375,8 @@ def parse_productivity(raw_text: str, profile: profiles.LanguageProfile) -> str 
 def parse_systematicity(raw_text: str) -> str | None:
     """Map a yes/no style answer to polarity; None means parse failure.
 
-    Accepted tokens, whatever the instruction language: yes, no, evet,
-    hayır, kyllä, ei.
+    Accepted tokens, whatever the instruction language: the words of
+    prompts.LABEL_WORDS, case-insensitive.
     """
     return _POLARITY.get((_extract_answer(raw_text) or "").casefold())
 
@@ -423,16 +430,7 @@ class EvalRecord:
     cached: bool = False
 
     def to_row(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "option_index": self.option_index,
-            "raw_response": self.raw_response,
-            "parsed_kind": self.parsed_kind,
-            "parsed_value": self.parsed_value,
-            "gold": self.gold,
-            "model_name": self.model_name,
-            "cached": self.cached,
-        }
+        return field_values(self)
 
 
 def parse_row_response(row: dict, raw_text: str) -> tuple[str, str | None]:

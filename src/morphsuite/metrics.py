@@ -10,7 +10,6 @@ never excluded.
 """
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -22,12 +21,11 @@ _LABEL_OF_POLARITY = {polarity: label for label, polarity in suite_mod.LABEL_POL
 
 
 def exact_match(pred: str | None, gold: str, profile: profiles.LanguageProfile) -> bool:
-    """Case-folded, NFC-normalized string equality; None (parse failure) is wrong."""
+    """Equality after profiles.case_fold, which NFC-normalizes first; None
+    (parse failure) is wrong."""
     if pred is None:
         return False
-    pred_n = profiles.case_fold(unicodedata.normalize("NFC", pred), profile)
-    gold_n = profiles.case_fold(unicodedata.normalize("NFC", gold), profile)
-    return pred_n == gold_n
+    return profiles.case_fold(pred, profile) == profiles.case_fold(gold, profile)
 
 
 def _f1(preds, labels, cls) -> float:

@@ -12,6 +12,7 @@ only the whole word must differ from the original and miss the lexicon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from morphsuite import profiles
 from morphsuite.errors import ExhaustedRetries, NoVowel, UnsupportedStrategy
@@ -30,16 +31,35 @@ class NonceMapping:
     attempts: int
 
 
-def _weighted_letter(rng, profile, letters) -> str:
-    return rng.choices(letters, weights=profile.frequency_weights(letters))[0]
+def _pool(profile, letters) -> tuple[list[str], list[float]]:
+    """letters with their cumulative frequency weights, as rng.choices takes them."""
+    return letters, list(accumulate(profile.frequency_weights(letters)))
 
 
-def _class_vowels(profile, harmony: str) -> list[str]:
-    return profile.vowels_in_class(harmony)
+def _letter_pools(letters, profile, vowels_of) -> list[tuple[list[str], list[float]]]:
+    """The pool of each letter: the consonants, or vowels_of(harmony class)."""
+    consonants = _pool(profile, sorted(profile.consonants))
+    pools = []
+    for ch in letters:
+        cls = profiles.classify(ch, profile)
+        vowel = cls.kind == profiles.VOWEL
+        pools.append(_pool(profile, vowels_of(cls.harmony)) if vowel else consonants)
+    return pools
 
 
-def _consonants(profile) -> list[str]:
-    return sorted(profile.consonants)
+def _draw_nonce(root, folded, profile, lexicon, seed, pools, spell) -> NonceMapping:
+    """Draw one frequency-weighted letter from each pool in turn and spell the
+    candidate from the draws, until a candidate differs from folded and misses
+    the lexicon; ExhaustedRetries after RETRY_LIMIT attempts."""
+    lexicon = lexicon or set()
+    rng = make_rng(seed)
+    for attempt in range(1, RETRY_LIMIT + 1):
+        candidate = spell([rng.choices(letters, cum_weights=cum)[0] for letters, cum in pools])
+        if candidate != folded and candidate not in lexicon:
+            return NonceMapping(folded, candidate, profile.language_id, seed, attempt)
+    raise ExhaustedRetries(
+        f"no lexicon-free nonce for {root!r} within {RETRY_LIMIT} attempts"
+    )
 
 
 def nonce_turkish(
@@ -58,35 +78,15 @@ def nonce_turkish(
     if not folded:
         raise NoVowel("empty root")
     start, _ = profiles.last_vowel_suffix_span(folded, profile)
-    lexicon = lexicon or set()
-    rng = make_rng(seed)
-    harmony = profile.harmony_class_of[folded[start]]
-
-    consonants = _consonants(profile)
-    for attempt in range(1, RETRY_LIMIT + 1):
-        if start == 0:
-            vowel = _weighted_letter(rng, profile, _class_vowels(profile, harmony))
-            prefix = (
-                _weighted_letter(rng, profile, consonants)
-                + vowel
-                + _weighted_letter(rng, profile, consonants)
-            )
-            candidate = prefix + folded
-        else:
-            letters = list(folded)
-            for i in range(start):
-                cls = profiles.classify(letters[i], profile)
-                if cls.kind == profiles.VOWEL:
-                    pool = _class_vowels(profile, cls.harmony)
-                else:
-                    pool = consonants
-                letters[i] = _weighted_letter(rng, profile, pool)
-            candidate = "".join(letters)
-        if candidate != folded and candidate not in lexicon:
-            return NonceMapping(folded, candidate, profile.language_id, seed, attempt)
-    raise ExhaustedRetries(
-        f"no lexicon-free nonce for {root!r} within {RETRY_LIMIT} attempts"
-    )
+    if start == 0:  # consonant + vowel + consonant + root, the vowel drawn first
+        consonants = _pool(profile, sorted(profile.consonants))
+        vowels = _pool(profile, profile.vowels_in_class(profile.harmony_class_of[folded[0]]))
+        pools = [vowels, consonants, consonants]
+        return _draw_nonce(root, folded, profile, lexicon, seed, pools,
+                           lambda d: d[1] + d[0] + d[2] + folded)
+    pools = _letter_pools(folded[:start], profile, profile.vowels_in_class)
+    return _draw_nonce(root, folded, profile, lexicon, seed, pools,
+                       lambda d: "".join(d) + folded[start:])
 
 
 def nonce_finnish(
@@ -99,29 +99,13 @@ def nonce_finnish(
     folded = profiles.check_letters(root, profile)
     if not any(ch in profile.vowels for ch in folded):
         raise NoVowel(f"{root!r} contains no vowel")
-    lexicon = lexicon or set()
-    rng = make_rng(seed)
+    neutral = profile.vowels_in_class(profiles.NEUTRAL)
 
-    consonants = _consonants(profile)
-    neutral = _class_vowels(profile, profiles.NEUTRAL)
-    for attempt in range(1, RETRY_LIMIT + 1):
-        letters = []
-        for ch in folded:
-            cls = profiles.classify(ch, profile)
-            if cls.kind == profiles.VOWEL:
-                if cls.harmony == profiles.NEUTRAL:
-                    pool = neutral
-                else:
-                    pool = sorted(set(_class_vowels(profile, cls.harmony)) | set(neutral))
-            else:
-                pool = consonants
-            letters.append(_weighted_letter(rng, profile, pool))
-        candidate = "".join(letters)
-        if candidate != folded and candidate not in lexicon:
-            return NonceMapping(folded, candidate, profile.language_id, seed, attempt)
-    raise ExhaustedRetries(
-        f"no lexicon-free nonce for {root!r} within {RETRY_LIMIT} attempts"
-    )
+    def vowels_of(harmony):
+        return sorted(set(profile.vowels_in_class(harmony)) | set(neutral))
+
+    pools = _letter_pools(folded, profile, vowels_of)
+    return _draw_nonce(root, folded, profile, lexicon, seed, pools, "".join)
 
 
 def make_nonce(

@@ -210,14 +210,18 @@ def _item_values(
     }
 
 
+def _answer(instance, instruction_language: str, option) -> str:
+    """The answer to instance shown with option: the label word of a
+    systematicity option, or the gold surface when option is None."""
+    if option is not None:
+        return LABEL_WORDS[instruction_language][suite_mod.LABEL_POLARITY[option.label]]
+    return instance.gold_surface or ""
+
+
 def _demo_answer(ts: TemplateSet, demo, rng) -> tuple[object, str]:
     """Pick the demo's shown option (systematicity) and its answer text."""
-    option = None
-    if ts.task == suite_mod.SYSTEMATICITY:
-        option = rng.choice(demo.options)
-        answer = LABEL_WORDS[ts.instruction_language][suite_mod.LABEL_POLARITY[option.label]]
-    else:
-        answer = demo.gold_surface or ""
+    option = rng.choice(demo.options) if ts.task == suite_mod.SYSTEMATICITY else None
+    answer = _answer(demo, ts.instruction_language, option)
     if ts.variant == COT:
         answer = f"<Answer>{answer}</Answer>"
     return option, answer
@@ -283,10 +287,8 @@ def render(
 
 def gold_answer(instance, instruction_language: str, option_index: int | None) -> str:
     """The reference answer string for one prompt, in the instruction language."""
-    if instance.task == suite_mod.SYSTEMATICITY:
-        label = instance.options[option_index].label
-        return LABEL_WORDS[instruction_language][suite_mod.LABEL_POLARITY[label]]
-    return instance.gold_surface or ""
+    option = instance.options[option_index] if instance.task == suite_mod.SYSTEMATICITY else None
+    return _answer(instance, instruction_language, option)
 
 
 class PromptRow(TypedDict):

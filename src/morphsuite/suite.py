@@ -294,12 +294,6 @@ def stratified_sample(pool, per_stratum: int, strata, seed: int = 0) -> SampleRe
 # Instance building
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BuildResult:
-    instances: list[TaskInstance]
-    warnings: list[str]
-
-
 def _presented_order(record: SegmentedWord, order_mode: str, rng, warnings) -> list[str]:
     gold = record.gold_order_forms
     if order_mode == CORRECT or record.morpheme_count < 2:
@@ -349,7 +343,43 @@ def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
     return outcome
 
 
-def build_instances(
+# ---------------------------------------------------------------------------
+# Suite driver
+# ---------------------------------------------------------------------------
+
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def split_demo_pool(records, demo_fraction: float, seed: int) -> list[tuple[str, SegmentedWord]]:
+    """Hold out a per-stratum demo slice, disjoint from evaluation records:
+    (EVAL_SPLIT, record) for each eval record, then (DEMO_SPLIT, record)
+    for each demo record, both in record order."""
+    by_count: dict[int, list[SegmentedWord]] = {}
+    for record in records:
+        by_count.setdefault(record.morpheme_count, []).append(record)
+    demo_ids: set[str] = set()
+    for stratum in sorted(by_count):
+        members = by_count[stratum]
+        n_demo = int(len(members) * demo_fraction)
+        if n_demo:
+            rng = make_rng(seed, "demo-split", stratum)
+            picked = rng.sample(sorted(r.record_id for r in members), n_demo)
+            demo_ids.update(picked)
+    return [(EVAL_SPLIT, r) for r in records if r.record_id not in demo_ids] + [
+        (DEMO_SPLIT, r) for r in records if r.record_id in demo_ids
+    ]
+
+
+def check_build_options(k: int | None, demo_fraction: float) -> None:
+    """SchemaError for a k below 1 or a demo_fraction outside [0, 1]."""
+    if k is not None and k < 1:
+        raise SchemaError(f"k must be >= 1 (or null for the default), got {k}")
+    if not 0 <= demo_fraction <= 1:  # NaN fails too
+        raise SchemaError(f"demo_fraction must be in [0, 1], got {demo_fraction}")
+
+
+def build_suite(
     records,
     task: str,
     distribution: str,
@@ -359,16 +389,21 @@ def build_instances(
     strategy: str = DEFAULT_STRATEGY,
     k: int | None = None,
     seed: int = 0,
-    split: str = EVAL_SPLIT,
+    demo_fraction: float = DEFAULT_DEMO_FRACTION,
     negative_cache: dict | None = None,
-) -> BuildResult:
-    """Build task instances for one (task, distribution) cell.
+) -> tuple[list[TaskInstance], dict]:
+    """The instances of one (task, distribution) suite, built in the order
+    of split_demo_pool (eval records, then demo records), and its manifest
+    skeleton.
 
     Negative selection always runs on the original-root surfaces; the shown
     root is substituted afterwards, which keeps OOD options aligned with
-    their ID twins. So the ID and OOD cells select the same negatives, and
-    a negative_cache dict shared by their builds selects them once.
+    their ID twins. So the ID and OOD suites select the same negatives, and
+    a negative_cache dict shared by their builds selects them once. A k
+    below 1, a demo_fraction outside [0, 1], or an unknown task,
+    distribution or order_mode raises SchemaError.
     """
+    check_build_options(k, demo_fraction)
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}")
     if distribution not in DISTRIBUTIONS:
@@ -378,7 +413,8 @@ def build_instances(
 
     instances: list[TaskInstance] = []
     warnings: list[str] = []
-    for record in records:
+    strata_counts: dict[int, dict[str, int]] = {}
+    for split, record in split_demo_pool(records, demo_fraction, seed):
         if distribution == OUT_DIST and not record.nonce_root:
             raise MissingNonce(f"record {record.record_id} lacks nonce_root")
         if context and not record.sentence:
@@ -439,79 +475,8 @@ def build_instances(
                 suffix_forms=record.suffix_forms,
             )
         )
-    return BuildResult(instances, warnings)
-
-
-# ---------------------------------------------------------------------------
-# Suite driver
-# ---------------------------------------------------------------------------
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def split_demo_pool(records, demo_fraction: float, seed: int):
-    """Hold out a per-stratum demo slice, disjoint from evaluation records."""
-    by_count: dict[int, list[SegmentedWord]] = {}
-    for record in records:
-        by_count.setdefault(record.morpheme_count, []).append(record)
-    demo_ids: set[str] = set()
-    for stratum in sorted(by_count):
-        members = by_count[stratum]
-        n_demo = int(len(members) * demo_fraction)
-        if n_demo:
-            rng = make_rng(seed, "demo-split", stratum)
-            picked = rng.sample(sorted(r.record_id for r in members), n_demo)
-            demo_ids.update(picked)
-    eval_records = [r for r in records if r.record_id not in demo_ids]
-    demo_records = [r for r in records if r.record_id in demo_ids]
-    return eval_records, demo_records
-
-
-def check_build_options(k: int | None, demo_fraction: float) -> None:
-    """SchemaError for a k below 1 or a demo_fraction outside [0, 1]."""
-    if k is not None and k < 1:
-        raise SchemaError(f"k must be >= 1 (or null for the default), got {k}")
-    if not 0 <= demo_fraction <= 1:  # NaN fails too
-        raise SchemaError(f"demo_fraction must be in [0, 1], got {demo_fraction}")
-
-
-def build_suite(
-    records,
-    task: str,
-    distribution: str,
-    *,
-    context: bool = False,
-    order_mode: str = DEFAULT_ORDER_MODE,
-    strategy: str = DEFAULT_STRATEGY,
-    k: int | None = None,
-    seed: int = 0,
-    demo_fraction: float = DEFAULT_DEMO_FRACTION,
-    negative_cache: dict | None = None,
-) -> tuple[list[TaskInstance], dict]:
-    """Build eval + demo instances and the manifest skeleton for one suite;
-    negative_cache is passed to build_instances. A k below 1 or a
-    demo_fraction outside [0, 1] raises SchemaError."""
-    check_build_options(k, demo_fraction)
-    eval_records, demo_records = split_demo_pool(records, demo_fraction, seed)
-    built_eval = build_instances(
-        eval_records, task, distribution, context=context, order_mode=order_mode,
-        strategy=strategy, k=k, seed=seed, split=EVAL_SPLIT,
-        negative_cache=negative_cache,
-    )
-    built_demo = build_instances(
-        demo_records, task, distribution, context=context, order_mode=order_mode,
-        strategy=strategy, k=k, seed=seed, split=DEMO_SPLIT,
-        negative_cache=negative_cache,
-    )
-    instances = built_eval.instances + built_demo.instances
-
-    strata_counts: dict[int, dict[str, int]] = {}
-    for instance in instances:
-        cell = strata_counts.setdefault(
-            instance.morpheme_count, {EVAL_SPLIT: 0, DEMO_SPLIT: 0}
-        )
-        cell[instance.split] += 1
+        cell = strata_counts.setdefault(record.morpheme_count, {EVAL_SPLIT: 0, DEMO_SPLIT: 0})
+        cell[split] += 1
 
     manifest = {
         "task": task,
@@ -524,7 +489,7 @@ def build_suite(
         "demo_fraction": demo_fraction,
         "ordering_cap": derive.DEFAULT_ORDERING_CAP,
         "strata": {str(n): strata_counts[n] for n in sorted(strata_counts)},
-        "warnings": built_eval.warnings + built_demo.warnings,
+        "warnings": warnings,
     }
     return instances, manifest
 

@@ -747,3 +747,48 @@ def test_a_mistyped_row_exits_1_naming_path_line_and_key(fuzz_dir, monkeypatch, 
         assert run([arg.format(path) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"error: SchemaError: {path}:1: {named}" in err
+
+
+# The answer rules every evaluate manifest has recorded; a change to the
+# parser's accepted words (prompts.LABEL_WORDS) shows here.
+PINNED_ANSWER_NORMALIZATION = {
+    "productivity": "last <Answer> tag else last nonempty line; text after last colon; "
+    "surrounding quotes/punctuation stripped; NFC; profile case fold",
+    "systematicity": "last <Answer> tag else last nonempty line; accepted tokens "
+    "yes/no/evet/hayır/kyllä/ei (case-insensitive); anything else is a parse failure "
+    "and scores as wrong",
+}
+
+
+@pytest.fixture()
+def suite_dir(tmp_path, monkeypatch):
+    """A directory holding a 2-morpheme systematicity suite with 3 demos."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("corpus.jsonl"), per_stratum=30, strata=(2,))
+    assert run(["build-suite", "--task", "systematicity", "--dist", "id",
+                "--in", "corpus.jsonl", "--out", "suite.jsonl"]) == 0
+    return tmp_path
+
+
+def test_evaluate_manifest_records_the_pinned_answer_rules(suite_dir):
+    assert run(["render", "--suite", "suite.jsonl", "--shots", "1", "--out", "p.jsonl"]) == 0
+    mock_config(Path("model.json"))
+    assert run(["evaluate", "--prompts", "p.jsonl", "--model-config", "model.json",
+                "--out", "r.jsonl"]) == 0
+    manifest = json.loads(Path("r.jsonl.manifest.json").read_text("utf-8"))
+    assert manifest["answer_normalization"] == PINNED_ANSWER_NORMALIZATION
+
+
+@pytest.mark.parametrize("shots", [0, 2])
+def test_render_takes_the_shots_a_report_config_takes(suite_dir, shots):
+    assert run(["render", "--suite", "suite.jsonl", "--shots", str(shots),
+                "--out", "p.jsonl"]) == 0
+    manifest = json.loads(Path("p.jsonl.manifest.json").read_text("utf-8"))
+    assert manifest["shots"] == shots
+
+
+def test_render_refuses_negative_shots_with_one_line(suite_dir, capsys):
+    capsys.readouterr()
+    assert run(["render", "--suite", "suite.jsonl", "--shots", "-1", "--out", "p.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "shots must be >= 0" in err

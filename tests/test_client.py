@@ -791,3 +791,12 @@ class TestBaselinesAndMocks:
             cached=True,
         )
         assert read_config(client.EvalRecord, record.to_row(), None, "record") == record
+
+
+@pytest.mark.parametrize("language", list(prompts.LABEL_WORDS))
+def test_every_label_word_parses_back_to_its_polarity(language):
+    """A word a prompt shows as an answer, bare or in an <Answer> tag, is one
+    the parser reads, whatever the instruction language."""
+    for polarity, word in prompts.LABEL_WORDS[language].items():
+        assert client.parse_systematicity(word) == polarity
+        assert client.parse_systematicity(f"<Answer>{word}</Answer>") == polarity

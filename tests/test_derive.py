@@ -440,7 +440,7 @@ def test_select_negatives_above_cap(turkish):
         derive.select_negatives(w, "random", 4)
 
     warnings = {
-        strategy: suite.build_instances([w], "systematicity", "id", strategy=strategy).warnings
+        strategy: suite.build_suite([w], "systematicity", "id", strategy=strategy)[1]["warnings"]
         for strategy in ("random", "lang_agnostic")
     }
     assert warnings == {

@@ -97,3 +97,23 @@ def test_turkish_reference_roots_class_preservation(turkish, root):
         assert orig.kind == new.kind
         if orig.kind == "vowel":
             assert orig.harmony == new.harmony
+
+
+@pytest.mark.parametrize("language, root, seed, lexicon, nonce_root, attempts", [
+    ("turkish", "at", 0, None, "mınat", 1),  # nothing to resample: a CVC prefix
+    ("turkish", "at", 3, None, "lagat", 1),
+    ("turkish", "kalem", 0, None, "zanem", 1),
+    ("turkish", "bal", 10, None, "yal", 2),  # the first draw gave "bal" back
+    ("turkish", "kalem", 0, {"zanem"}, "mahem", 2),  # the first draw is in the lexicon
+    ("finnish", "petoks", 0, None, "tenenk", 1),  # e is neutral, o back
+    ("finnish", "sieni", 1, None, "tiemi", 1),  # only neutral vowels
+    ("finnish", "yöpaikka", 0, None, "äineikre", 1),
+    ("finnish", "ei", 4, None, "ie", 4),
+    ("finnish", "sano", 5, {"lata"}, "lena", 2),
+])
+def test_make_nonce_draws_stay_pinned(language, root, seed, lexicon, nonce_root, attempts):
+    """The roots and attempt counts make_nonce gave before its two languages
+    shared one draw loop; any change to the order or the weights of the draws
+    moves them."""
+    mapping = nonce.make_nonce(root, profiles.load_profile(language), lexicon, seed)
+    assert (mapping.nonce_root, mapping.attempts) == (nonce_root, attempts)

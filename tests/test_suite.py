@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,7 +146,9 @@ class TestStratifiedSample:
 
 
 def build(records, task, dist, **kwargs):
-    return suite.build_instances(records, task, dist, **kwargs)
+    """Every record as an eval instance, and the build warnings."""
+    instances, manifest = suite.build_suite(records, task, dist, demo_fraction=0, **kwargs)
+    return SimpleNamespace(instances=instances, warnings=manifest["warnings"])
 
 
 @pytest.fixture(scope="module")
