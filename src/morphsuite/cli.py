@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -302,7 +303,8 @@ def cmd_evaluate(args) -> int:
     cfg = client.ModelConfig.from_file(args.model_config)
     cache = client.ResponseCache(args.cache) if args.cache else None
     rows = read_objects(args.prompts, prompts.PromptRow)
-    records, manifest = _evaluate(rows, args.prompts, cfg, cache, args.out)
+    with cache or nullcontext():
+        records, manifest = _evaluate(rows, args.prompts, cfg, cache, args.out)
     _write_manifest(args.out, manifest, prompts=args.prompts)
     if "failed_prompts" in manifest:
         return 2
@@ -387,25 +389,25 @@ def cmd_report(args) -> int:
         records = [r for r in records if r.nonce_root]
 
     catalog = prompts.load_templates(cfg.templates)
-    cache = client.ResponseCache(cfg.cache or out_dir / "cache")
 
     negative_cache: dict = {}  # shared by this run's cells, freed with it
     summary, cells = {}, {}
-    for task in cfg.tasks:
-        for dist in cfg.distributions:
-            cell, cell_dir = f"{task}_{dist}", out_dir / f"{task}_{dist}"
-            suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
-            instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
-            write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
-            rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
-            answers, evaluated = _evaluate(
-                rows, prompts_path, model, cache, cell_dir / "records.jsonl"
-            )
-            report = metrics.stratify_report(answers, instances, manifest)
-            _write_report(cell_dir, report)
-            summary[cell] = {m: metrics.round1(v) for m, v in report.overall.items()}
-            cells[cell] = {"render": rendered, "evaluate": evaluated}
-            _eprint(f"report: {task}/{dist} -> {cell_dir}")
+    with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
+        for task in cfg.tasks:
+            for dist in cfg.distributions:
+                cell, cell_dir = f"{task}_{dist}", out_dir / f"{task}_{dist}"
+                suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
+                instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
+                write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
+                rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
+                answers, evaluated = _evaluate(
+                    rows, prompts_path, model, cache, cell_dir / "records.jsonl"
+                )
+                report = metrics.stratify_report(answers, instances, manifest)
+                _write_report(cell_dir, report)
+                summary[cell] = {m: metrics.round1(v) for m, v in report.overall.items()}
+                cells[cell] = {"render": rendered, "evaluate": evaluated}
+                _eprint(f"report: {task}/{dist} -> {cell_dir}")
 
     run_manifest = {
         "command": "report",

@@ -99,6 +99,11 @@ class ResponseCache:
     last response. get and put take the digest that key() computes from
     (endpoint, model, temperature, top_p, max_tokens, prompt), so any
     parameter change misses.
+
+    Each put appends its line with one write(2) to the log opened with
+    O_APPEND. Used as a context manager, the cache opens the log at the
+    first put and holds it until the block ends (close()); otherwise each
+    put opens and closes the log itself.
     """
 
     def __init__(self, directory):
@@ -108,6 +113,8 @@ class ResponseCache:
         # a run killed mid-append leaves a torn last line: end it before appending
         self._separator = b"\n" if data and not data.endswith(b"\n") else b""
         self._lock = threading.Lock()
+        self._hold = False  # inside a with block
+        self._log = None  # the held log, from the first put in the block
         self._responses = {}
         skipped = 0
         for line in filter(None, data.split(b"\n")):
@@ -134,9 +141,30 @@ class ResponseCache:
         entry = json.dumps({"key": key, "response": response}).encode("ascii") + b"\n"
         with self._lock:  # _complete_all puts from worker threads
             line = self._separator + entry
-            with open(self.path, "ab", buffering=0) as log:  # one write(2) with O_APPEND
+            log = self._log or open(self.path, "ab", buffering=0)  # one write(2) with O_APPEND
+            try:
                 self._separator = b"" if log.write(line) == len(line) else b"\n"
+            finally:
+                if self._hold:
+                    self._log = log
+                else:
+                    log.close()
             self._responses[key] = response
+
+    def close(self) -> None:
+        """Close the held log, if any; a later put opens the log for its own line."""
+        with self._lock:
+            self._hold = False
+            if self._log is not None:
+                self._log.close()
+                self._log = None
+
+    def __enter__(self) -> ResponseCache:
+        self._hold = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _default_transport(url, payload, headers, timeout):

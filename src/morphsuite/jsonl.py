@@ -42,12 +42,22 @@ def nfc(value):
     return value
 
 
+# json.dumps with these arguments builds a new JSONEncoder on every call;
+# dumps keeps one per indent it is called with.
+_ENCODERS = {
+    indent: json.JSONEncoder(ensure_ascii=False, sort_keys=True, indent=indent)
+    for indent in (None, 2)
+}
+
+
 def dumps(obj, indent=None) -> str:
-    """obj as sorted-key JSON text with NFC strings (see the module docstring)."""
-    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent)
+    """obj as sorted-key JSON text with NFC strings (see the module docstring);
+    indent is None or 2."""
+    encode = _ENCODERS[indent].encode
+    text = encode(obj)
     if unicodedata.is_normalized("NFC", text):
         return text
-    return json.dumps(nfc(obj), ensure_ascii=False, sort_keys=True, indent=indent)
+    return encode(nfc(obj))
 
 
 def write_jsonl(path, rows) -> int:
@@ -56,8 +66,7 @@ def write_jsonl(path, rows) -> int:
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for row in rows:
-            f.write(dumps(row))
-            f.write("\n")
+            f.write(dumps(row) + "\n")
             n += 1
     return n
 

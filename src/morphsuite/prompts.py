@@ -218,15 +218,6 @@ def _answer(instance, instruction_language: str, option) -> str:
     return instance.gold_surface or ""
 
 
-def _demo_answer(ts: TemplateSet, demo, rng) -> tuple[object, str]:
-    """Pick the demo's shown option (systematicity) and its answer text."""
-    option = rng.choice(demo.options) if ts.task == suite_mod.SYSTEMATICITY else None
-    answer = _answer(demo, ts.instruction_language, option)
-    if ts.variant == COT:
-        answer = f"<Answer>{answer}</Answer>"
-    return option, answer
-
-
 def render(
     instance,
     template_set: TemplateSet,
@@ -253,6 +244,17 @@ def render(
         and d.morpheme_count == instance.morpheme_count
         and d.instance_id != instance.instance_id
     ]
+    return _render(instance, ts, n_shots, matching, rng, option_index, {})
+
+
+def _render(instance, ts, n_shots, matching, rng, option_index, blocks) -> tuple[str, list[str]]:
+    """render with its demos drawn from matching, the pool it keeps.
+
+    blocks maps (demo, position, shown option), by identity, to the demo
+    block formatted with ts, and fills as prompts are rendered: each demo of
+    one blocks dict must always be shown with the same template set. The
+    option is drawn for every demo, hit or not, so rng draws as without it.
+    """
     if len(matching) < n_shots:
         raise InsufficientDemos(
             f"instance {instance.instance_id}: need {n_shots} demos with "
@@ -268,21 +270,29 @@ def render(
     instruction = ts.instruction.format(
         language=LANGUAGE_NAMES[ts.instruction_language][instance.language_id]
     )
-    blocks = [instruction]
+    parts = [instruction]
+    systematicity = ts.task == suite_mod.SYSTEMATICITY
     for i, demo in enumerate(demos, start=1):
-        option, answer = _demo_answer(ts, demo, rng)
-        blocks.append(ts.item.format(**_item_values(ts, demo, i, answer, option)))
+        option = rng.choice(demo.options) if systematicity else None
+        key = (id(demo), i, id(option))
+        block = blocks.get(key)
+        if block is None:
+            answer = _answer(demo, ts.instruction_language, option)
+            if ts.variant == COT:
+                answer = f"<Answer>{answer}</Answer>"
+            block = blocks[key] = ts.item.format(**_item_values(ts, demo, i, answer, option))
+        parts.append(block)
 
     option = None
-    if ts.task == suite_mod.SYSTEMATICITY:
+    if systematicity:
         if option_index is None:
             raise SchemaError("systematicity rendering needs an option_index")
         option = instance.options[option_index]
     query = ts.item.format(
         **_item_values(ts, instance, len(demos) + 1, "", option)
     ).rstrip(" ")
-    blocks.append(query)
-    return "\n\n".join(blocks), [d.instance_id for d in demos]
+    parts.append(query)
+    return "\n\n".join(parts), [d.instance_id for d in demos]
 
 
 def gold_answer(instance, instruction_language: str, option_index: int | None) -> str:
@@ -331,11 +341,15 @@ def render_suite(
     """
     check_shots(n_shots)
     # render keeps only the demos of the query's task, distribution and
-    # morpheme count; grouping them once, in pool order, leaves its pick unchanged.
+    # morpheme count; grouping them once, in pool order, leaves its pick
+    # unchanged. Its other test, that a demo is not the query, drops nothing
+    # here: groups hold demo-split instances, the query is eval-split, and
+    # instance ids are unique.
     demo_groups: dict[tuple, list] = {}
     for i in instances:
         if i.split == suite_mod.DEMO_SPLIT:
             demo_groups.setdefault((i.task, i.distribution, i.morpheme_count), []).append(i)
+    blocks: dict[tuple, str] = {}  # the demo blocks of this call, shared by its prompts
     rows = []
     for instance in instances:
         if instance.split != suite_mod.EVAL_SPLIT:
@@ -353,8 +367,8 @@ def render_suite(
         )
         for option_index in option_indices:
             rng = make_rng(seed, "render", instance.instance_id, option_index)
-            prompt, demo_ids = render(
-                instance, ts, n_shots, demo_pool, rng, option_index
+            prompt, demo_ids = _render(
+                instance, ts, n_shots, demo_pool, rng, option_index, blocks
             )
             row: PromptRow = {
                 "instance_id": instance.instance_id,

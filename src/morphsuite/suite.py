@@ -294,7 +294,9 @@ def stratified_sample(pool, per_stratum: int, strata, seed: int = 0) -> SampleRe
 # Instance building
 # ---------------------------------------------------------------------------
 
-def _presented_order(record: SegmentedWord, order_mode: str, rng, warnings) -> list[str]:
+def _presented_order(record: SegmentedWord, order_mode: str, seed: int, warnings) -> list[str]:
+    """The affix order shown for record: gold, or a shuffle drawn from the
+    record's "present" stream, which is seeded only when it shuffles."""
     gold = record.gold_order_forms
     if order_mode == CORRECT or record.morpheme_count < 2:
         return list(gold)
@@ -305,6 +307,7 @@ def _presented_order(record: SegmentedWord, order_mode: str, rng, warnings) -> l
         )
         return list(gold)
     presented = list(gold)
+    rng = make_rng(seed, record.record_id, "present")
     for _ in range(_SHUFFLE_TRIES):
         rng.shuffle(presented)
         if presented != gold:
@@ -329,13 +332,11 @@ def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
     )
     if cache is not None and key in cache:
         return cache[key]
+    # select_negatives draws only under random, and not for a 1-morpheme record
+    draws = strategy == derive.RANDOM and record.morpheme_count > 1
+    rng = make_rng(seed, record.record_id, "negatives") if draws else None
     try:
-        outcome = derive.select_negatives(
-            record,
-            strategy,
-            k,
-            make_rng(seed, record.record_id, "negatives"),
-        ) or "no distinct negative ordering"
+        outcome = derive.select_negatives(record, strategy, k, rng) or "no distinct negative ordering"
     except NoNegativeAvailable as exc:
         outcome = str(exc)
     if cache is not None:
@@ -422,9 +423,7 @@ def build_suite(
 
         shown_root = record.nonce_root if distribution == OUT_DIST else record.root
         definition = record.root if distribution == OUT_DIST else None
-        presented = _presented_order(
-            record, order_mode, make_rng(seed, record.record_id, "present"), warnings
-        )
+        presented = _presented_order(record, order_mode, seed, warnings)
         gold_surface = derive.compose_forms(
             shown_root, record.prefix_forms, record.suffix_forms
         )

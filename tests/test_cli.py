@@ -792,3 +792,41 @@ def test_render_refuses_negative_shots_with_one_line(suite_dir, capsys):
     assert run(["render", "--suite", "suite.jsonl", "--shots", "-1", "--out", "p.jsonl"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "shots must be >= 0" in err
+
+
+# (task, distribution, strategy, --context): one build-suite run each.
+BUILDS = [
+    ("systematicity", "id", "random", False),
+    ("systematicity", "ood", "lang_agnostic", True),
+    ("productivity", "ood", "lang_agnostic", False),
+]
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(18)))
+def test_build_suite_rows_do_not_depend_on_input_line_order(tmp_path, order):
+    """Every seeded draw of a build is keyed by record id, so the rows of
+    build-suite, taken by instance_id, are the same for any order of its
+    input lines (--per-stratum, whose pick does depend on it, not given)."""
+    records = synth_turkish_records(6, [1, 2, 3], seed=67)
+    for record in records:
+        record.nonce_root = record.root[:-1] + ("a" if record.root[-1] != "a" else "o")
+    lines = [record_to_row(r) for r in records]
+    assert len(lines) == len(order)
+
+    def built_rows(corpus_lines, name):
+        corpus, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_suite.jsonl"
+        write_jsonl(corpus, corpus_lines)
+        built = {}
+        for task, dist, strategy, context in BUILDS:
+            assert run(["build-suite", "--task", task, "--dist", dist, "--strategy", strategy,
+                        "--seed", "3", "--demo-fraction", "0.34", "--in", str(corpus),
+                        "--out", str(out)] + ["--context"] * context) == 0
+            for row in map(json.loads, out.read_text("utf-8").splitlines()):
+                built[row["instance_id"]] = row
+        return built
+
+    want = built_rows(lines, "corpus")
+    assert len(want) > 2 * len(lines)
+    assert built_rows([lines[i] for i in order], "permuted") == want

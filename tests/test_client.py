@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import json
 import os
 import socket
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -800,3 +802,116 @@ def test_every_label_word_parses_back_to_its_polarity(language):
     for polarity, word in prompts.LABEL_WORDS[language].items():
         assert client.parse_systematicity(word) == polarity
         assert client.parse_systematicity(f"<Answer>{word}</Answer>") == polarity
+
+
+@pytest.fixture()
+def log_opens(monkeypatch):
+    """The names of the files client opens with open(): the cache log's puts."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(client, "open", counting_open, raising=False)
+    return opened
+
+
+def test_held_log_ends_a_torn_line_and_opens_once(tmp_path, log_opens):
+    log = tmp_path / "responses.jsonl"
+    log.write_bytes(b'{"key": "x", "resp')  # killed mid-append
+    with ResponseCache(tmp_path) as cache:
+        cache.put("a", "bir")
+        cache.put("b", "iki")
+    assert log_opens == ["responses.jsonl"]
+    assert log.read_bytes() == (
+        b'{"key": "x", "resp\n{"key": "a", "response": "bir"}\n{"key": "b", "response": "iki"}\n'
+    )
+    cache.put("c", "üç")  # after close, a put opens the log for its own line
+    assert log_opens == ["responses.jsonl"] * 2
+    assert ResponseCache(tmp_path).get("c") == "üç"
+
+
+def test_two_held_logs_on_one_directory_lose_no_line(tmp_path):
+    first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+    keys = [first.key(cfg(), f"p{i}") for i in range(1200)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with first, second, concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit((first, second)[i % 2].put, key, key.upper())
+                for i, key in enumerate(keys)
+            ]
+            for future in concurrent.futures.as_completed(futures, timeout=60):
+                future.result()
+    finally:
+        sys.setswitchinterval(switch)
+    reopened = ResponseCache(tmp_path)
+    assert [reopened.get(key) for key in keys] == [key.upper() for key in keys]
+    assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == len(keys)
+
+
+@pytest.fixture()
+def prompts_dir(tmp_path, monkeypatch):
+    """A working directory holding corpus.jsonl and its 1-shot productivity
+    prompts, prompts.jsonl."""
+    monkeypatch.chdir(tmp_path)
+    records = synth_turkish_records(10, [2], seed=51)
+    write_jsonl("corpus.jsonl", (record_to_row(r) for r in records))
+    for argv in (
+        ["build-suite", "--task", "productivity", "--dist", "id", "--in", "corpus.jsonl",
+         "--out", "suite.jsonl"],
+        ["render", "--suite", "suite.jsonl", "--shots", "1", "--out", "prompts.jsonl"],
+    ):
+        assert cli.main(argv) == 0
+    return tmp_path
+
+
+def statuses(first, rest):
+    """A transport that gives HTTP status first to the first prompt and rest
+    to the others; a 200 answers "ok"."""
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(1)
+        status = first if len(calls) == 1 else rest
+        return ok_reply("ok") if status == 200 else (status, None, None)
+
+    return transport
+
+
+@pytest.mark.parametrize("command, first, rest, want", [
+    ("evaluate", None, None, 0),  # the mock endpoint
+    ("evaluate", 200, 401, 2),  # AuthError stops the run
+    ("report", 503, 200, 2),  # the cell has a failed prompt
+])
+def test_commands_hold_the_log_and_close_it(prompts_dir, monkeypatch, log_opens, capsys,
+                                            command, first, rest, want):
+    endpoint = "mock://echo-gold"
+    if first is not None:
+        endpoint = "http://127.0.0.1:9/v1"  # never reached: the transport answers
+        monkeypatch.setattr(client, "_default_transport", statuses(first, rest))
+    model = {"endpoint_url": endpoint, "model_name": "m", "max_retries": 0}
+    Path("model.json").write_text(json.dumps(model), encoding="utf-8")
+    if command == "evaluate":
+        argv = ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
+                "--cache", "cache", "--out", "records.jsonl"]
+    else:
+        Path("run.json").write_text(json.dumps({
+            "language": "turkish", "input": "corpus.jsonl", "out_dir": "run",
+            "cache": "cache", "model_config": "model.json", "tasks": ["productivity"],
+            "distributions": ["id"], "shots": 1,
+        }), encoding="utf-8")
+        argv = ["report", "--config", "run.json"]
+    # with every warning an error, a file collected unclosed is an
+    # unraisable ResourceWarning
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", lambda u: unraisable.append(u.exc_value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+        gc.collect()
+    assert (code, unraisable) == (want, [])
+    assert log_opens == ["responses.jsonl"]
+    assert ("transport error" in capsys.readouterr().err) == (want == 2)

@@ -185,3 +185,34 @@ def test_render_suite_matches_ungrouped_pool(catalog, variant):
     want = render_suite_reference(instances, catalog, "english", variant, 2, seed=4)
     assert {row["task"] for row in rows} == set(suite.TASKS)
     assert [(row["prompt"], row["demo_ids"]) for row in rows] == want
+
+
+@pytest.mark.parametrize("variant", prompts.VARIANTS)
+def test_render_suite_reused_demo_blocks_match_ungrouped_pool(catalog, variant):
+    # Every demo group has n_shots members, so each prompt of a group shows
+    # the same demos at shuffled positions, and render_suite formats few of
+    # its demo blocks anew.
+    records = synth_turkish_records(16, [2, 3], seed=43)
+    for record in records:
+        record.nonce_root = record.root[:-1] + ("a" if record.root[-1] != "a" else "o")
+    instances = []
+    for task in suite.TASKS:
+        for dist in suite.DISTRIBUTIONS:
+            built, _ = suite.build_suite(
+                records, task, dist, context=variant == prompts.CONTEXT, seed=43,
+                demo_fraction=0.25,
+            )
+            instances += built
+    groups: dict[tuple, set] = {}
+    for i in instances:
+        if i.split == suite.DEMO_SPLIT:
+            groups.setdefault((i.task, i.distribution, i.morpheme_count), set()).add(i.instance_id)
+    [n_shots] = {len(ids) for ids in groups.values()}
+    assert len(groups) == 8 and n_shots > 1
+
+    rows = prompts.render_suite(instances, catalog, "english", variant, n_shots, seed=5)
+    want = render_suite_reference(instances, catalog, "english", variant, n_shots, seed=5)
+    assert [(row["prompt"], row["demo_ids"]) for row in rows] == want
+    for row in rows:
+        key = (row["task"], row["instance_id"].split(":")[2], row["morpheme_count"])
+        assert set(row["demo_ids"]) == groups[key]
