@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from morphsuite import __version__, client, derive, metrics, nonce, profiles, prompts, suite
 from morphsuite.errors import (
@@ -29,7 +29,9 @@ from morphsuite.errors import (
     TransportError,
     UsageError,
 )
-from morphsuite.jsonl import read_config, read_json, read_objects, write_json, write_jsonl
+from morphsuite.jsonl import (
+    field_values, read_config, read_json, read_objects, write_json, write_jsonl,
+)
 from morphsuite.rng import derive_seed
 
 # The model config keys an evaluate manifest records.
@@ -88,42 +90,32 @@ def _write_report(out_dir, report) -> None:
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
 
 
-@dataclass
-class ReportConfig:
-    """A report config file: one run over the (task, distribution) cells.
-    model_config is a model config path or the same object inline. read_config
-    checks each Literal key's value."""
+@dataclass(frozen=True, kw_only=True)
+class ReportConfig(suite.BuildOptions, prompts.RenderOptions):
+    """A report config file: one run over the (task, distribution) cells. Its
+    build and render keys are the option classes' fields. model_config is a
+    model config path or the same object inline. read_config checks each
+    Literal key's value."""
 
     language: Literal[profiles.LANGUAGES]
     input: str
     model_config: str | dict
     out_dir: str = "morphsuite-run"
-    seed: int = 0
     lexicon: str | None = None
     cache: str | None = None  # default: <out_dir>/cache
     templates: str | None = None  # default: bundled
     tasks: list[str] = field(default_factory=lambda: list(suite.TASKS))
     distributions: list[str] = field(default_factory=lambda: list(suite.DISTRIBUTIONS))
-    context: bool = False
-    order_mode: Literal[suite.ORDER_MODES] = suite.DEFAULT_ORDER_MODE
-    strategy: Literal[derive.STRATEGIES] = suite.DEFAULT_STRATEGY
-    k: int | None = None
-    demo_fraction: float = suite.DEFAULT_DEMO_FRACTION
-    instruction_language: Literal[prompts.INSTRUCTION_LANGUAGES] = (
-        prompts.DEFAULT_INSTRUCTION_LANGUAGE
-    )
-    variant: Literal[prompts.VARIANTS] = prompts.DEFAULT_VARIANT
-    shots: int = prompts.DEFAULT_SHOTS
 
     def __post_init__(self):
+        suite.BuildOptions.__post_init__(self)
+        prompts.RenderOptions.__post_init__(self)
         for key, allowed in (("tasks", suite.TASKS), ("distributions", suite.DISTRIBUTIONS)):
             values = getattr(self, key)
             if not values or len(set(values)) < len(values) or not set(values) <= set(allowed):
                 raise SchemaError(f"{key} must list distinct values of {', '.join(allowed)}")
         if self.strategy == derive.LANG_SPECIFIC_TR and self.language != profiles.TURKISH:
             raise SchemaError(f"strategy {self.strategy} only applies to {profiles.TURKISH}")
-        suite.check_build_options(self.k, self.demo_fraction)
-        prompts.check_shots(self.shots)
 
 
 def _strata(spec: str) -> list[int]:
@@ -157,12 +149,14 @@ def _positive_int(text: str) -> int:
 # the parsed arguments or a ReportConfig.
 # ---------------------------------------------------------------------------
 
+def _options(cls, opts):
+    """The cls options that opts holds, each field read from the attribute of its name."""
+    return cls(**{f.name: getattr(opts, f.name) for f in fields(cls)})
+
+
 def _build(records, task, dist, opts, out, negative_cache=None):
-    instances, manifest = suite.build_suite(
-        records, task, dist, context=opts.context, order_mode=opts.order_mode,
-        strategy=opts.strategy, k=opts.k, seed=opts.seed, demo_fraction=opts.demo_fraction,
-        negative_cache=negative_cache,
-    )
+    options = _options(suite.BuildOptions, opts)
+    instances, manifest = suite.build_suite(records, task, dist, options, negative_cache)
     for warning in manifest["warnings"]:
         _eprint(f"warning: {warning}")
     suite.write_suite(out, instances)
@@ -170,19 +164,14 @@ def _build(records, task, dist, opts, out, negative_cache=None):
 
 
 def _render(instances, suite_path, catalog, opts, out):
-    rows = prompts.render_suite(
-        instances, catalog, opts.instruction_language, opts.variant, opts.shots, opts.seed
-    )
+    options = _options(prompts.RenderOptions, opts)
+    rows = prompts.render_suite(instances, catalog, options)
     write_jsonl(out, rows)
-    return rows, {
+    return rows, field_values(options) | {
         "command": "render",
         "version": __version__,
         "suite": str(suite_path),
         "templates": opts.templates or "bundled",
-        "instruction_language": opts.instruction_language,
-        "variant": opts.variant,
-        "shots": opts.shots,
-        "seed": opts.seed,
         "prompts": len(rows),
     }
 
@@ -223,13 +212,19 @@ def _write_manifest(out, manifest, **inputs) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_nonce(args) -> int:
-    in_path = resolve_input(args.input)
-    profile = profiles.load_profile(args.lang)
-    records = [r for r in _ingest_or_die(in_path) if r.language_id == args.lang]
+def _language_records(path: str, language: str) -> tuple[Path, list]:
+    """The resolved input path and its valid records of language; a file
+    without one raises SchemaError."""
+    in_path = resolve_input(path)
+    records = [r for r in _ingest_or_die(in_path) if r.language_id == language]
     if not records:
-        raise SchemaError(f"no {args.lang} records in {in_path}")
+        raise SchemaError(f"no {language} records in {in_path}")
+    return in_path, records
 
+
+def cmd_gen_nonce(args) -> int:
+    in_path, records = _language_records(args.input, args.lang)
+    profile = profiles.load_profile(args.lang)
     lexicon = nonce.load_lexicon(args.lexicon, profile) if args.lexicon else None
 
     kept, skipped = _add_nonces(records, profile, lexicon, args.seed)
@@ -375,10 +370,7 @@ def cmd_report(args) -> int:
         )
 
     out_dir = Path(cfg.out_dir)
-    in_path = resolve_input(cfg.input)
-    records = [r for r in _ingest_or_die(in_path) if r.language_id == cfg.language]
-    if not records:
-        raise SchemaError(f"no {cfg.language} records in {in_path}")
+    in_path, records = _language_records(cfg.input, cfg.language)
 
     skipped = []
     missing = [r for r in records if not r.nonce_root]  # a supplied root is kept
@@ -427,6 +419,27 @@ def cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The flags whose names predate the option fields they set.
+_FLAG_NAMES = {"order_mode": "--order", "instruction_language": "--lang"}
+
+
+def _add_options(parser, cls) -> None:
+    """A flag for each field of the options dataclass cls: --name, or its
+    _FLAG_NAMES entry, with the field's default; choices from a Literal,
+    store_true for a bool, else the annotation's type without None."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if get_origin(hint) is Literal:
+            kind = {"choices": list(get_args(hint))}
+        elif hint is bool:
+            kind = {"action": "store_true"}
+        else:
+            kind = {"type": next(t for t in get_args(hint) or [hint] if t is not type(None))}
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, default=f.default, **kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="morphsuite", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -443,15 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-suite", help="build a task suite from segmented records")
     p.add_argument("--task", required=True, choices=list(suite.TASKS))
     p.add_argument("--dist", required=True, choices=list(suite.DISTRIBUTIONS))
-    p.add_argument("--context", action="store_true")
-    p.add_argument("--order", dest="order_mode", default=suite.DEFAULT_ORDER_MODE,
-                   choices=list(suite.ORDER_MODES))
-    p.add_argument("--strategy", default=suite.DEFAULT_STRATEGY, choices=list(derive.STRATEGIES))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, suite.BuildOptions)
     p.add_argument("--per-stratum", type=_positive_int, default=None)
     p.add_argument("--strata", type=_strata, default=None, help="e.g. 1-7; needs --per-stratum")
-    p.add_argument("--demo-fraction", type=float, default=suite.DEFAULT_DEMO_FRACTION)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_suite)
@@ -459,15 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render few-shot prompts for a suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--templates", default=None, help="template dir (default: bundled)")
-    p.add_argument(
-        "--lang",
-        dest="instruction_language",
-        default=prompts.DEFAULT_INSTRUCTION_LANGUAGE,
-        choices=list(prompts.INSTRUCTION_LANGUAGES),
-    )
-    p.add_argument("--variant", default=prompts.DEFAULT_VARIANT, choices=list(prompts.VARIANTS))
-    p.add_argument("--shots", type=int, default=prompts.DEFAULT_SHOTS)
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, prompts.RenderOptions)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

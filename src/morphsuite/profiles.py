@@ -11,7 +11,6 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from morphsuite.errors import NoVowel, SchemaError, UnknownLetter
@@ -161,7 +160,9 @@ def last_vowel_suffix_span(word: str, profile: LanguageProfile) -> tuple[int, in
 # Profile file loading
 # ---------------------------------------------------------------------------
 
-def _parse_profile_text(text: str, source: str) -> dict:
+def parse_profile(text: str, source: str) -> LanguageProfile:
+    """The profile in text, the ``key = value`` lines of a profile file;
+    source names it in the SchemaError of a malformed line or a bad entry."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -171,10 +172,7 @@ def _parse_profile_text(text: str, source: str) -> dict:
             raise SchemaError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
-    return entries
 
-
-def _load_profile_entries(entries: dict, source: str) -> LanguageProfile:
     def letters(key: str) -> list[str]:
         if key not in entries:
             raise SchemaError(f"{source}: missing required key {key!r}")
@@ -246,18 +244,9 @@ def _load_profile_entries(entries: dict, source: str) -> LanguageProfile:
     )
 
 
-def load_profile(language_or_path: str | Path) -> LanguageProfile:
-    """Load a profile from a bundled language name, read once per process,
-    or from an explicit file path, read on every call."""
-    if isinstance(language_or_path, str) and language_or_path in LANGUAGES:
-        return _bundled_profile(language_or_path)
-    source = str(language_or_path)
-    text = Path(language_or_path).read_text(encoding="utf-8")
-    return _load_profile_entries(_parse_profile_text(text, source), source)
-
-
 @cache
-def _bundled_profile(language: str) -> LanguageProfile:
+def load_profile(language: str) -> LanguageProfile:
+    """The bundled profile of language, one of LANGUAGES, read once per process."""
     source = f"data/{language}.profile"
     text = resources.files("morphsuite").joinpath(source).read_text(encoding="utf-8")
-    return _load_profile_entries(_parse_profile_text(text, source), source)
+    return parse_profile(text, source)

@@ -40,11 +40,6 @@ COT = "cot"
 PARAPHRASED = "paraphrased"
 VARIANTS = (STANDARD, CONTEXT, COT, PARAPHRASED)
 
-# Defaults of a render, shared by render and report.
-DEFAULT_INSTRUCTION_LANGUAGE = ENGLISH
-DEFAULT_VARIANT = STANDARD
-DEFAULT_SHOTS = 5
-
 # Data-language display names per instruction language.
 LANGUAGE_NAMES = {
     ENGLISH: {"turkish": "Turkish", "finnish": "Finnish"},
@@ -145,9 +140,6 @@ class TemplateCatalog:
             return self._templates[key]
         except KeyError:
             raise MissingTemplate(f"no template for {key}") from None
-
-    def __len__(self) -> int:
-        return len(self._templates)
 
 
 def _full_matrix():
@@ -319,27 +311,28 @@ class PromptRow(TypedDict):
     demo_ids: list[str]
 
 
-def check_shots(n_shots: int) -> None:
-    if n_shots < 0:
-        raise SchemaError(f"shots must be >= 0, got {n_shots}")
+@dataclass(frozen=True)
+class RenderOptions:
+    """The options of a render. Each field is also a report config key and a
+    render flag (cli._add_options). Shots below 0 raise SchemaError."""
+
+    instruction_language: Literal[INSTRUCTION_LANGUAGES] = ENGLISH
+    variant: Literal[VARIANTS] = STANDARD
+    shots: int = 5
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.shots < 0:
+            raise SchemaError(f"shots must be >= 0, got {self.shots}")
 
 
-def render_suite(
-    instances,
-    catalog: TemplateCatalog,
-    instruction_language: str,
-    variant: str,
-    n_shots: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Render prompts for every eval-split instance of a suite.
+def render_suite(instances, catalog: TemplateCatalog, options: RenderOptions) -> list[dict]:
+    """Render prompts for every eval-split instance of a suite with options.
 
     Systematicity instances get one prompt per option. Rows carry the join
     and parse metadata the evaluation stage needs (ids, task, variant, gold
-    answer, affix blocks for the composition baselines). A negative n_shots
-    raises SchemaError.
+    answer, affix blocks for the composition baselines).
     """
-    check_shots(n_shots)
     # render keeps only the demos of the query's task, distribution and
     # morpheme count; grouping them once, in pool order, leaves its pick
     # unchanged. Its other test, that a demo is not the query, drops nothing
@@ -355,7 +348,7 @@ def render_suite(
         if instance.split != suite_mod.EVAL_SPLIT:
             continue
         ts = catalog.get(
-            instruction_language, instance.task, instance.distribution, variant
+            options.instruction_language, instance.task, instance.distribution, options.variant
         )
         demo_pool = demo_groups.get(
             (instance.task, instance.distribution, instance.morpheme_count), []
@@ -366,19 +359,19 @@ def render_suite(
             else list(range(len(instance.options)))
         )
         for option_index in option_indices:
-            rng = make_rng(seed, "render", instance.instance_id, option_index)
+            rng = make_rng(options.seed, "render", instance.instance_id, option_index)
             prompt, demo_ids = _render(
-                instance, ts, n_shots, demo_pool, rng, option_index, blocks
+                instance, ts, options.shots, demo_pool, rng, option_index, blocks
             )
             row: PromptRow = {
                 "instance_id": instance.instance_id,
                 "option_index": option_index,
                 "prompt": prompt,
-                "gold_answer": gold_answer(instance, instruction_language, option_index),
+                "gold_answer": gold_answer(instance, options.instruction_language, option_index),
                 "task": instance.task,
                 "language_id": instance.language_id,
-                "instruction_language": instruction_language,
-                "variant": variant,
+                "instruction_language": options.instruction_language,
+                "variant": options.variant,
                 "morpheme_count": instance.morpheme_count,
                 "shown_root": instance.shown_root,
                 "prefix_forms": instance.prefix_forms,

@@ -41,11 +41,6 @@ SHUFFLED = "shuffled"
 CORRECT = "correct"
 ORDER_MODES = (SHUFFLED, CORRECT)
 
-# Defaults of a suite build, shared by build-suite and report.
-DEFAULT_ORDER_MODE = SHUFFLED
-DEFAULT_STRATEGY = derive.LANG_AGNOSTIC
-DEFAULT_DEMO_FRACTION = 0.1
-
 EVAL_SPLIT = "eval"
 DEMO_SPLIT = "demo"
 
@@ -294,11 +289,11 @@ def stratified_sample(pool, per_stratum: int, strata, seed: int = 0) -> SampleRe
 # Instance building
 # ---------------------------------------------------------------------------
 
-def _presented_order(record: SegmentedWord, order_mode: str, seed: int, warnings) -> list[str]:
+def _presented_order(record: SegmentedWord, options, warnings) -> list[str]:
     """The affix order shown for record: gold, or a shuffle drawn from the
     record's "present" stream, which is seeded only when it shuffles."""
     gold = record.gold_order_forms
-    if order_mode == CORRECT or record.morpheme_count < 2:
+    if options.order_mode == CORRECT or record.morpheme_count < 2:
         return list(gold)
     if len(set(gold)) == 1:
         # Identical forms admit a single distinct sequence; nothing to shuffle.
@@ -307,7 +302,7 @@ def _presented_order(record: SegmentedWord, order_mode: str, seed: int, warnings
         )
         return list(gold)
     presented = list(gold)
-    rng = make_rng(seed, record.record_id, "present")
+    rng = make_rng(options.seed, record.record_id, "present")
     for _ in range(_SHUFFLE_TRIES):
         rng.shuffle(presented)
         if presented != gold:
@@ -315,10 +310,10 @@ def _presented_order(record: SegmentedWord, order_mode: str, seed: int, warnings
     raise MorphSuiteError(f"record {record.record_id}: could not shuffle affix order")
 
 
-def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
+def _negatives_or_skip(record, options, cache) -> list | str:
     """The record's negatives, or the reason it is skipped. With a cache
     dict, derive.select_negatives runs once per key: everything selection
-    reads from the record, its seeded stream and its arguments."""
+    reads from the record, its seeded stream and the options."""
     key = (
         record.record_id,
         record.language_id,
@@ -326,17 +321,20 @@ def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
         tuple((a.form, a.slot) for a in record.affixes),
         record.manual_negative_affix,
         frozenset(record.known_valid_alternatives),
-        strategy,
-        k,
-        seed,
+        options.strategy,
+        options.k,
+        options.seed,
     )
     if cache is not None and key in cache:
         return cache[key]
     # select_negatives draws only under random, and not for a 1-morpheme record
-    draws = strategy == derive.RANDOM and record.morpheme_count > 1
-    rng = make_rng(seed, record.record_id, "negatives") if draws else None
+    draws = options.strategy == derive.RANDOM and record.morpheme_count > 1
+    rng = make_rng(options.seed, record.record_id, "negatives") if draws else None
     try:
-        outcome = derive.select_negatives(record, strategy, k, rng) or "no distinct negative ordering"
+        outcome = (
+            derive.select_negatives(record, options.strategy, options.k, rng)
+            or "no distinct negative ordering"
+        )
     except NoNegativeAvailable as exc:
         outcome = str(exc)
     if cache is not None:
@@ -350,6 +348,30 @@ def _negatives_or_skip(record, strategy, k, seed, cache) -> list | str:
 
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@dataclass(frozen=True)
+class BuildOptions:
+    """The options of a suite build. Each field is also a report config key
+    and a build-suite flag (cli._add_options). A k below 1, a demo_fraction
+    outside [0, 1], or an order_mode or strategy outside its Literal raises
+    SchemaError."""
+
+    context: bool = False
+    order_mode: Literal[ORDER_MODES] = SHUFFLED
+    strategy: Literal[derive.STRATEGIES] = derive.LANG_AGNOSTIC
+    k: int | None = None
+    seed: int = 0
+    demo_fraction: float = 0.1
+
+    def __post_init__(self):
+        for name, allowed in (("order_mode", ORDER_MODES), ("strategy", derive.STRATEGIES)):
+            if getattr(self, name) not in allowed:
+                raise SchemaError(f"unknown {name} {getattr(self, name)!r}")
+        if self.k is not None and self.k < 1:
+            raise SchemaError(f"k must be >= 1 (or null for the default), got {self.k}")
+        if not 0 <= self.demo_fraction <= 1:  # NaN fails too
+            raise SchemaError(f"demo_fraction must be in [0, 1], got {self.demo_fraction}")
 
 
 def split_demo_pool(records, demo_fraction: float, seed: int) -> list[tuple[str, SegmentedWord]]:
@@ -372,76 +394,55 @@ def split_demo_pool(records, demo_fraction: float, seed: int) -> list[tuple[str,
     ]
 
 
-def check_build_options(k: int | None, demo_fraction: float) -> None:
-    """SchemaError for a k below 1 or a demo_fraction outside [0, 1]."""
-    if k is not None and k < 1:
-        raise SchemaError(f"k must be >= 1 (or null for the default), got {k}")
-    if not 0 <= demo_fraction <= 1:  # NaN fails too
-        raise SchemaError(f"demo_fraction must be in [0, 1], got {demo_fraction}")
-
-
 def build_suite(
-    records,
-    task: str,
-    distribution: str,
-    *,
-    context: bool = False,
-    order_mode: str = DEFAULT_ORDER_MODE,
-    strategy: str = DEFAULT_STRATEGY,
-    k: int | None = None,
-    seed: int = 0,
-    demo_fraction: float = DEFAULT_DEMO_FRACTION,
+    records, task: str, distribution: str, options: BuildOptions = BuildOptions(),
     negative_cache: dict | None = None,
 ) -> tuple[list[TaskInstance], dict]:
-    """The instances of one (task, distribution) suite, built in the order
-    of split_demo_pool (eval records, then demo records), and its manifest
-    skeleton.
+    """The instances of one (task, distribution) suite, built with options in
+    the order of split_demo_pool (eval records, then demo records), and its
+    manifest skeleton.
 
     Negative selection always runs on the original-root surfaces; the shown
     root is substituted afterwards, which keeps OOD options aligned with
     their ID twins. So the ID and OOD suites select the same negatives, and
-    a negative_cache dict shared by their builds selects them once. A k
-    below 1, a demo_fraction outside [0, 1], or an unknown task,
-    distribution or order_mode raises SchemaError.
+    a negative_cache dict shared by their builds selects them once. An
+    unknown task or distribution raises SchemaError.
     """
-    check_build_options(k, demo_fraction)
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}")
     if distribution not in DISTRIBUTIONS:
         raise SchemaError(f"unknown distribution {distribution!r}")
-    if order_mode not in ORDER_MODES:
-        raise SchemaError(f"unknown order_mode {order_mode!r}")
 
     instances: list[TaskInstance] = []
     warnings: list[str] = []
     strata_counts: dict[int, dict[str, int]] = {}
-    for split, record in split_demo_pool(records, demo_fraction, seed):
+    for split, record in split_demo_pool(records, options.demo_fraction, options.seed):
         if distribution == OUT_DIST and not record.nonce_root:
             raise MissingNonce(f"record {record.record_id} lacks nonce_root")
-        if context and not record.sentence:
+        if options.context and not record.sentence:
             raise MissingContext(f"record {record.record_id} lacks a sentence")
 
         shown_root = record.nonce_root if distribution == OUT_DIST else record.root
         definition = record.root if distribution == OUT_DIST else None
-        presented = _presented_order(record, order_mode, seed, warnings)
+        presented = _presented_order(record, options, warnings)
         gold_surface = derive.compose_forms(
             shown_root, record.prefix_forms, record.suffix_forms
         )
 
-        options = None
+        choices = None
         if task == SYSTEMATICITY:
-            if derive.samples_orderings(record, strategy):
+            if derive.samples_orderings(record, options.strategy):
                 warnings.append(
                     f"record {record.record_id}: ordering space over cap "
                     f"{derive.DEFAULT_ORDERING_CAP}, candidates sampled"
                 )
-            negatives = _negatives_or_skip(record, strategy, k, seed, negative_cache)
+            negatives = _negatives_or_skip(record, options, negative_cache)
             if isinstance(negatives, str):
                 warnings.append(f"record {record.record_id} skipped: {negatives}")
                 continue
             single = record.morpheme_count == 1
             gold_affixes = tuple(record.gold_order_forms) if single else None
-            options = [Option(gold_surface, VALID, gold_affixes)]
+            choices = [Option(gold_surface, VALID, gold_affixes)]
             for candidate in negatives:
                 surface = derive.compose_forms(
                     shown_root, candidate.prefix_order, candidate.suffix_order
@@ -451,8 +452,8 @@ def build_suite(
                     if single
                     else None
                 )
-                options.append(Option(surface, INVALID, own_affixes))
-            make_rng(seed, record.record_id, "options").shuffle(options)
+                choices.append(Option(surface, INVALID, own_affixes))
+            make_rng(options.seed, record.record_id, "options").shuffle(choices)
 
         instances.append(
             TaskInstance(
@@ -464,11 +465,11 @@ def build_suite(
                 shown_root=shown_root,
                 definition=definition,
                 presented_affixes=presented,
-                order_mode=order_mode,
-                context_sentence=record.sentence if context else None,
+                order_mode=options.order_mode,
+                context_sentence=record.sentence if options.context else None,
                 morpheme_count=record.morpheme_count,
                 split=split,
-                options=options,
+                options=choices,
                 gold_surface=gold_surface,
                 prefix_forms=record.prefix_forms,
                 suffix_forms=record.suffix_forms,
@@ -477,15 +478,10 @@ def build_suite(
         cell = strata_counts.setdefault(record.morpheme_count, {EVAL_SPLIT: 0, DEMO_SPLIT: 0})
         cell[split] += 1
 
-    manifest = {
+    manifest = field_values(options) | {
         "task": task,
         "distribution": distribution,
-        "context": context,
-        "order_mode": order_mode,
-        "strategy": strategy,
-        "k": k if k is not None else "default(1 for counts 1-2, 4 otherwise)",
-        "seed": seed,
-        "demo_fraction": demo_fraction,
+        "k": options.k if options.k is not None else "default(1 for counts 1-2, 4 otherwise)",
         "ordering_cap": derive.DEFAULT_ORDERING_CAP,
         "strata": {str(n): strata_counts[n] for n in sorted(strata_counts)},
         "warnings": warnings,

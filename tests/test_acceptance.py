@@ -111,9 +111,9 @@ def test_c02_deger_negative_selection(turkish_examples):
 
 def _mock_report(task, endpoint, per_stratum, strata, seed, shots=1):
     records = synth_turkish_records(per_stratum, strata, seed=seed)
-    instances, manifest = suite.build_suite(records, task, "id", seed=seed)
+    instances, manifest = suite.build_suite(records, task, "id", suite.BuildOptions(seed=seed))
     catalog = prompts.load_templates()
-    rows = prompts.render_suite(instances, catalog, "english", "standard", shots, seed=seed)
+    rows = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=shots, seed=seed))
     cfg = client.ModelConfig(endpoint_url=endpoint, model_name="mock", seed=seed)
     eval_records = client.evaluate_rows(rows, cfg)
     return metrics.stratify_report(eval_records, instances, manifest), instances

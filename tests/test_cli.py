@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from dataclasses import fields, make_dataclass
@@ -47,6 +48,72 @@ BAD_PROMPT_VALUES = [
 
 BUILD = ["build-suite", "--task", "systematicity", "--dist", "id", "--in", "corpus.jsonl",
          "--out", "s.jsonl"]
+
+
+# flag: (dest, default, choices, type, store_true, required), as the
+# build-suite and render parsers had them before their option flags were
+# derived from suite.BuildOptions and prompts.RenderOptions.
+FLAGS = {
+    "build-suite": {
+        "--task": ("task", None, ["productivity", "systematicity"], None, False, True),
+        "--dist": ("dist", None, ["id", "ood"], None, False, True),
+        "--context": ("context", False, None, None, True, False),
+        "--order": ("order_mode", "shuffled", ["shuffled", "correct"], None, False, False),
+        "--strategy": ("strategy", "lang_agnostic", ["random", "lang_agnostic", "lang_specific_tr"],
+                       None, False, False),
+        "--k": ("k", None, None, int, False, False),
+        "--seed": ("seed", 0, None, int, False, False),
+        "--per-stratum": ("per_stratum", None, None, cli._positive_int, False, False),
+        "--strata": ("strata", None, None, cli._strata, False, False),
+        "--demo-fraction": ("demo_fraction", 0.1, None, float, False, False),
+        "--in": ("input", None, None, None, False, True),
+        "--out": ("out", None, None, None, False, True),
+    },
+    "render": {
+        "--suite": ("suite", None, None, None, False, True),
+        "--templates": ("templates", None, None, None, False, False),
+        "--lang": ("instruction_language", "english", ["english", "turkish", "finnish"], None,
+                   False, False),
+        "--variant": ("variant", "standard", ["standard", "context", "cot", "paraphrased"], None,
+                      False, False),
+        "--shots": ("shots", 5, None, int, False, False),
+        "--seed": ("seed", 0, None, int, False, False),
+        "--out": ("out", None, None, None, False, True),
+    },
+}
+
+
+def parser_flags(command):
+    """{flag: (dest, default, choices, type, store_true, required)} of a subcommand."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.option_strings[0]: (
+            action.dest, action.default, action.choices, action.type,
+            isinstance(action, argparse._StoreTrueAction), action.required,
+        )
+        for action in sub.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_stage_flags_keep_their_names_defaults_and_choices(command):
+    assert parser_flags(command) == FLAGS[command]
+
+
+# Report keys that are also flags of build-suite or render but name an input
+# file or directory, not an option.
+INPUT_KEYS = {"input", "templates"}
+
+
+def test_every_option_field_is_a_report_key_and_a_flag():
+    """Each BuildOptions and RenderOptions field is a ReportConfig key and a
+    build-suite or render flag; a flag that names a report key is an option."""
+    options = {f.name for cls in (suite.BuildOptions, prompts.RenderOptions) for f in fields(cls)}
+    report_keys = {f.name for f in fields(cli.ReportConfig)}
+    dests = {flag[0] for command in FLAGS for flag in parser_flags(command).values()}
+    assert options <= report_keys and options <= dests
+    assert dests & report_keys == options | INPUT_KEYS
 
 
 class TestUsage:
@@ -509,7 +576,8 @@ class TestReproducibility:
         for name in ("suite.jsonl", "prompts.jsonl", "records.jsonl"):
             assert Path("run/systematicity_ood", name).read_bytes() == Path(name).read_bytes()
         rows = prompts.render_suite(
-            suite.read_suite("suite.jsonl"), prompts.load_templates(), "turkish", "cot", 3, 7
+            suite.read_suite("suite.jsonl"), prompts.load_templates(),
+            prompts.RenderOptions(instruction_language="turkish", variant="cot", shots=3, seed=7),
         )
         write_jsonl("library_prompts.jsonl", rows)  # the options reach the renderer
         assert Path("library_prompts.jsonl").read_bytes() == Path("prompts.jsonl").read_bytes()

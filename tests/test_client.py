@@ -708,17 +708,18 @@ class TestParsing:
 @pytest.fixture(scope="module")
 def small_run():
     records = synth_turkish_records(30, [1, 2], seed=41)
-    instances, _ = suite.build_suite(records, "systematicity", "id", seed=41)
+    instances, _ = suite.build_suite(records, "systematicity", "id", suite.BuildOptions(seed=41))
     catalog = prompts.load_templates()
-    rows = prompts.render_suite(instances, catalog, "english", "standard", 1, seed=41)
+    rows = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=1, seed=41))
     return instances, rows
 
 
 def productivity_rows(per_stratum, strata, seed):
     """Zero-shot productivity prompt rows and their instances, no demo split."""
     records = synth_turkish_records(per_stratum, strata, seed=seed)
-    instances, _ = suite.build_suite(records, "productivity", "id", seed=seed, demo_fraction=0)
-    rows = prompts.render_suite(instances, prompts.load_templates(), "english", "standard", 0)
+    options = suite.BuildOptions(seed=seed, demo_fraction=0)
+    instances, _ = suite.build_suite(records, "productivity", "id", options)
+    rows = prompts.render_suite(instances, prompts.load_templates(), prompts.RenderOptions(shots=0))
     return rows, instances
 
 

@@ -440,7 +440,9 @@ def test_select_negatives_above_cap(turkish):
         derive.select_negatives(w, "random", 4)
 
     warnings = {
-        strategy: suite.build_suite([w], "systematicity", "id", strategy=strategy)[1]["warnings"]
+        strategy: suite.build_suite(
+            [w], "systematicity", "id", suite.BuildOptions(strategy=strategy)
+        )[1]["warnings"]
         for strategy in ("random", "lang_agnostic")
     }
     assert warnings == {

@@ -108,9 +108,9 @@ def test_round1_half_up():
 
 def run_mock(task, endpoint, strata=(1, 2, 3), n=30, seed=51, k=None):
     records = synth_turkish_records(n, list(strata), seed=seed)
-    instances, manifest = suite.build_suite(records, task, "id", seed=seed, k=k)
+    instances, manifest = suite.build_suite(records, task, "id", suite.BuildOptions(seed=seed, k=k))
     catalog = prompts.load_templates()
-    rows = prompts.render_suite(instances, catalog, "english", "standard", 1, seed=seed)
+    rows = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=1, seed=seed))
     cfg = ModelConfig(endpoint_url=endpoint, model_name=endpoint, seed=seed)
     eval_records = client.evaluate_rows(rows, cfg)
     return metrics.stratify_report(eval_records, instances, manifest), instances
@@ -162,7 +162,7 @@ class TestStratifyReport:
             model_name="m",
         )
         records = synth_turkish_records(10, [2], seed=52)
-        instances, _ = suite.build_suite(records, "productivity", "id", seed=52)
+        instances, _ = suite.build_suite(records, "productivity", "id", suite.BuildOptions(seed=52))
         with pytest.raises(OrphanRecord):
             metrics.stratify_report([report_input], instances)
 
@@ -171,7 +171,7 @@ class TestStratifyReport:
     ])
     def test_record_naming_no_option_is_an_orphan(self, task, option_index):
         records = synth_turkish_records(10, [2], seed=54)
-        instances, _ = suite.build_suite(records, task, "id", seed=54)
+        instances, _ = suite.build_suite(records, task, "id", suite.BuildOptions(seed=54))
         instance = next(i for i in instances if i.split == "eval")
         record = EvalRecord(instance_id=instance.instance_id, option_index=option_index,
                             parsed_kind="no")
@@ -180,7 +180,7 @@ class TestStratifyReport:
 
     def test_missing_predictions_score_zero(self):
         records = synth_turkish_records(10, [2], seed=53)
-        instances, _ = suite.build_suite(records, "productivity", "id", seed=53)
+        instances, _ = suite.build_suite(records, "productivity", "id", suite.BuildOptions(seed=53))
         report = metrics.stratify_report([], instances)
         assert report.overall["exact_match"] == 0.0
         assert report.missing_predictions == sum(

@@ -117,7 +117,7 @@ def test_profile_file_errors(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(SchemaError):  # vowel e lacks a harmony class
-        profiles.load_profile(bad)
+        profiles.parse_profile(bad.read_text(encoding="utf-8"), str(bad))
 
 
 def test_profile_roundtrip_from_path(tmp_path, turkish):
@@ -126,7 +126,7 @@ def test_profile_roundtrip_from_path(tmp_path, turkish):
     text = resources.files("morphsuite").joinpath("data/turkish.profile").read_text("utf-8")
     p = tmp_path / "copy.profile"
     p.write_text(text, encoding="utf-8")
-    loaded = profiles.load_profile(p)
+    loaded = profiles.parse_profile(p.read_text(encoding="utf-8"), str(p))
     assert loaded.vowels == turkish.vowels
     assert loaded.letter_frequency == turkish.letter_frequency
 

@@ -23,8 +23,8 @@ def catalog():
 
 
 def test_bundled_catalog_is_complete(catalog):
+    # every file of the languages x tasks x distributions x variants matrix loaded
     assert catalog.missing == []
-    assert len(catalog) == 3 * 2 * 2 * 4  # languages x tasks x distributions x variants
 
 
 def test_missing_template_reported(tmp_path, catalog):
@@ -76,24 +76,24 @@ def test_golden_prompt_files(case, catalog):
 def _demo_pool_and_instances(n=40, strata=(2, 3), seed=31, **build_kwargs):
     records = synth_turkish_records(n, list(strata), seed=seed)
     instances, _ = suite.build_suite(
-        records, "productivity", "id", seed=seed, **build_kwargs
+        records, "productivity", "id", suite.BuildOptions(seed=seed, **build_kwargs)
     )
     return instances
 
 
 def test_render_deterministic(catalog):
     instances = _demo_pool_and_instances()
-    rows_a = prompts.render_suite(instances, catalog, "english", "standard", 3, seed=1)
-    rows_b = prompts.render_suite(instances, catalog, "english", "standard", 3, seed=1)
+    rows_a = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=3, seed=1))
+    rows_b = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=3, seed=1))
     assert rows_a == rows_b
-    rows_c = prompts.render_suite(instances, catalog, "english", "standard", 3, seed=2)
+    rows_c = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=3, seed=2))
     assert rows_a != rows_c
 
 
 def test_demo_shots_match_query_morpheme_count(catalog):
     instances = _demo_pool_and_instances()
     by_id = {i.instance_id: i for i in instances}
-    rows = prompts.render_suite(instances, catalog, "english", "standard", 3, seed=1)
+    rows = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=3, seed=1))
     for row in rows:
         assert len(row["demo_ids"]) == 3
         for demo_id in row["demo_ids"]:
@@ -113,7 +113,7 @@ def test_insufficient_demos(catalog):
 
 def test_context_variant_requires_sentence(catalog):
     records = synth_turkish_records(10, [2], seed=5, with_sentences=False)
-    instances, _ = suite.build_suite(records, "productivity", "id", seed=5)
+    instances, _ = suite.build_suite(records, "productivity", "id", suite.BuildOptions(seed=5))
     ts = catalog.get("english", "productivity", "id", "context")
     eval_inst = next(i for i in instances if i.split == "eval")
     demos = [i for i in instances if i.split == "demo"]
@@ -123,7 +123,7 @@ def test_context_variant_requires_sentence(catalog):
 
 def test_systematicity_needs_option_index(catalog):
     records = synth_turkish_records(30, [2], seed=6)
-    instances, _ = suite.build_suite(records, "systematicity", "id", seed=6)
+    instances, _ = suite.build_suite(records, "systematicity", "id", suite.BuildOptions(seed=6))
     ts = catalog.get("english", "systematicity", "id", "standard")
     eval_inst = next(i for i in instances if i.split == "eval")
     demos = [i for i in instances if i.split == "demo"]
@@ -133,8 +133,8 @@ def test_systematicity_needs_option_index(catalog):
 
 def test_render_suite_one_prompt_per_option(catalog):
     records = synth_turkish_records(30, [3], seed=7)
-    instances, _ = suite.build_suite(records, "systematicity", "id", seed=7)
-    rows = prompts.render_suite(instances, catalog, "english", "standard", 1, seed=7)
+    instances, _ = suite.build_suite(records, "systematicity", "id", suite.BuildOptions(seed=7))
+    rows = prompts.render_suite(instances, catalog, prompts.RenderOptions(shots=1, seed=7))
     n_eval = sum(1 for i in instances if i.split == "eval")
     assert len(rows) == n_eval * 5
     option_indices = {r["option_index"] for r in rows}
@@ -143,8 +143,10 @@ def test_render_suite_one_prompt_per_option(catalog):
 
 def test_turkish_instruction_language(catalog):
     records = synth_turkish_records(30, [2], seed=8)
-    instances, _ = suite.build_suite(records, "systematicity", "id", seed=8)
-    rows = prompts.render_suite(instances, catalog, "turkish", "standard", 1, seed=8)
+    instances, _ = suite.build_suite(records, "systematicity", "id", suite.BuildOptions(seed=8))
+    rows = prompts.render_suite(
+        instances, catalog, prompts.RenderOptions(instruction_language="turkish", shots=1, seed=8)
+    )
     assert rows
     for row in rows:
         assert "Sadece Evet veya Hayır ile cevap verin" in row["prompt"]
@@ -176,12 +178,13 @@ def test_render_suite_matches_ungrouped_pool(catalog, variant):
     instances = []
     for task in suite.TASKS:
         for dist in suite.DISTRIBUTIONS:
-            built, _ = suite.build_suite(
-                records, task, dist, context=variant == prompts.CONTEXT, seed=41,
-                demo_fraction=0.3,
-            )
+            built, _ = suite.build_suite(records, task, dist, suite.BuildOptions(
+                context=variant == prompts.CONTEXT, seed=41, demo_fraction=0.3,
+            ))
             instances += built
-    rows = prompts.render_suite(instances, catalog, "english", variant, 2, seed=4)
+    rows = prompts.render_suite(
+        instances, catalog, prompts.RenderOptions(variant=variant, shots=2, seed=4)
+    )
     want = render_suite_reference(instances, catalog, "english", variant, 2, seed=4)
     assert {row["task"] for row in rows} == set(suite.TASKS)
     assert [(row["prompt"], row["demo_ids"]) for row in rows] == want
@@ -198,10 +201,9 @@ def test_render_suite_reused_demo_blocks_match_ungrouped_pool(catalog, variant):
     instances = []
     for task in suite.TASKS:
         for dist in suite.DISTRIBUTIONS:
-            built, _ = suite.build_suite(
-                records, task, dist, context=variant == prompts.CONTEXT, seed=43,
-                demo_fraction=0.25,
-            )
+            built, _ = suite.build_suite(records, task, dist, suite.BuildOptions(
+                context=variant == prompts.CONTEXT, seed=43, demo_fraction=0.25,
+            ))
             instances += built
     groups: dict[tuple, set] = {}
     for i in instances:
@@ -210,7 +212,9 @@ def test_render_suite_reused_demo_blocks_match_ungrouped_pool(catalog, variant):
     [n_shots] = {len(ids) for ids in groups.values()}
     assert len(groups) == 8 and n_shots > 1
 
-    rows = prompts.render_suite(instances, catalog, "english", variant, n_shots, seed=5)
+    rows = prompts.render_suite(
+        instances, catalog, prompts.RenderOptions(variant=variant, shots=n_shots, seed=5)
+    )
     want = render_suite_reference(instances, catalog, "english", variant, n_shots, seed=5)
     assert [(row["prompt"], row["demo_ids"]) for row in rows] == want
     for row in rows:

@@ -145,9 +145,11 @@ class TestStratifiedSample:
         assert [r.record_id for r in a.records] == [r.record_id for r in b.records]
 
 
-def build(records, task, dist, **kwargs):
+def build(records, task, dist, negative_cache=None, **options):
     """Every record as an eval instance, and the build warnings."""
-    instances, manifest = suite.build_suite(records, task, dist, demo_fraction=0, **kwargs)
+    instances, manifest = suite.build_suite(
+        records, task, dist, suite.BuildOptions(demo_fraction=0, **options), negative_cache
+    )
     return SimpleNamespace(instances=instances, warnings=manifest["warnings"])
 
 
@@ -264,7 +266,8 @@ class TestBuildInstances:
 class TestSuiteDriver:
     def test_demo_split_fraction_and_disjoint(self):
         records = synth_turkish_records(30, [2, 3], seed=21)
-        instances, manifest = suite.build_suite(records, "productivity", "id", seed=4)
+        options = suite.BuildOptions(seed=4)
+        instances, manifest = suite.build_suite(records, "productivity", "id", options)
         eval_ids = {i.record_id for i in instances if i.split == "eval"}
         demo_ids = {i.record_id for i in instances if i.split == "demo"}
         assert not eval_ids & demo_ids
@@ -275,7 +278,7 @@ class TestSuiteDriver:
     def test_roundtrip_serialization(self, tmp_path):
         records = synth_turkish_records(4, [1, 3], seed=22)
         instances, _ = suite.build_suite(
-            records, "systematicity", "id", seed=4, demo_fraction=0.0
+            records, "systematicity", "id", suite.BuildOptions(seed=4, demo_fraction=0.0)
         )
         path = tmp_path / "suite.jsonl"
         suite.write_suite(path, instances)
@@ -285,13 +288,14 @@ class TestSuiteDriver:
     def test_rebuild_is_byte_identical(self, tmp_path):
         records = synth_turkish_records(10, [2, 3], seed=23)
         for name in ("a", "b"):
-            instances, _ = suite.build_suite(records, "systematicity", "id", seed=5)
+            options = suite.BuildOptions(seed=5)
+            instances, _ = suite.build_suite(records, "systematicity", "id", options)
             suite.write_suite(tmp_path / f"{name}.jsonl", instances)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_suite_rows_are_nfc_and_sorted(self, tmp_path):
         records = synth_turkish_records(2, [2], seed=24)
-        instances, _ = suite.build_suite(records, "productivity", "id", seed=6)
+        instances, _ = suite.build_suite(records, "productivity", "id", suite.BuildOptions(seed=6))
         path = tmp_path / "suite.jsonl"
         suite.write_suite(path, instances)
         first = path.read_text(encoding="utf-8").splitlines()[0]
@@ -312,10 +316,10 @@ class TestNegativeCache:
     def test_shared_cache_builds_what_separate_builds_do(self, cache_records, strategy):
         cache = {}
         for dist in suite.DISTRIBUTIONS:
-            kwargs = dict(strategy=strategy, seed=7, demo_fraction=0.2)
-            alone = suite.build_suite(cache_records, "systematicity", dist, **kwargs)
+            options = suite.BuildOptions(strategy=strategy, seed=7, demo_fraction=0.2)
+            alone = suite.build_suite(cache_records, "systematicity", dist, options)
             shared = suite.build_suite(
-                cache_records, "systematicity", dist, negative_cache=cache, **kwargs
+                cache_records, "systematicity", dist, options, negative_cache=cache
             )
             assert shared == alone
             instances, manifest = shared
@@ -351,3 +355,11 @@ class TestNegativeCache:
         assert shared == alone
         assert shared[0][0].options != shared[1][0].options
         assert len(cache) == 2
+
+
+@pytest.mark.parametrize("key", ["order_mode", "strategy"])
+def test_build_options_refuse_a_value_outside_their_literal(key):
+    """A Python caller's unknown order_mode or strategy raises, rather than
+    building a suite whose manifest records it."""
+    with pytest.raises(SchemaError, match=f"unknown {key} 'bogus'"):
+        suite.BuildOptions(**{key: "bogus"})
