@@ -20,7 +20,6 @@ from typing import Literal, get_args, get_origin, get_type_hints
 from morphsuite import __version__, client, derive, metrics, nonce, profiles, prompts, suite
 from morphsuite.errors import (
     AuthError,
-    DuplicateRecord,
     IncompleteEvaluation,
     LengthMismatch,
     MorphSuiteError,
@@ -30,7 +29,8 @@ from morphsuite.errors import (
     UsageError,
 )
 from morphsuite.jsonl import (
-    field_values, read_config, read_json, read_objects, write_json, write_jsonl,
+    field_values, read_config, read_json, read_jsonl, read_objects, write_json, write_jsonl,
+    write_text,
 )
 from morphsuite.rng import derive_seed
 
@@ -85,9 +85,9 @@ def _add_nonces(records, profile, lexicon, seed) -> tuple[list, list[str]]:
 
 def _write_report(out_dir, report) -> None:
     out_dir = Path(out_dir)
-    write_json(out_dir / "report.json", report.to_dict())  # creates out_dir
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+    write_json(out_dir / "report.json", report.to_dict())
+    write_text(out_dir / "report.csv", (report.to_csv(),))
+    write_text(out_dir / "report.txt", (report.to_text(),))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -159,7 +159,7 @@ def _build(records, task, dist, opts, out, negative_cache=None):
     instances, manifest = suite.build_suite(records, task, dist, options, negative_cache)
     for warning in manifest["warnings"]:
         _eprint(f"warning: {warning}")
-    suite.write_suite(out, instances)
+    write_jsonl(out, (i.to_row() for i in instances))
     return instances, manifest
 
 
@@ -331,30 +331,21 @@ class LabelRow:
     instance_id: str | None = None
 
 
-def _read_labels(path):
-    """(instance ids, labels) of an annotation file; a present id may not repeat."""
-    rows = read_objects(path, LabelRow)
-    seen = set()
-    for row in rows:
-        if row.instance_id in seen:
-            raise DuplicateRecord(f"{path}: two rows for instance {row.instance_id!r}")
-        if row.instance_id is not None:
-            seen.add(row.instance_id)
-    return [row.instance_id for row in rows], [row.label for row in rows]
-
-
 def cmd_kappa(args) -> int:
-    ids_a, labels_a = _read_labels(args.a)
-    ids_b, labels_b = _read_labels(args.b)
-    if all(ids_a) and all(ids_b):
-        by_a = dict(zip(ids_a, labels_a))
-        by_b = dict(zip(ids_b, labels_b))
-        if set(by_a) != set(by_b):
+    """Rows pair by instance_id when every row of both files has one, by
+    position when none has; a mix raises SchemaError."""
+    rows_a = read_objects(args.a, LabelRow, unique="instance_id")
+    rows_b = read_objects(args.b, LabelRow, unique="instance_id")
+    ids = [row.instance_id for row in rows_a + rows_b]
+    if None not in ids:
+        rows_a, rows_b = (sorted(rows, key=lambda r: r.instance_id) for rows in (rows_a, rows_b))
+        if [r.instance_id for r in rows_a] != [r.instance_id for r in rows_b]:
             raise LengthMismatch("annotation files cover different instance ids")
-        keys = sorted(by_a)
-        labels_a = [by_a[k] for k in keys]
-        labels_b = [by_b[k] for k in keys]
-    value = metrics.cohens_kappa(labels_a, labels_b)
+    elif ids.count(None) < len(ids):
+        path = args.a if None in ids[: len(rows_a)] else args.b
+        lineno = next(n for n, row in read_jsonl(path) if row.get("instance_id") is None)
+        raise SchemaError(f"{path}:{lineno}: row lacks 'instance_id', which other rows have")
+    value = metrics.cohens_kappa([r.label for r in rows_a], [r.label for r in rows_b])
     print(f"{value:.6f}")
     return 0
 

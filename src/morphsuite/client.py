@@ -239,9 +239,14 @@ def _attempt(prompt: str, cfg: ModelConfig, headers: dict, transport):
         error = TransportError(f"HTTP {status} from {cfg.endpoint_url}")
         return error, _retry_after_seconds(retry_after) if status >= 500 else None
     try:
-        return Completion(body["choices"][0]["message"]["content"], cached=False), None
+        content = body["choices"][0]["message"]["content"]
+        if content is None:  # a refusal: an empty answer, which fails to parse
+            content = ""
+        if isinstance(content, str):
+            return Completion(content, cached=False), None
     except (KeyError, IndexError, TypeError):
-        return TransportError(f"malformed chat-completions response: {body!r}"), None
+        pass
+    return TransportError(f"malformed chat-completions response: {body!r}"), None
 
 
 def _complete_all(prompts, cfg, cache=None, transport=None, sleep=None, clock=time.monotonic_ns):

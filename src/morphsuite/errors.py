@@ -59,7 +59,8 @@ class InsufficientDemos(MorphSuiteError):
 
 
 class PlaceholderMismatch(MorphSuiteError):
-    """A template references an unknown placeholder or lacks a required one."""
+    """A template has a malformed or unknown placeholder, one where it may not
+    stand, or lacks a required one."""
 
 
 class MissingTemplate(MorphSuiteError):
@@ -101,8 +102,8 @@ class OrphanRecord(MorphSuiteError):
 
 
 class DuplicateRecord(MorphSuiteError):
-    """Two rows share a key that must be unique: a record_id, an evaluation
-    record's (instance_id, option_index) or an annotation's instance_id."""
+    """Two rows share a key that must be unique: a record_id or an evaluation
+    record's (instance_id, option_index)."""
 
 
 class UsageError(MorphSuiteError):

@@ -1,5 +1,7 @@
-r"""JSONL reading/writing with the conventions used by every pipeline stage:
-UTF-8, NFC-normalized strings, sorted keys, one object per line.
+r"""The pipeline's file format, for every stage: each output file is
+written by write_text, and each row and config is read and checked here
+(read_objects, read_config). UTF-8, NFC-normalized strings, sorted keys,
+one object per line.
 
 Sorted keys plus NFC make outputs byte-reproducible across runs.
 
@@ -60,15 +62,21 @@ def dumps(obj, indent=None) -> str:
     return encode(nfc(obj))
 
 
-def write_jsonl(path, rows) -> int:
+def write_text(path, parts) -> None:
+    """Write the strings of parts to path, creating its directory: UTF-8 with
+    \\n line ends. Every pipeline file is written here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in rows:
-            f.write(dumps(row) + "\n")
-            n += 1
-    return n
+        f.writelines(parts)
+
+
+def write_jsonl(path, rows) -> None:
+    write_text(path, (dumps(row) + "\n" for row in rows))
+
+
+def write_json(path, obj) -> None:
+    write_text(path, (dumps(obj, indent=2), "\n"))
 
 
 def decode(data: bytes, path) -> str:
@@ -109,23 +117,27 @@ def read_jsonl(path):
         yield lineno, obj
 
 
-def read_objects(path, cls, check=None):
-    """Every row of a JSONL file read as cls by read_config, in order, and passed
-    to check(obj, lineno), if given. A row that is not an object, does not match
-    cls or fails check (ValueError) raises SchemaError naming path:line."""
+def read_objects(path, cls, unique=None):
+    """Every row of a JSONL file read as cls by read_config, in order. A row
+    that is not an object or does not match cls (a ValueError of cls included),
+    or whose key unique repeats the non-null value of an earlier row, raises
+    SchemaError naming path:line."""
     out = []
+    first_line = {}  # the line of each value of unique taken
     for lineno, row in read_jsonl(path):
         if not isinstance(row, dict):
             raise SchemaError(f"{path}:{lineno}: row is not a JSON object")
         try:
-            obj = read_config(cls, row, None, "row")
-            if check is not None:
-                check(obj, lineno)
+            out.append(read_config(cls, row, None, "row"))
         except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed row ({exc})") from None
-        out.append(obj)
+        value = row.get(unique)  # None when unique is None
+        if value is not None and first_line.setdefault(value, lineno) != lineno:
+            raise SchemaError(
+                f"{path}:{lineno}: repeated {unique} {value!r}, first on line {first_line[value]}"
+            )
     return out
 
 
@@ -136,14 +148,6 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def write_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps(obj, indent=2))
-        f.write("\n")
 
 
 # The name in messages of the JSON values of each type, alone and in a list.

@@ -16,6 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from morphsuite import profiles
 from morphsuite import suite as suite_mod
 from morphsuite.errors import DuplicateRecord, LengthMismatch, OrphanRecord, SchemaError
+from morphsuite.jsonl import field_values
 
 _LABEL_OF_POLARITY = {polarity: label for label, polarity in suite_mod.LABEL_POLARITY.items()}
 
@@ -92,18 +93,10 @@ class ScoreReport:
     manifest: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "overall": {k: self.overall[k] for k in sorted(self.overall)},
-            "by_stratum": {
-                str(n): {k: v for k, v in sorted(self.by_stratum[n].items())}
-                for n in sorted(self.by_stratum)
-            },
-            "counts": self.counts,
-            "stratum_counts": {str(n): c for n, c in sorted(self.stratum_counts.items())},
-            "parse_failure_rate": self.parse_failure_rate,
-            "missing_predictions": self.missing_predictions,
-            "manifest": self.manifest,
+        """The fields, each strata dict keyed by str(n); write_json sorts the keys."""
+        return field_values(self) | {
+            "by_stratum": {str(n): values for n, values in self.by_stratum.items()},
+            "stratum_counts": {str(n): c for n, c in self.stratum_counts.items()},
         }
 
     def metric_names(self) -> list[str]:

@@ -38,7 +38,6 @@ class LanguageProfile:
     vowels: frozenset[str]
     consonants: frozenset[str]
     harmony_class_of: Mapping[str, str]
-    rounded: frozenset[str]
     letter_frequency: Mapping[str, float]   # normalized to sum to 1 per class
     casing_pairs: Mapping[str, str]         # uppercase -> lowercase
 
@@ -160,9 +159,14 @@ def last_vowel_suffix_span(word: str, profile: LanguageProfile) -> tuple[int, in
 # Profile file loading
 # ---------------------------------------------------------------------------
 
+# The keys of a profile file besides case.<upper> and freq.<letter>.
+_KEYS = {"language", "vowels", "consonants"} | {f"harmony.{c}" for c in (FRONT, BACK, NEUTRAL)}
+
+
 def parse_profile(text: str, source: str) -> LanguageProfile:
     """The profile in text, the ``key = value`` lines of a profile file;
-    source names it in the SchemaError of a malformed line or a bad entry."""
+    source names it in the SchemaError of a malformed line, an unknown key or
+    a bad entry."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -171,7 +175,10 @@ def parse_profile(text: str, source: str) -> LanguageProfile:
         if "=" not in line:
             raise SchemaError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _KEYS and not key.startswith(("case.", "freq.")):
+            raise SchemaError(f"{source}:{lineno}: unknown key {key!r}")
+        entries[key] = value.strip()
 
     def letters(key: str) -> list[str]:
         if key not in entries:
@@ -198,10 +205,6 @@ def parse_profile(text: str, source: str) -> LanguageProfile:
     missing = vowels - harmony.keys()
     if missing:
         raise SchemaError(f"{source}: vowels without a harmony class: {sorted(missing)}")
-
-    rounded = frozenset(entries.get("rounded", "").split())
-    if rounded - vowels:
-        raise SchemaError(f"{source}: rounded letters must be vowels")
 
     casing: dict[str, str] = {}
     for key, value in entries.items():
@@ -238,7 +241,6 @@ def parse_profile(text: str, source: str) -> LanguageProfile:
         vowels=vowels,
         consonants=consonants,
         harmony_class_of=harmony,
-        rounded=rounded,
         letter_frequency=normalized,
         casing_pairs=casing,
     )

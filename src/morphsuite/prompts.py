@@ -80,12 +80,20 @@ class TemplateSet:
         return (self.instruction_language, self.task, self.distribution, self.variant)
 
 
-def _placeholders(text: str) -> set[str]:
-    fields = set()
-    for _, name, _, _ in string.Formatter().parse(text):
-        if name:
-            fields.add(name)
-    return fields
+def _placeholders(text: str, source: str) -> set[str]:
+    """The names of the placeholders of text, each a plain {name}: a brace
+    error, an empty name, a conversion or a format spec raises
+    PlaceholderMismatch naming source."""
+    try:
+        parsed = [field for field in string.Formatter().parse(text) if field[1] is not None]
+    except ValueError as exc:
+        raise PlaceholderMismatch(f"{source}: {exc}") from None
+    for _, name, spec, conversion in parsed:
+        if not name:
+            raise PlaceholderMismatch(f"{source}: a placeholder without a name")
+        if spec or conversion:
+            raise PlaceholderMismatch(f"{source}: placeholder {name!r} is not a plain {{{name}}}")
+    return {name for _, name, _, _ in parsed}
 
 
 def _required_item_placeholders(task: str, distribution: str, variant: str) -> set[str]:
@@ -117,10 +125,13 @@ def parse_template(text: str, key, source: str) -> TemplateSet:
     instruction = "\n".join(sections["instruction"]).strip("\n")
     item = "\n".join(sections["item"]).strip("\n")
 
-    unknown = (_placeholders(instruction) | _placeholders(item)) - _KNOWN_PLACEHOLDERS
+    in_instruction, in_item = _placeholders(instruction, source), _placeholders(item, source)
+    unknown = (in_instruction | in_item) - _KNOWN_PLACEHOLDERS
     if unknown:
         raise PlaceholderMismatch(f"{source}: unknown placeholders {sorted(unknown)}")
-    missing = _required_item_placeholders(task, distribution, variant) - _placeholders(item)
+    if in_instruction - {"language"}:
+        raise PlaceholderMismatch(f"{source}: the instruction may use only {{language}}")
+    missing = _required_item_placeholders(task, distribution, variant) - in_item
     if missing:
         raise PlaceholderMismatch(f"{source}: item lacks placeholders {sorted(missing)}")
 
@@ -302,8 +313,8 @@ class PromptRow(TypedDict):
     gold_answer: str
     task: Literal[suite_mod.TASKS]
     language_id: Literal[profiles.LANGUAGES]
-    instruction_language: str
-    variant: str
+    instruction_language: Literal[INSTRUCTION_LANGUAGES]
+    variant: Literal[VARIANTS]
     morpheme_count: int
     shown_root: str
     prefix_forms: list[str]

@@ -26,7 +26,7 @@ from morphsuite.errors import (
     NoNegativeAvailable,
     SchemaError,
 )
-from morphsuite.jsonl import field_values, read_config, read_jsonl, read_objects, write_jsonl
+from morphsuite.jsonl import field_values, read_config, read_jsonl, read_objects
 from morphsuite.rng import make_rng
 
 PRODUCTIVITY = "productivity"
@@ -62,7 +62,7 @@ _SHUFFLE_TRIES = 32
 @dataclass(frozen=True)
 class Option:
     surface: str
-    label: str  # valid | invalid
+    label: Literal[VALID, INVALID]
     # 1-morpheme items present each option with its own affix (the gold one
     # or the manually annotated negative); None falls back to the instance's
     # presented_affixes.
@@ -81,7 +81,7 @@ class TaskInstance:
     shown_root: str
     definition: str | None
     presented_affixes: list[str]
-    order_mode: str
+    order_mode: Literal[ORDER_MODES]
     context_sentence: str | None
     morpheme_count: int
     split: Literal[EVAL_SPLIT, DEMO_SPLIT] = EVAL_SPLIT
@@ -90,6 +90,10 @@ class TaskInstance:
     # Gold-order affix blocks; used for scoring and baselines, never rendered.
     prefix_forms: list[str] = field(default_factory=list)
     suffix_forms: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.task == SYSTEMATICITY and not self.options:
+            raise ValueError("a systematicity instance needs options")
 
     def to_row(self) -> dict:
         row = field_values(self)
@@ -101,14 +105,6 @@ class TaskInstance:
                 for o in options
             ]
         return row
-
-    def check(self) -> None:
-        """ValueError for an unknown option label or a systematicity row
-        without options; read_suite runs it."""
-        if any(o.label not in LABEL_POLARITY for o in self.options or ()):
-            raise ValueError("an option label is neither valid nor invalid")
-        if self.task == SYSTEMATICITY and not self.options:
-            raise ValueError("a systematicity instance needs options")
 
 
 # ---------------------------------------------------------------------------
@@ -483,25 +479,13 @@ def build_suite(
         "distribution": distribution,
         "k": options.k if options.k is not None else "default(1 for counts 1-2, 4 otherwise)",
         "ordering_cap": derive.DEFAULT_ORDERING_CAP,
-        "strata": {str(n): strata_counts[n] for n in sorted(strata_counts)},
+        "strata": {str(n): counts for n, counts in strata_counts.items()},
         "warnings": warnings,
     }
     return instances, manifest
 
 
-def write_suite(path, instances) -> int:
-    return write_jsonl(path, (inst.to_row() for inst in instances))
-
-
 def read_suite(path) -> list[TaskInstance]:
-    """The instances of a suite file, each checked by TaskInstance.check; a repeated
-    instance_id raises SchemaError naming path:line and the line of its first use."""
-    first_line: dict[str, int] = {}
-
-    def check(row: TaskInstance, lineno: int) -> None:
-        row.check()
-        first = first_line.setdefault(row.instance_id, lineno)
-        if first != lineno:
-            raise SchemaError(f"repeated instance_id {row.instance_id!r}, first on line {first}")
-
-    return read_objects(path, TaskInstance, check)
+    """The instances of a suite file; a repeated instance_id raises SchemaError
+    naming path:line and the line of its first use."""
+    return read_objects(path, TaskInstance, unique="instance_id")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 from dataclasses import fields, make_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -44,6 +45,15 @@ BAD_PROMPT_VALUES = [
     ("option_index", "0", "row key 'option_index' must be an integer or null"),
     ("suffix_forms", "ler", "row key 'suffix_forms' must be a list of strings"),
     ("prefix_forms", [1], "row key 'prefix_forms' must be a list of strings"),
+]
+
+# (key, value, message): a prompt-row value outside the key's closed vocabulary;
+# its cases come last in test_bad_input_exits_1_with_one_line, so the ids of
+# the cases before them keep their numbers
+CLOSED_PROMPT_VALUES = [
+    ("instruction_language", "klingon",
+     "row key 'instruction_language' must be one of english, turkish, finnish"),
+    ("variant", "bogus", "row key 'variant' must be one of standard, context, cot, paraphrased"),
 ]
 
 BUILD = ["build-suite", "--task", "systematicity", "--dist", "id", "--in", "corpus.jsonl",
@@ -347,13 +357,14 @@ class TestPipeline:
         row = json.loads(rows[1])
         row["options"] = [{"surface": "x", "label": "maybe"}]
         Path("label_suite.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        write_jsonl("order_suite.jsonl", [json.loads(r) | {"order_mode": "sideways"} for r in rows])
         del row["instance_id"], row["options"]
         rows[1] = json.dumps(row)
         Path("no_id_suite.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
         Path("list_prompts.jsonl").write_text("[1, 2]\n", encoding="utf-8")
         Path("no_text_prompts.jsonl").write_text('{"instance_id": "i"}\n', encoding="utf-8")
         prompt = json.loads(Path("prompts.jsonl").read_text("utf-8").splitlines()[0])
-        for key, value, _ in BAD_PROMPT_VALUES:
+        for key, value, _ in BAD_PROMPT_VALUES + CLOSED_PROMPT_VALUES:
             write_jsonl(f"bad_{key}_prompts.jsonl", [prompt | {key: value}])
         records = Path("records.jsonl").read_text("utf-8")
         Path("twice.jsonl").write_text(records + records, encoding="utf-8")
@@ -386,7 +397,7 @@ class TestPipeline:
         (["score", "--records", "records.jsonl", "--suite", "no_id_suite.jsonl", "--out-dir", "r"],
          "SchemaError", "no_id_suite.jsonl:2: row lacks 'instance_id'"),
         (["render", "--suite", "label_suite.jsonl", "--shots", "1", "--out", "p.jsonl"],
-         "SchemaError", "label_suite.jsonl:1: malformed row (an option label is neither"),
+         "SchemaError", "label_suite.jsonl:1: options[0] key 'label' must be one of valid, invalid"),
         (["evaluate", "--prompts", "list_prompts.jsonl", "--model-config", "model.json",
           "--out", "r.jsonl"], "SchemaError", "list_prompts.jsonl:1: row is not a JSON object"),
         (["evaluate", "--prompts", "no_text_prompts.jsonl", "--model-config", "model.json",
@@ -397,7 +408,7 @@ class TestPipeline:
         (["score", "--records", "twice.jsonl", "--suite", "suite.jsonl", "--out-dir", "r"],
          "DuplicateRecord", "two records for ({first_id}, None)"),
         (["kappa", "--a", "two_labels.jsonl", "--b", "one_label.jsonl"],
-         "DuplicateRecord", "two_labels.jsonl: two rows for instance 'a'"),
+         "SchemaError", "two_labels.jsonl:2: repeated instance_id 'a', first on line 1"),
         (["kappa", "--a", "one_label.jsonl", "--b", "list_label.jsonl"],
          "SchemaError", "list_label.jsonl:1: row key 'label' must be a string"),
         (["build-suite", "--task", "productivity", "--dist", "id", "--in", "utf16.jsonl",
@@ -426,6 +437,11 @@ class TestPipeline:
               ["score", "--records", "records.jsonl", "--suite", "dup_suite.jsonl",
                "--out-dir", "r"],
           )],
+        (["render", "--suite", "order_suite.jsonl", "--shots", "1", "--out", "p.jsonl"],
+         "SchemaError", "order_suite.jsonl:1: row key 'order_mode' must be one of shuffled, correct"),
+        *[(["evaluate", "--prompts", f"bad_{key}_prompts.jsonl", "--model-config", "model.json",
+            "--out", "r.jsonl"], "SchemaError", f"bad_{key}_prompts.jsonl:1: {why}")
+          for key, _, why in CLOSED_PROMPT_VALUES],
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
         capsys.readouterr()
@@ -439,6 +455,23 @@ class TestPipeline:
         write_jsonl("a.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(6)])
         write_jsonl("b.jsonl", [{"instance_id": f"i{k}", "label": "yes"} for k in range(6)])
         assert run(["kappa", "--a", "a.jsonl", "--b", "b.jsonl"]) == 0
+        assert capsys.readouterr().out.strip() == "1.000000"
+
+    def test_kappa_refuses_files_where_only_some_rows_have_an_id(self, workdir, capsys):
+        """Paired by position, these rows would agree; by id they do not."""
+        write_jsonl("a.jsonl", [{"instance_id": "a", "label": "x"}, {"label": "y"}])
+        write_jsonl("b.jsonl", [{"instance_id": "b", "label": "x"},
+                                {"instance_id": "a", "label": "y"}])
+        assert run(["kappa", "--a", "a.jsonl", "--b", "b.jsonl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: SchemaError: a.jsonl:2: row lacks 'instance_id', which other rows have\n"
+        )
+        write_jsonl("c.jsonl", [{"label": "x"}, {"label": "y"}])
+        assert run(["kappa", "--a", "b.jsonl", "--b", "c.jsonl"]) == 1
+        assert "error: SchemaError: c.jsonl:1: row lacks" in capsys.readouterr().err
+        assert run(["kappa", "--a", "c.jsonl", "--b", "c.jsonl"]) == 0
         assert capsys.readouterr().out.strip() == "1.000000"
 
     def test_report_subcommand_bundled_corpus(self, workdir, capsys):
@@ -860,6 +893,27 @@ def test_render_refuses_negative_shots_with_one_line(suite_dir, capsys):
     assert run(["render", "--suite", "suite.jsonl", "--shots", "-1", "--out", "p.jsonl"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "shots must be >= 0" in err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("== item ==", "Root: {root}\n== item ==", "the instruction may use only {language}"),
+    ("{answer}", "{answer} }", "Single '}' encountered"),
+    ("{answer}", "{answer} {}", "a placeholder without a name"),
+    ("{answer}", "{answer} {root!x}", "placeholder 'root' is not a plain {root}"),
+    ("{index}", "{index:q}", "placeholder 'index' is not a plain {index}"),
+], ids=["item placeholder in the instruction", "stray brace", "empty name", "conversion",
+        "format spec"])
+def test_render_refuses_a_template_it_cannot_fill_with_one_line(suite_dir, capsys, old, new,
+                                                                named):
+    shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
+    path = Path("templates/english/systematicity_id_standard.txt")
+    path.write_text(path.read_text("utf-8").replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["render", "--suite", "suite.jsonl", "--templates", "templates",
+                "--shots", "1", "--out", "p.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PlaceholderMismatch: english/systematicity_id_standard.txt: ")
+    assert err.count("\n") == 1 and named in err
 
 
 # (task, distribution, strategy, --context): one build-suite run each.

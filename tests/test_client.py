@@ -322,6 +322,27 @@ class TestTransport:
                 client.complete("p", cfg(endpoint_url=url), None)
         assert str(err.value) == "malformed chat-completions response: None"
 
+    def test_null_content_is_an_empty_answer_that_is_cached(self, tmp_path):
+        """OpenAI answers a refusal with content null."""
+        with ResponseCache(tmp_path) as cache:
+            row = {"instance_id": "i", "option_index": 0, "prompt": "p", "task": "systematicity"}
+            [record] = client.evaluate_rows([row], cfg(), cache, transport=ok_transport(None))
+            again = client.complete("p", cfg(), cache, transport=ok_transport("BOOM"))
+        assert (record.raw_response, record.parsed_kind) == ("", suite.PARSE_FAILURE)
+        assert again == Completion("", cached=True)
+
+    def test_content_that_is_not_a_string_fails_once_without_a_retry(self):
+        calls = []
+
+        def transport(*args):
+            calls.append(args)
+            return ok_reply(5)
+
+        with pytest.raises(TransportError, match="^malformed chat-completions response: "):
+            client.complete("p", cfg(max_retries=3), None, transport=transport,
+                            sleep=lambda s: None)
+        assert len(calls) == 1
+
     def test_307_is_not_followed(self):
         moved = (307, {"Location": "/v2/chat/completions"}, b"{}")
         with local_server(scripted(moved)) as (url, seen):
@@ -338,7 +359,7 @@ class TestTransport:
 def write_run(directory, rows, instances, url, **model):
     """Prompts, suite and a model config for url under directory."""
     write_jsonl(directory / "prompts.jsonl", rows)
-    suite.write_suite(directory / "suite.jsonl", instances)
+    write_jsonl(directory / "suite.jsonl", (i.to_row() for i in instances))
     config = {"endpoint_url": url, "model_name": "m", "timeout": 5, **model}
     (directory / "model.json").write_text(json.dumps(config), encoding="utf-8")
     return [

@@ -54,7 +54,6 @@ def test_profile_invariants(turkish, finnish):
     assert {v for v, h in finnish.harmony_class_of.items() if h == "front"} == set("äöy")
     assert {v for v, h in finnish.harmony_class_of.items() if h == "back"} == set("aou")
     assert turkish.vowels == set("aeıioöuü")
-    assert turkish.rounded == set("oöuü")
 
 
 def test_has_adjacent_vowels(turkish):
@@ -118,6 +117,12 @@ def test_profile_file_errors(tmp_path):
     )
     with pytest.raises(SchemaError):  # vowel e lacks a harmony class
         profiles.parse_profile(bad.read_text(encoding="utf-8"), str(bad))
+
+
+def test_profile_unknown_key_names_its_line():
+    text = "language = turkish\n# a comment\nrounded = o ö u ü\nvowels = a\n"
+    with pytest.raises(SchemaError, match=r"^bad\.profile:3: unknown key 'rounded'$"):
+        profiles.parse_profile(text, "bad.profile")
 
 
 def test_profile_roundtrip_from_path(tmp_path, turkish):

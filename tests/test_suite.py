@@ -281,7 +281,7 @@ class TestSuiteDriver:
             records, "systematicity", "id", suite.BuildOptions(seed=4, demo_fraction=0.0)
         )
         path = tmp_path / "suite.jsonl"
-        suite.write_suite(path, instances)
+        write_jsonl(path, (i.to_row() for i in instances))
         loaded = suite.read_suite(path)
         assert loaded == instances
 
@@ -290,14 +290,14 @@ class TestSuiteDriver:
         for name in ("a", "b"):
             options = suite.BuildOptions(seed=5)
             instances, _ = suite.build_suite(records, "systematicity", "id", options)
-            suite.write_suite(tmp_path / f"{name}.jsonl", instances)
+            write_jsonl(tmp_path / f"{name}.jsonl", (i.to_row() for i in instances))
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_suite_rows_are_nfc_and_sorted(self, tmp_path):
         records = synth_turkish_records(2, [2], seed=24)
         instances, _ = suite.build_suite(records, "productivity", "id", suite.BuildOptions(seed=6))
         path = tmp_path / "suite.jsonl"
-        suite.write_suite(path, instances)
+        write_jsonl(path, (i.to_row() for i in instances))
         first = path.read_text(encoding="utf-8").splitlines()[0]
         parsed = json.loads(first)
         assert list(parsed) == sorted(parsed)
