@@ -372,6 +372,9 @@ def cmd_report(args) -> int:
         records = [r for r in records if r.nonce_root]
 
     catalog = prompts.load_templates(cfg.templates)
+    for task in cfg.tasks:  # read and check each cell's template before any cell writes
+        for dist in cfg.distributions:
+            catalog.get(cfg.instruction_language, task, dist, cfg.variant)
 
     negative_cache: dict = {}  # shared by this run's cells, freed with it
     summary, cells = {}, {}

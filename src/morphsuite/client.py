@@ -30,7 +30,7 @@ from morphsuite.errors import (
     SchemaError,
     TransportError,
 )
-from morphsuite.jsonl import dumps, field_values, read_config, read_json
+from morphsuite.jsonl import LONE_SURROGATE, dumps, field_values, read_config, read_json
 from morphsuite.rng import make_rng
 
 WORD = "word"
@@ -123,7 +123,9 @@ class ResponseCache:
                 key, response = entry["key"], entry["response"]
             except (ValueError, KeyError, TypeError):
                 key = response = None
-            if isinstance(key, str) and isinstance(response, str):
+            # a response with a lone surrogate could not be written to a records file
+            if (isinstance(key, str) and isinstance(response, str)
+                    and not LONE_SURROGATE.search(response)):
                 self._responses[key] = response
             else:
                 skipped += 1
@@ -242,7 +244,8 @@ def _attempt(prompt: str, cfg: ModelConfig, headers: dict, transport):
         content = body["choices"][0]["message"]["content"]
         if content is None:  # a refusal: an empty answer, which fails to parse
             content = ""
-        if isinstance(content, str):
+        # a lone surrogate (from a \ud800 escape) could not be written to the records
+        if isinstance(content, str) and not LONE_SURROGATE.search(content):
             return Completion(content, cached=False), None
     except (KeyError, IndexError, TypeError):
         pass

@@ -24,6 +24,9 @@ JSON punctuation and escapes never compose under NFC (UAX #15):
   go through nfc.
 """
 import json
+import os
+import re
+import stat
 import unicodedata
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -64,11 +67,45 @@ def dumps(obj, indent=None) -> str:
 
 def write_text(path, parts) -> None:
     """Write the strings of parts to path, creating its directory: UTF-8 with
-    \\n line ends. Every pipeline file is written here."""
+    \\n line ends. Every pipeline file is written here.
+
+    An existing regular file is compared part by part and left alone while
+    its bytes match, so a file whose bytes do not change keeps its inode and
+    mtime. At the first part that differs it is cut there and the rest is
+    written; old bytes past the new end are cut. Any other path (absent, a
+    FIFO, /dev/stdout, a file not open for reading and writing) is written
+    without reading it. Either way, when parts raises, the file holds the
+    parts before it, as a plain write leaves it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(parts)
+    try:
+        f = open(path, "r+b") if stat.S_ISREG(os.stat(path).st_mode) else None
+    except OSError:
+        f = None
+    if f is None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(parts)
+        return
+    with f:
+        parts = iter(parts)
+        end = 0  # the length of the parts so far, which match the file's bytes
+        try:
+            for part in parts:
+                data = part.encode("utf-8")
+                if f.read(len(data)) != data:
+                    break
+                end += len(data)
+            else:
+                if f.read(1):
+                    f.truncate(end)
+                return
+        except BaseException:
+            f.truncate(end)
+            raise
+        f.seek(end)
+        f.truncate()
+        f.write(data)
+        f.writelines(part.encode("utf-8") for part in parts)
 
 
 def write_jsonl(path, rows) -> None:
@@ -105,14 +142,37 @@ def read_lines(path):
         raise
 
 
+# A UTF-16 surrogate code point. A decoded JSON string holds one only from a
+# \u escape that is not half of a pair, and UTF-8 cannot encode it.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # or an escaped backslash and "ud8"
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')  # a JSON string token, in text that parsed
+
+
+def _refuse_lone_surrogate(text, path, lineno=1) -> None:
+    """Raise SchemaError naming path and line if a string of the JSON text,
+    whose first line is lineno, decodes to a lone surrogate: no output could
+    hold it."""
+    if not _SURROGATE_ESCAPE.search(text):
+        return
+    for match in _STRING.finditer(text):
+        if _SURROGATE_ESCAPE.search(match[0]) and LONE_SURROGATE.search(json.loads(match[0])):
+            lineno += text.count("\n", 0, match.start())
+            raise SchemaError(f"{path}:{lineno}: a string escapes a lone surrogate (not UTF-8)")
+
+
 def read_jsonl(path):
-    """Yield (line_number, object) pairs; malformed lines raise SchemaError."""
+    """Yield (line_number, object) pairs; a line of invalid JSON, or with a
+    lone surrogate, raises SchemaError."""
     for lineno, line in read_lines(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        if "\\u" in line or not unicodedata.is_normalized("NFC", line):
+        if "\\u" in line:  # only an escape makes a surrogate
+            _refuse_lone_surrogate(line, path, lineno)
+            obj = nfc(obj)
+        elif not unicodedata.is_normalized("NFC", line):
             obj = nfc(obj)
         yield lineno, obj
 
@@ -142,12 +202,15 @@ def read_objects(path, cls, unique=None):
 
 
 def read_json(path):
-    """Parse one JSON document; invalid UTF-8 or JSON raises SchemaError."""
+    """Parse one JSON document; invalid UTF-8 or JSON, or a lone surrogate,
+    raises SchemaError."""
     text = decode(Path(path).read_bytes(), path)
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    _refuse_lone_surrogate(text, path)
+    return obj
 
 
 # The name in messages of the JSON values of each type, alone and in a list.

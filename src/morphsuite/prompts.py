@@ -27,6 +27,7 @@ from morphsuite.errors import (
     PlaceholderMismatch,
     SchemaError,
 )
+from morphsuite.jsonl import decode
 from morphsuite.rng import make_rng
 
 ENGLISH = "english"
@@ -138,19 +139,34 @@ def parse_template(text: str, key, source: str) -> TemplateSet:
     return TemplateSet(language, task, distribution, variant, instruction, item)
 
 
-class TemplateCatalog:
-    """Loaded templates keyed by (language, task, distribution, variant)."""
+def _file_name(key) -> str:
+    language, task, distribution, variant = key
+    return f"{language}/{task}_{distribution}_{variant}.txt"
 
-    def __init__(self, templates: dict, missing: list):
-        self._templates = templates
-        self.missing = missing
+
+class TemplateCatalog:
+    """The templates of a directory keyed by (language, task, distribution,
+    variant). Each file is read and parsed the first time get asks for it."""
+
+    def __init__(self, base, present: set):
+        self._base = base  # the directory, a Path or a resources Traversable
+        self._present = present  # the keys that have a file
+        self._templates = {}  # key -> TemplateSet, for the files parsed so far
+        self.missing = [key for key in _full_matrix() if key not in present]
 
     def get(self, instruction_language, task, distribution, variant) -> TemplateSet:
+        """The template set of the key; a key without a file raises
+        MissingTemplate, and a file that is not UTF-8 or not a valid template
+        raises SchemaError or PlaceholderMismatch naming it."""
         key = (instruction_language, task, distribution, variant)
-        try:
-            return self._templates[key]
-        except KeyError:
-            raise MissingTemplate(f"no template for {key}") from None
+        ts = self._templates.get(key)
+        if ts is None:
+            if key not in self._present:
+                raise MissingTemplate(f"no template for {key}")
+            name = _file_name(key)
+            text = decode(self._base.joinpath(name).read_bytes(), name)
+            ts = self._templates[key] = parse_template(text, key, name)
+        return ts
 
 
 def _full_matrix():
@@ -162,7 +178,8 @@ def _full_matrix():
 
 
 def load_templates(directory=None) -> TemplateCatalog:
-    """Load a template directory (bundled default when omitted).
+    """The template catalog of a directory (bundled default when omitted).
+    Only the language directories are listed here; get reads each file.
 
     Combinations absent from the directory are reported via catalog.missing;
     asking for one raises MissingTemplate.
@@ -171,19 +188,13 @@ def load_templates(directory=None) -> TemplateCatalog:
         base = resources.files("morphsuite").joinpath("templates")
     else:
         base = Path(directory)
-    templates = {}
-    missing = []
-    for key in _full_matrix():
-        language, task, distribution, variant = key
-        name = f"{language}/{task}_{distribution}_{variant}.txt"
-        ref = base.joinpath(name) if directory is None else base / name
+    names = set()
+    for language in INSTRUCTION_LANGUAGES:
         try:
-            text = ref.read_text(encoding="utf-8")
-        except (FileNotFoundError, OSError):
-            missing.append(key)
-            continue
-        templates[key] = parse_template(text, key, name)
-    return TemplateCatalog(templates, missing)
+            names.update(f"{language}/{entry.name}" for entry in base.joinpath(language).iterdir())
+        except OSError:  # no such directory
+            pass
+    return TemplateCatalog(base, {key for key in _full_matrix() if _file_name(key) in names})
 
 
 # ---------------------------------------------------------------------------

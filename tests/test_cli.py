@@ -916,6 +916,74 @@ def test_render_refuses_a_template_it_cannot_fill_with_one_line(suite_dir, capsy
     assert err.count("\n") == 1 and named in err
 
 
+def test_render_refuses_a_template_that_is_not_utf8_with_one_line(suite_dir, capsys):
+    shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
+    path = Path("templates/english/systematicity_id_standard.txt")
+    line = path.read_bytes().count(b"\n") + 1
+    with open(path, "ab") as f:
+        f.write(b"\xff")
+    capsys.readouterr()
+    assert run(["render", "--suite", "suite.jsonl", "--templates", "templates",
+                "--shots", "1", "--out", "p.jsonl"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: SchemaError: english/systematicity_id_standard.txt:{line}:"
+        " not UTF-8 (invalid start byte)\n"
+    )
+    assert not Path("p.jsonl").exists()
+
+
+@pytest.mark.parametrize("broken, exit_code", [
+    ("systematicity_id_standard.txt", 1),
+    ("productivity_id_standard.txt", 0),  # a template of no cell of the run is not read
+])
+def test_report_checks_the_templates_of_its_cells_before_writing(tmp_path, monkeypatch, capsys,
+                                                                 broken, exit_code):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
+    path = Path("templates/english", broken)
+    path.write_text(path.read_text("utf-8").replace("{answer}", "{answer} }"), encoding="utf-8")
+    mock_config(Path("model.json"))
+    Path("run.json").write_text(json.dumps({
+        "language": "turkish", "input": "bundled:turkish_demo", "model_config": "model.json",
+        "templates": "templates", "out_dir": "run", "tasks": ["systematicity"],
+        "distributions": ["id"], "shots": 1,
+    }), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["report", "--config", "run.json"]) == exit_code
+    if exit_code:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: PlaceholderMismatch: english/{broken}: ")
+        assert err.count("\n") == 1
+        assert not Path("run").exists()
+    else:
+        assert Path("run/systematicity_id/report.json").exists()
+
+
+def test_build_suite_refuses_a_lone_surrogate_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    records = write_corpus(Path("corpus.jsonl"), per_stratum=4, strata=(2,))
+    row = record_to_row(records[0]) | {"record_id": "x\ud800"}
+    with open("corpus.jsonl", "a", encoding="utf-8") as f:
+        f.write(json.dumps(row) + "\n")  # ensure_ascii: the surrogate as a \u escape
+    capsys.readouterr()
+    assert run(BUILD) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: SchemaError: corpus.jsonl:{len(records) + 1}:"
+                   " a string escapes a lone surrogate (not UTF-8)\n")
+    assert not Path("s.jsonl").exists()
+
+
+def test_evaluate_refuses_a_lone_surrogate_in_the_model_config(suite_dir, capsys):
+    assert run(["render", "--suite", "suite.jsonl", "--shots", "1", "--out", "p.jsonl"]) == 0
+    mock_config(Path("model.json"), model_name="\ud800")
+    capsys.readouterr()
+    assert run(["evaluate", "--prompts", "p.jsonl", "--model-config", "model.json",
+                "--out", "r.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: SchemaError: model.json:1: a string escapes a lone surrogate (not UTF-8)\n"
+    assert not Path("r.jsonl").exists()
+
+
 # (task, distribution, strategy, --context): one build-suite run each.
 BUILDS = [
     ("systematicity", "id", "random", False),

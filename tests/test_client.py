@@ -153,6 +153,14 @@ class TestComplete:
             b'"resp\n' + b'{"key": "' + new.encode() + b'", "response": "yeni"}\n'
         )
 
+    def test_cache_skips_a_response_with_a_lone_surrogate(self, tmp_path, capsys):
+        key = ResponseCache(tmp_path).key(cfg(), "p")
+        line = json.dumps({"key": key, "response": "Yes \ud800"})  # ensure_ascii: a \u escape
+        (tmp_path / "responses.jsonl").write_text(line + "\n", encoding="ascii")
+        cache = ResponseCache(tmp_path)
+        assert "1 unreadable cache lines skipped" in capsys.readouterr().err
+        assert cache.get(key) is None
+
     def test_cache_last_put_wins_and_old_layout_misses(self, tmp_path):
         key = ResponseCache(tmp_path).key(cfg(), "p")
         (tmp_path / f"{key}.json").write_text('{"response": "eski"}', encoding="utf-8")
@@ -342,6 +350,23 @@ class TestTransport:
             client.complete("p", cfg(max_retries=3), None, transport=transport,
                             sleep=lambda s: None)
         assert len(calls) == 1
+
+    def test_content_with_a_lone_surrogate_fails_once_and_is_not_cached(self, tmp_path):
+        """A \\ud800 escape in the JSON body decodes to a string that no
+        records file could hold."""
+        calls = []
+
+        def transport(*args):
+            calls.append(args)
+            return ok_reply("Yes \ud800")
+
+        row = {"instance_id": "i", "option_index": 0, "prompt": "p", "task": "systematicity"}
+        with ResponseCache(tmp_path) as cache:
+            with pytest.raises(IncompleteEvaluation, match="malformed chat-completions response"):
+                client.evaluate_rows([row], cfg(max_retries=3), cache, transport=transport,
+                                     sleep=lambda s: None)
+        assert len(calls) == 1
+        assert not (tmp_path / "responses.jsonl").exists()
 
     def test_307_is_not_followed(self):
         moved = (307, {"Location": "/v2/chat/completions"}, b"{}")

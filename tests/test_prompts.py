@@ -47,6 +47,22 @@ def test_missing_template_reported(tmp_path, catalog):
         partial.get("finnish", "systematicity", "ood", "cot")
 
 
+def test_templates_are_parsed_on_first_use(monkeypatch):
+    keys = []
+    parse = prompts.parse_template
+    monkeypatch.setattr(prompts, "parse_template", lambda *args: keys.append(args[1]) or parse(*args))
+    catalog = prompts.load_templates()
+    assert keys == []
+    key = ("english", "systematicity", "id", "standard")
+    assert catalog.get(*key) is catalog.get(*key)
+    assert keys == [key]
+
+
+def test_every_bundled_template_parses(catalog):
+    for key in prompts._full_matrix():
+        assert catalog.get(*key).key == key
+
+
 def test_unknown_placeholder_rejected():
     text = "== instruction ==\nHi.\n== item ==\nExample {index}:\n{root} {affixes} {foo}\nAnswer: {answer}\n"
     with pytest.raises(PlaceholderMismatch):
