@@ -8,8 +8,11 @@ manifest next to its output so it can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import sys
+import unicodedata
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -29,8 +32,8 @@ from morphsuite.errors import (
     UsageError,
 )
 from morphsuite.jsonl import (
-    field_values, read_config, read_json, read_jsonl, read_objects, write_json, write_jsonl,
-    write_text,
+    dumps, field_values, read_config, read_json, read_jsonl, read_objects, write_json,
+    write_jsonl, write_text,
 )
 from morphsuite.rng import derive_seed
 
@@ -154,20 +157,27 @@ def _options(cls, opts):
     return cls(**{f.name: getattr(opts, f.name) for f in fields(cls)})
 
 
+def _print_warnings(manifest) -> None:
+    for warning in manifest["warnings"]:
+        _eprint(f"warning: {warning}")
+
+
 def _build(records, task, dist, opts, out, negative_cache=None):
     options = _options(suite.BuildOptions, opts)
     instances, manifest = suite.build_suite(records, task, dist, options, negative_cache)
-    for warning in manifest["warnings"]:
-        _eprint(f"warning: {warning}")
+    _print_warnings(manifest)
     write_jsonl(out, (i.to_row() for i in instances))
     return instances, manifest
 
 
 def _render(instances, suite_path, catalog, opts, out):
-    options = _options(prompts.RenderOptions, opts)
-    rows = prompts.render_suite(instances, catalog, options)
+    rows = prompts.render_suite(instances, catalog, _options(prompts.RenderOptions, opts))
     write_jsonl(out, rows)
-    return rows, field_values(options) | {
+    return rows, _render_manifest(suite_path, opts, rows)
+
+
+def _render_manifest(suite_path, opts, rows) -> dict:
+    return field_values(_options(prompts.RenderOptions, opts)) | {
         "command": "render",
         "version": __version__,
         "suite": str(suite_path),
@@ -350,7 +360,72 @@ def cmd_kappa(args) -> int:
     return 0
 
 
+# The files of a report cell that a rerun with the same reuse key reads back
+# instead of building them again, while they keep the stamps run.json records.
+_CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl")
+
+
+@cache
+def _program_digest() -> str:
+    """A digest of the files of the morphsuite package (__pycache__ aside),
+    the Python version and the Unicode version: what a report's outputs
+    depend on besides its config and input files."""
+    base = Path(__file__).parent
+    digest = hashlib.sha256(f"{sys.version}\0{unicodedata.unidata_version}\n".encode())
+    for path in sorted(base.rglob("*")):
+        name = path.relative_to(base)
+        if "__pycache__" not in name.parts and path.is_file():
+            digest.update(f"{name.as_posix()}\0{suite.file_digest(path)}\n".encode())
+    return digest.hexdigest()
+
+
+def _stamps(cell_dir) -> dict | None:
+    """[st_ino, st_size, st_mtime_ns, st_ctime_ns] of each of a cell's
+    _CELL_FILES, the way a .pyc records its source (PEP 552): a rewrite, a
+    touch or a cp -p changes one. None when a file is missing."""
+    try:
+        stats = {name: os.stat(Path(cell_dir, name)) for name in _CELL_FILES}
+    except OSError:
+        return None
+    return {
+        name: [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns] for name, s in stats.items()
+    }
+
+
+def _previous_cells(path, key) -> dict:
+    """The cells of the run.json at path if it was written with reuse key,
+    else {}: a missing, unreadable or malformed one reuses nothing."""
+    try:
+        previous = read_json(path)
+    except (MorphSuiteError, OSError):
+        return {}
+    if not isinstance(previous, dict) or previous.get("reuse_key") != key:
+        return {}
+    cells = previous.get("cells")
+    return cells if isinstance(cells, dict) else {}
+
+
+def _reuse(cell_dir, previous):
+    """(instances, suite manifest, prompt rows) read back from cell_dir when
+    previous, the cell's entry in a run.json with this run's reuse key,
+    holds the current stamps of its files; else None."""
+    stamps = _stamps(cell_dir)
+    if stamps is None or not isinstance(previous, dict) or previous.get("stamps") != stamps:
+        return None
+    try:
+        return (
+            suite.read_suite(cell_dir / "suite.jsonl"),
+            read_json(cell_dir / "suite.jsonl.manifest.json"),
+            read_objects(cell_dir / "prompts.jsonl", prompts.PromptRow),
+        )
+    except (MorphSuiteError, OSError):
+        return None
+
+
 def cmd_report(args) -> int:
+    """Each cell builds its suite and renders its prompts, or reuses them
+    (_reuse) when the run's reuse key, a digest of the program and of every
+    input its suites and prompts depend on, matches the previous run.json."""
     raw = read_json(args.config)
     cfg = read_config(ReportConfig, raw, args.config, "report config")
     if isinstance(cfg.model_config, str):
@@ -363,43 +438,70 @@ def cmd_report(args) -> int:
     out_dir = Path(cfg.out_dir)
     in_path, records = _language_records(cfg.input, cfg.language)
 
-    skipped = []
+    skipped, lexicon_digest = [], None
     missing = [r for r in records if not r.nonce_root]  # a supplied root is kept
     if suite.OUT_DIST in cfg.distributions and missing:
         profile = profiles.load_profile(cfg.language)
-        lexicon = nonce.load_lexicon(cfg.lexicon, profile) if cfg.lexicon else None
+        lexicon = None
+        if cfg.lexicon:
+            lexicon = nonce.load_lexicon(cfg.lexicon, profile)
+            lexicon_digest = suite.file_digest(cfg.lexicon)
         _, skipped = _add_nonces(missing, profile, lexicon, cfg.seed)
         records = [r for r in records if r.nonce_root]
 
     catalog = prompts.load_templates(cfg.templates)
-    for task in cfg.tasks:  # read and check each cell's template before any cell writes
-        for dist in cfg.distributions:
-            catalog.get(cfg.instruction_language, task, dist, cfg.variant)
+    templates = [  # each cell's template, read and checked before any cell writes
+        field_values(catalog.get(cfg.instruction_language, task, dist, cfg.variant))
+        for task in cfg.tasks
+        for dist in cfg.distributions
+    ]
+
+    input_digest = suite.file_digest(in_path)
+    options = {k: v for k, v in field_values(cfg).items()
+               if k not in ("model_config", "out_dir", "cache")}
+    key = hashlib.sha256(dumps(
+        [_program_digest(), options, input_digest, lexicon_digest, templates]
+    ).encode()).hexdigest()
+    previous = _previous_cells(out_dir / "run.json", key)
 
     negative_cache: dict = {}  # shared by this run's cells, freed with it
+
+    def run_cell(task, dist, cache):
+        """The summary and run.json entry of one cell; its instances, rows
+        and answers go when it returns."""
+        cell_dir = out_dir / f"{task}_{dist}"
+        suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
+        reused = _reuse(cell_dir, previous.get(cell_dir.name))
+        if reused is None:
+            instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
+            write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
+            rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
+        else:
+            instances, manifest, rows = reused
+            _print_warnings(manifest)
+            rendered = _render_manifest(suite_path, cfg, rows)
+        answers, evaluated = _evaluate(rows, prompts_path, model, cache, cell_dir / "records.jsonl")
+        report = metrics.stratify_report(answers, instances, manifest)
+        _write_report(cell_dir, report)
+        _eprint(f"report: {task}/{dist} -> {cell_dir}"
+                + (" (reused suite and prompts)" if reused else ""))
+        scores = {m: metrics.round1(v) for m, v in report.overall.items()}
+        return scores, {"render": rendered, "evaluate": evaluated,
+                         "reused": reused is not None, "stamps": _stamps(cell_dir)}
+
     summary, cells = {}, {}
     with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
         for task in cfg.tasks:
             for dist in cfg.distributions:
-                cell, cell_dir = f"{task}_{dist}", out_dir / f"{task}_{dist}"
-                suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
-                instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
-                write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
-                rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
-                answers, evaluated = _evaluate(
-                    rows, prompts_path, model, cache, cell_dir / "records.jsonl"
-                )
-                report = metrics.stratify_report(answers, instances, manifest)
-                _write_report(cell_dir, report)
-                summary[cell] = {m: metrics.round1(v) for m, v in report.overall.items()}
-                cells[cell] = {"render": rendered, "evaluate": evaluated}
-                _eprint(f"report: {task}/{dist} -> {cell_dir}")
+                cell = f"{task}_{dist}"
+                summary[cell], cells[cell] = run_cell(task, dist, cache)
 
     run_manifest = {
         "command": "report",
         "version": __version__,
         "config": raw,
-        "input_digest": suite.file_digest(in_path),
+        "input_digest": input_digest,
+        "reuse_key": key,
         "skipped_records": skipped,
         "cells": cells,
         "summary": summary,

@@ -623,6 +623,187 @@ class TestReproducibility:
             }
 
 
+CELLS = ["productivity_id", "productivity_ood", "systematicity_id", "systematicity_ood"]
+REUSE_CONFIG = {
+    "language": "turkish", "seed": 5, "input": "corpus.jsonl", "out_dir": "run",
+    "cache": "cache", "model_config": "model.json", "lexicon": "lexicon.txt",
+    "templates": "templates", "shots": 1, "demo_fraction": 0.25,
+}
+TEMPLATE = Path("templates/english/systematicity_id_standard.txt")
+
+
+def _edit_input_line(config):
+    lines = Path("corpus.jsonl").read_text("utf-8").splitlines(keepends=True)
+    row = json.loads(lines[0])
+    lines[0] = json.dumps(row | {"record_id": row["record_id"] + "x"}) + "\n"
+    Path("corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    return config
+
+
+def _lexicon_with_the_nonce_roots(config):
+    rows = map(json.loads, Path("run/productivity_ood/suite.jsonl").read_text("utf-8").splitlines())
+    with open("lexicon.txt", "a", encoding="utf-8") as f:
+        f.writelines(row["shown_root"] + "\n" for row in rows)
+    return config
+
+
+def _edit_template(config):
+    TEMPLATE.write_text(TEMPLATE.read_text("utf-8").replace("== item ==", "Note.\n== item =="),
+                        encoding="utf-8")
+    return config
+
+
+def _reverse_rows(config):  # the same size, other bytes
+    path = Path("run/productivity_id/suite.jsonl")
+    path.write_text("".join(reversed(path.read_text("utf-8").splitlines(keepends=True))),
+                    encoding="utf-8")
+    return config
+
+
+class TestReuse:
+    """A rerun of report reads back each cell's suite and prompts while the
+    reuse key and the stamps of the cell's files hold; any other rerun builds
+    the cell as a fresh out_dir would."""
+
+    @pytest.fixture(autouse=True)
+    def reuse_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        records = write_corpus(Path("corpus.jsonl"), per_stratum=8, strata=(1, 2, 3))
+        with open("corpus.jsonl", "a", encoding="utf-8") as f:  # a record that warns
+            f.write(json.dumps({"record_id": "same-forms", "language_id": "turkish", "root": "ev",
+                                "affixes": [{"form": "ler"}, {"form": "ler"}],
+                                "gold_surface": "evlerler"}) + "\n")
+        Path("lexicon.txt").write_text("".join(r.root + "\n" for r in records), encoding="utf-8")
+        shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
+        mock_config(Path("model.json"))
+
+    @staticmethod
+    def report(config, capsys, fresh_cache=False):
+        """report's exit code and stderr; a fresh cache leaves every record's
+        cached flag false."""
+        if fresh_cache:
+            shutil.rmtree("cache", ignore_errors=True)
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        code = run(["report", "--config", "config.json"])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def outputs(out_dir):
+        """The bytes of every file under out_dir but run.json."""
+        return {
+            path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(Path(out_dir).rglob("*"))
+            if path.is_file() and path.name != "run.json"
+        }
+
+    @staticmethod
+    def reused(out_dir="run"):
+        cells = json.loads(Path(out_dir, "run.json").read_text("utf-8"))["cells"]
+        return {cell: entry["reused"] for cell, entry in cells.items()}
+
+    def test_a_rerun_reads_back_every_cell(self, monkeypatch, capsys):
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, False)
+        stamps = {cell: cli._stamps(Path("run", cell)) for cell in CELLS}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reused cell built again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(suite, "build_suite", refuse)
+            patch.setattr(prompts, "render_suite", refuse)
+            code, reused_err = self.report(REUSE_CONFIG, capsys)
+        assert code == 0
+        assert self.reused() == dict.fromkeys(CELLS, True)
+        assert {cell: cli._stamps(Path("run", cell)) for cell in CELLS} == stamps
+        reused = self.outputs("run")
+        reused_run = json.loads(Path("run/run.json").read_text("utf-8"))
+
+        Path("run/run.json").unlink()
+        code, built_err = self.report(REUSE_CONFIG, capsys)
+        assert code == 0
+        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.outputs("run") == reused
+        assert "warning: " in built_err  # the reused cells print their build's warnings too
+        assert reused_err.splitlines() == [
+            line + " (reused suite and prompts)" if line.startswith("report: ") else line
+            for line in built_err.splitlines()
+        ]
+        built_run = json.loads(Path("run/run.json").read_text("utf-8"))
+        for cell in CELLS:  # the render manifest is rebuilt as render makes it
+            assert reused_run["cells"][cell]["render"] == built_run["cells"][cell]["render"]
+
+    def test_another_model_config_reuses_the_cells(self, capsys):
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        mock_config(Path("random.json"), endpoint="mock://random", seed=3)
+        assert self.report(REUSE_CONFIG | {"model_config": "random.json"}, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, True)
+
+    @pytest.mark.parametrize("change, rebuilt", [
+        (lambda config: config | {"seed": 6}, CELLS),
+        (lambda config: config | {"shots": 2}, CELLS),
+        (lambda config: config | {"strategy": "random"}, CELLS),
+        (lambda config: config | {"variant": "cot"}, CELLS),
+        (_edit_input_line, CELLS),
+        (_lexicon_with_the_nonce_roots, CELLS),
+        (_edit_template, CELLS),
+        (_reverse_rows, ["productivity_id"]),
+        (lambda config: Path("run/systematicity_ood/prompts.jsonl").unlink() or config,
+         ["systematicity_ood"]),
+        (lambda config: Path("run/productivity_ood/suite.jsonl.manifest.json").touch() or config,
+         ["productivity_ood"]),
+    ], ids=["seed", "shots", "strategy", "variant", "input line", "lexicon", "template",
+            "rewritten file", "deleted file", "touched file"])
+    def test_a_changed_input_builds_the_cell_as_a_fresh_out_dir(self, capsys, change, rebuilt):
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        first = self.outputs("run")
+        config = change(dict(REUSE_CONFIG))
+        assert self.report(config, capsys, fresh_cache=True)[0] == 0
+        assert self.reused() == {cell: cell not in rebuilt for cell in CELLS}
+        assert self.report(config | {"out_dir": "fresh"}, capsys, fresh_cache=True)[0] == 0
+        assert self.outputs("run") == self.outputs("fresh")
+        if change is _lexicon_with_the_nonce_roots:  # the change reaches the suite
+            assert self.outputs("run") != first
+
+    def test_another_program_builds_every_cell(self, monkeypatch, capsys):
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        monkeypatch.setattr(cli, "_program_digest", lambda: "another program")
+        assert self.report(REUSE_CONFIG, capsys, fresh_cache=True)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys, fresh_cache=True)[0] == 0
+        assert self.outputs("run") == self.outputs("fresh")
+
+    @pytest.mark.parametrize("fault", [
+        lambda text, run: "{not json",
+        lambda text, run: json.dumps([run]),
+        lambda text, run: json.dumps(run | {"cells": list(run["cells"].values())}),
+        lambda text, run: json.dumps(run | {"cells": dict.fromkeys(run["cells"], 1)}),
+        lambda text, run: json.dumps(run | {"cells": {
+            cell: entry | {"stamps": {n: s[:3] for n, s in entry["stamps"].items()}}
+            for cell, entry in run["cells"].items()}}),
+        lambda text, run: json.dumps(run | {"cells": {
+            cell: entry | {"stamps": {n: list(map(str, s)) for n, s in entry["stamps"].items()}}
+            for cell, entry in run["cells"].items()}}),
+        lambda text, run: json.dumps(run | {"cells": {
+            cell: entry | {"stamps": list(entry["stamps"].values())}
+            for cell, entry in run["cells"].items()}}),
+        lambda text, run: text.replace("{", '{"lone": "\\ud800", ', 1),
+    ], ids=["not JSON", "not an object", "cells a list", "cell not an object",
+            "stamps too short", "stamps strings", "stamps a list", "lone surrogate"])
+    def test_a_bad_run_json_builds_every_cell(self, capsys, fault):
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        first = self.outputs("run")
+        path = Path("run/run.json")
+        text = path.read_text("utf-8")
+        path.write_text(fault(text, json.loads(text)), encoding="utf-8")
+        code, err = self.report(REUSE_CONFIG, capsys, fresh_cache=True)
+        assert code == 0
+        assert "Traceback" not in err and "error" not in err
+        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.outputs("run") == first
+
+
 # One strategy per kind of JSON value, and the kinds each config field
 # annotation accepts. Numbers stay within every ModelConfig range but top_p's.
 JSON_VALUES = {
