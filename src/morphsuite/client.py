@@ -4,13 +4,16 @@ used to validate the harness end to end.
 
 Mock endpoints are selected with endpoint_url values of the form
 mock://echo-gold, mock://random, mock://majority; the last two are the
-paper's random and majority baselines.
+paper's random and majority baselines. A mock answers in process, from the
+prompt row and the model config's seed alone, and never reads or writes the
+response cache, which serves HTTP endpoints only.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import json
+import math
 import os
 import re
 import sys
@@ -55,14 +58,16 @@ class ModelConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if not self.temperature >= 0:  # NaN fails too
-            raise SchemaError("temperature must be >= 0")
+        if self.is_mock and self.endpoint_url not in MOCK_BACKENDS:
+            raise SchemaError(f"unknown mock backend {self.endpoint_url!r}")
+        if not 0 <= self.temperature < math.inf:  # NaN fails too
+            raise SchemaError("temperature must be >= 0 and finite")
         if not 0 < self.top_p <= 1:
             raise SchemaError("top_p must be in (0, 1]")
         if self.max_tokens < 1:
             raise SchemaError("max_tokens must be >= 1")
-        if not self.timeout > 0:
-            raise SchemaError("timeout must be > 0")
+        if not 0 < self.timeout < math.inf:
+            raise SchemaError("timeout must be > 0 and finite")
         if self.max_retries < 0:
             raise SchemaError("max_retries must be >= 0")
         if self.parallelism < 1:
@@ -421,31 +426,33 @@ def parse_systematicity(raw_text: str) -> str | None:
 # Mock backends
 # ---------------------------------------------------------------------------
 
-def mock_response(row: dict, cfg: ModelConfig) -> str:
-    """Deterministic stand-ins for a model, driven by the prompt row.
+def _mock_random(row: dict, cfg: ModelConfig) -> str:
+    """A fair coin per systematicity option, and a uniformly random
+    per-block ordering on productivity, drawn from (cfg.seed, prompt)."""
+    rng = make_rng(cfg.seed, row["prompt"])
+    if row["task"] == suite_mod.PRODUCTIVITY:
+        prefixes = list(row.get("prefix_forms", []))
+        suffixes = list(row.get("suffix_forms", []))
+        rng.shuffle(prefixes)
+        rng.shuffle(suffixes)
+        return derive.compose_forms(row["shown_root"], prefixes, suffixes)
+    return rng.choice(["Yes", "No"])
 
-    echo-gold answers the reference answer. majority is the always-no
-    baseline: "No" on systematicity and an empty answer (a parse failure) on
-    productivity. random flips a fair coin per systematicity option and
-    composes a uniformly random per-block ordering on productivity. Its
-    generator is derived from (cfg.seed, prompt), so repeated calls for the
-    same prompt agree with whatever the cache would have replayed.
-    """
-    kind = cfg.endpoint_url.removeprefix("mock://")
-    if kind == "echo-gold":
-        return row["gold_answer"]
-    if kind == "majority":
-        return "" if row["task"] == suite_mod.PRODUCTIVITY else "No"
-    if kind == "random":
-        rng = make_rng(cfg.seed, row["prompt"])
-        if row["task"] == suite_mod.PRODUCTIVITY:
-            prefixes = list(row.get("prefix_forms", []))
-            suffixes = list(row.get("suffix_forms", []))
-            rng.shuffle(prefixes)
-            rng.shuffle(suffixes)
-            return derive.compose_forms(row["shown_root"], prefixes, suffixes)
-        return rng.choice(["Yes", "No"])
-    raise SchemaError(f"unknown mock backend {cfg.endpoint_url!r}")
+
+# The mock backends by endpoint_url. echo-gold answers the reference answer;
+# majority is the always-no baseline: "No" on systematicity and an empty
+# answer (a parse failure) on productivity.
+MOCK_BACKENDS = {
+    "mock://echo-gold": lambda row, cfg: row["gold_answer"],
+    "mock://majority": lambda row, cfg: "" if row["task"] == suite_mod.PRODUCTIVITY else "No",
+    "mock://random": _mock_random,
+}
+
+
+def mock_response(row: dict, cfg: ModelConfig) -> str:
+    """The answer of cfg's mock backend (MOCK_BACKENDS) to a prompt row: a
+    deterministic stand-in for a model, driven by the row and cfg.seed."""
+    return MOCK_BACKENDS[cfg.endpoint_url](row, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +496,8 @@ def evaluate_rows(
 ) -> list[EvalRecord]:
     """Answer every prompt row and parse the responses.
 
-    HTTP requests go through _complete_all with cfg.parallelism workers;
+    A mock endpoint answers each row in process and leaves cache alone. HTTP
+    requests go through _complete_all with cfg.parallelism workers;
     records keep row order, whatever order the answers come in. A prompt
     that ends in TransportError or RateLimited does not stop the others:
     once all are answered, IncompleteEvaluation carries the records of the
@@ -497,19 +505,8 @@ def evaluate_rows(
     at once. sleep and clock are for tests, as in _complete_all.
     """
     rows = list(rows)
-
-    def mock(row):
-        text = mock_response(row, cfg)
-        if cache is None:
-            return Completion(text, False)
-        key = cache.key(cfg, row["prompt"])
-        cached = cache.get(key) is not None
-        if not cached:
-            cache.put(key, text)
-        return Completion(text, cached)
-
     if cfg.is_mock:
-        completions = [mock(row) for row in rows]
+        completions = [Completion(mock_response(row, cfg), cached=False) for row in rows]
     else:
         prompts = [row["prompt"] for row in rows]
         completions = _complete_all(prompts, cfg, cache, transport, sleep, clock)

@@ -275,6 +275,12 @@ class TestPipeline:
          "parallelism must be >= 1"),
         ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "temperature": NaN}',
          "temperature must be >= 0"),
+        ('{"endpoint_url": "mock://echo-gold", "model_name": "m", "temperature": Infinity}',
+         "temperature must be >= 0 and finite"),
+        ('{"endpoint_url": "http://127.0.0.1:9/v1", "model_name": "m", "timeout": Infinity}',
+         "timeout must be > 0 and finite"),
+        ('{"endpoint_url": "mock://bogus", "model_name": "m"}',
+         "unknown mock backend 'mock://bogus'"),
     ])
     def test_bad_model_config_exits_1_with_one_line(self, workdir, capsys, config, named):
         write_jsonl("prompts.jsonl", [])
@@ -325,6 +331,8 @@ class TestPipeline:
         ({"language": "finnish"}, "no finnish records in "),
         ({"language": "finnish", "strategy": "lang_specific_tr"},
          "strategy lang_specific_tr only applies to turkish"),
+        ({"model_config": {"endpoint_url": "mock://bogus", "model_name": "m"}},
+         "unknown mock backend 'mock://bogus'"),
     ])
     def test_bad_report_config_exits_1_with_one_line(self, workdir, capsys, change, named):
         mock_config(Path("model.json"))
@@ -678,11 +686,8 @@ class TestReuse:
         mock_config(Path("model.json"))
 
     @staticmethod
-    def report(config, capsys, fresh_cache=False):
-        """report's exit code and stderr; a fresh cache leaves every record's
-        cached flag false."""
-        if fresh_cache:
-            shutil.rmtree("cache", ignore_errors=True)
+    def report(config, capsys):
+        """report's exit code and stderr."""
         Path("config.json").write_text(json.dumps(config), encoding="utf-8")
         capsys.readouterr()
         code = run(["report", "--config", "config.json"])
@@ -734,6 +739,22 @@ class TestReuse:
         for cell in CELLS:  # the render manifest is rebuilt as render makes it
             assert reused_run["cells"][cell]["render"] == built_run["cells"][cell]["render"]
 
+    def test_a_mock_rerun_rewrites_only_run_json(self, capsys):
+        """A mock answers without the cache, so a rerun writes the same
+        records and leaves every file but run.json as it was."""
+        def stats():
+            return {path: [(s := path.stat()).st_ino, s.st_mtime_ns, s.st_ctime_ns]
+                    for path in Path("run").rglob("*") if path.is_file()}
+
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        first = self.outputs("run")
+        before = stats()
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.outputs("run") == first
+        changed = [path.as_posix() for path, stat in stats().items() if before.get(path) != stat]
+        assert changed == ["run/run.json"]
+        assert not Path("cache/responses.jsonl").exists()
+
     def test_another_model_config_reuses_the_cells(self, capsys):
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         mock_config(Path("random.json"), endpoint="mock://random", seed=3)
@@ -759,9 +780,9 @@ class TestReuse:
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         config = change(dict(REUSE_CONFIG))
-        assert self.report(config, capsys, fresh_cache=True)[0] == 0
+        assert self.report(config, capsys)[0] == 0
         assert self.reused() == {cell: cell not in rebuilt for cell in CELLS}
-        assert self.report(config | {"out_dir": "fresh"}, capsys, fresh_cache=True)[0] == 0
+        assert self.report(config | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
         if change is _lexicon_with_the_nonce_roots:  # the change reaches the suite
             assert self.outputs("run") != first
@@ -769,9 +790,9 @@ class TestReuse:
     def test_another_program_builds_every_cell(self, monkeypatch, capsys):
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         monkeypatch.setattr(cli, "_program_digest", lambda: "another program")
-        assert self.report(REUSE_CONFIG, capsys, fresh_cache=True)[0] == 0
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
         assert self.reused() == dict.fromkeys(CELLS, False)
-        assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys, fresh_cache=True)[0] == 0
+        assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
 
     @pytest.mark.parametrize("fault", [
@@ -797,7 +818,7 @@ class TestReuse:
         path = Path("run/run.json")
         text = path.read_text("utf-8")
         path.write_text(fault(text, json.loads(text)), encoding="utf-8")
-        code, err = self.report(REUSE_CONFIG, capsys, fresh_cache=True)
+        code, err = self.report(REUSE_CONFIG, capsys)
         assert code == 0
         assert "Traceback" not in err and "error" not in err
         assert self.reused() == dict.fromkeys(CELLS, False)

@@ -719,6 +719,8 @@ class TestModelConfig:
             cfg(temperature=-1)
         with pytest.raises(SchemaError):
             cfg(top_p=0)
+        with pytest.raises(SchemaError, match="unknown mock backend 'mock://bogus'"):
+            cfg(endpoint_url="mock://bogus")
 
 
 class TestParsing:
@@ -801,14 +803,20 @@ class TestBaselinesAndMocks:
         b = client.evaluate_rows(rows, c)
         assert [r.raw_response for r in a] == [r.raw_response for r in b]
 
-    def test_mock_caching_flags(self, small_run, tmp_path):
+    def test_a_mock_answers_in_process_and_leaves_the_cache_alone(self, small_run, tmp_path):
         _, rows = small_run
-        c = cfg(endpoint_url="mock://echo-gold")
-        cache = ResponseCache(tmp_path)
-        first = client.evaluate_rows(rows, c, cache)
-        assert not any(r.cached for r in first)
-        second = client.evaluate_rows(rows, c, cache)
-        assert all(r.cached for r in second)
+        c = cfg(endpoint_url="mock://random", seed=3)
+        with ResponseCache(tmp_path) as cache:  # a cached answer the mock must not replay
+            cache.put(cache.key(c, rows[0]["prompt"]), "not the mock's answer")
+        log = (tmp_path / "responses.jsonl").read_bytes()
+        runs = []
+        for _ in range(2):
+            with ResponseCache(tmp_path) as cache:
+                runs.append(client.evaluate_rows(rows, c, cache))
+        assert (tmp_path / "responses.jsonl").read_bytes() == log
+        assert runs[0] == runs[1] == client.evaluate_rows(rows, c)
+        assert not any(r.cached for r in runs[0])
+        assert [r.raw_response for r in runs[0]] == [client.mock_response(row, c) for row in rows]
 
     def test_parse_failures_are_kept(self, small_run):
         _, rows = small_run
@@ -929,9 +937,11 @@ def statuses(first, rest):
 
 
 @pytest.mark.parametrize("command, first, rest, want", [
-    ("evaluate", None, None, 0),  # the mock endpoint
+    ("evaluate", 200, 200, 0),
     ("evaluate", 200, 401, 2),  # AuthError stops the run
     ("report", 503, 200, 2),  # the cell has a failed prompt
+    ("evaluate", None, None, 0),  # the mock endpoint, which opens no log
+    ("report", None, None, 0),
 ])
 def test_commands_hold_the_log_and_close_it(prompts_dir, monkeypatch, log_opens, capsys,
                                             command, first, rest, want):
@@ -960,5 +970,5 @@ def test_commands_hold_the_log_and_close_it(prompts_dir, monkeypatch, log_opens,
         code = cli.main(argv)
         gc.collect()
     assert (code, unraisable) == (want, [])
-    assert log_opens == ["responses.jsonl"]
+    assert log_opens == ([] if first is None else ["responses.jsonl"])
     assert ("transport error" in capsys.readouterr().err) == (want == 2)
