@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import fcntl
 import json
 import os
 import sys
 import unicodedata
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cache
 from importlib import resources
@@ -26,6 +27,7 @@ from morphsuite.errors import (
     IncompleteEvaluation,
     LengthMismatch,
     MorphSuiteError,
+    OutDirLocked,
     RateLimited,
     SchemaError,
     TransportError,
@@ -58,18 +60,19 @@ def resolve_input(path: str) -> Path:
     return Path(path)
 
 
-def _ingest_or_die(path) -> list:
+def _ingest_or_die(path, note=_eprint) -> list:
     result = suite.ingest(path)
     for issue in result.issues:
-        _eprint(f"reject line {issue.lineno} ({issue.record_id}): {issue.error}: {issue.message}")
+        note(f"reject line {issue.lineno} ({issue.record_id}): {issue.error}: {issue.message}")
     if not result.records:
         raise SchemaError(f"no valid records in {path}")
     return result.records
 
 
-def _add_nonces(records, profile, lexicon, seed) -> tuple[list, list[str]]:
+def _add_nonces(records, profile, lexicon, seed, note=_eprint) -> tuple[list, list[str]]:
     """Give each record its seeded nonce root. Returns the records that got
-    one and the ids of those skipped, both in record order."""
+    one and the ids of those skipped, both in record order; note prints a
+    line per skipped record."""
     kept = []
     skipped = []
     for record in records:
@@ -79,7 +82,7 @@ def _add_nonces(records, profile, lexicon, seed) -> tuple[list, list[str]]:
             )
         except MorphSuiteError as exc:
             skipped.append(record.record_id)
-            _eprint(f"skip {record.record_id}: {type(exc).__name__}: {exc}")
+            note(f"skip {record.record_id}: {type(exc).__name__}: {exc}")
             continue
         record.nonce_root = mapping.nonce_root
         kept.append(record)
@@ -222,18 +225,18 @@ def _write_manifest(out, manifest, **inputs) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _language_records(path: str, language: str) -> tuple[Path, list]:
-    """The resolved input path and its valid records of language; a file
-    without one raises SchemaError."""
-    in_path = resolve_input(path)
-    records = [r for r in _ingest_or_die(in_path) if r.language_id == language]
+def _language_records(in_path, language: str, note=_eprint) -> list:
+    """The valid records of language in in_path; a file without one raises
+    SchemaError. note prints the line of each rejected record."""
+    records = [r for r in _ingest_or_die(in_path, note) if r.language_id == language]
     if not records:
         raise SchemaError(f"no {language} records in {in_path}")
-    return in_path, records
+    return records
 
 
 def cmd_gen_nonce(args) -> int:
-    in_path, records = _language_records(args.input, args.lang)
+    in_path = resolve_input(args.input)
+    records = _language_records(in_path, args.lang)
     profile = profiles.load_profile(args.lang)
     lexicon = nonce.load_lexicon(args.lexicon, profile) if args.lexicon else None
 
@@ -360,9 +363,13 @@ def cmd_kappa(args) -> int:
     return 0
 
 
-# The files of a report cell that a rerun with the same reuse key reads back
-# instead of building them again, while they keep the stamps run.json records.
-_CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl")
+# The files of a report cell, in the order a cell writes them, each stamped in
+# run.json. A rerun keeps the first _SUITE_FILES (the suite and its prompts)
+# when the reuse key holds but for the model, and all of them when the whole
+# key holds too and the endpoint is a mock, whose records depend on nothing else.
+_CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl",
+               "records.jsonl", "report.json", "report.csv", "report.txt")
+_SUITE_FILES = 3
 
 
 @cache
@@ -379,39 +386,90 @@ def _program_digest() -> str:
     return digest.hexdigest()
 
 
-def _stamps(cell_dir) -> dict | None:
-    """[st_ino, st_size, st_mtime_ns, st_ctime_ns] of each of a cell's
-    _CELL_FILES, the way a .pyc records its source (PEP 552): a rewrite, a
-    touch or a cp -p changes one. None when a file is missing."""
+def _digest(obj) -> str:
+    return hashlib.sha256(dumps(obj).encode()).hexdigest()
+
+
+def _readable_digest(path) -> str | None:
+    """The file's digest, or None when it does not read. A lexicon that no
+    nonce draw reads need not exist; one that a draw reads fails in the
+    ingest, which a key holding None never skips, since a run that fails
+    there writes no run.json."""
     try:
-        stats = {name: os.stat(Path(cell_dir, name)) for name in _CELL_FILES}
+        return suite.file_digest(path)
     except OSError:
         return None
-    return {
-        name: [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns] for name, s in stats.items()
-    }
 
 
-def _previous_cells(path, key) -> dict:
-    """The cells of the run.json at path if it was written with reuse key,
-    else {}: a missing, unreadable or malformed one reuses nothing."""
+def _stamps(cell_dir) -> dict:
+    """[st_ino, st_size, st_mtime_ns, st_ctime_ns] of each of a cell's
+    _CELL_FILES, the way a .pyc records its source (PEP 552): a rewrite, a
+    touch or a cp -p changes one. None for a missing file."""
+    stamps = dict.fromkeys(_CELL_FILES)
+    for name in _CELL_FILES:
+        try:
+            s = os.stat(Path(cell_dir, name))
+        except OSError:
+            continue
+        stamps[name] = [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
+    return stamps
+
+
+def _previous_run(path, key) -> tuple[dict, str | None]:
+    """The run.json at path and why its cells cannot be kept whole: the first
+    part of key, a dict of digests ending in "model", that it does not hold,
+    or None. It comes back as {} when it is missing, unreadable or malformed,
+    or holds another key but for the model."""
     try:
         previous = read_json(path)
+    except FileNotFoundError:
+        return {}, "no run.json"
     except (MorphSuiteError, OSError):
-        return {}
-    if not isinstance(previous, dict) or previous.get("reuse_key") != key:
-        return {}
-    cells = previous.get("cells")
-    return cells if isinstance(cells, dict) else {}
+        return {}, "malformed run.json"
+    if not isinstance(previous, dict):
+        return {}, "malformed run.json"
+    stored = previous.get("reuse_key")  # a digest string before the key had parts
+    stored = stored if isinstance(stored, dict) else {}
+    changed = next((part for part, digest in key.items() if stored.get(part) != digest), None)
+    if changed not in (None, "model"):
+        return {}, f"{changed} changed"
+    shapes = {"cells": dict, "summary": dict, "skipped_records": list, "notes": list}
+    if not all(isinstance(previous.get(name), kind) for name, kind in shapes.items()):
+        return {}, "malformed run.json"
+    return previous, changed and "model changed"
 
 
-def _reuse(cell_dir, previous):
-    """(instances, suite manifest, prompt rows) read back from cell_dir when
-    previous, the cell's entry in a run.json with this run's reuse key,
-    holds the current stamps of its files; else None."""
+def _reuse(cell_dir, previous, reason, mock) -> tuple[int, str | None]:
+    """How many of _CELL_FILES the cell keeps (0, _SUITE_FILES or all), and
+    why it keeps no more (None when it keeps all). previous and reason are
+    what _previous_run gave. The cell's entry in previous must hold the
+    stamps of the files it keeps; all of them are kept only when reason is
+    None and the endpoint is a mock."""
+    if not previous:
+        return 0, reason
+    entry = previous["cells"].get(cell_dir.name)
+    if not (isinstance(entry, dict) and isinstance(entry.get("warnings"), list)
+            and isinstance(previous["summary"].get(cell_dir.name), dict)
+            and all(isinstance(entry.get(k), dict) for k in ("render", "evaluate", "stamps"))):
+        return 0, "malformed run.json"
     stamps = _stamps(cell_dir)
-    if stamps is None or not isinstance(previous, dict) or previous.get("stamps") != stamps:
-        return None
+    kept = next((i for i, name in enumerate(_CELL_FILES)
+                 if stamps[name] is None or entry["stamps"].get(name) != stamps[name]),
+                len(_CELL_FILES))
+    if kept < _SUITE_FILES:
+        return 0, f"{_CELL_FILES[kept]} changed"
+    if reason is not None:  # the model changed
+        return _SUITE_FILES, reason
+    if not mock:  # an HTTP answer comes from a cache that may have changed
+        return _SUITE_FILES, "HTTP endpoint"
+    if kept < len(_CELL_FILES):
+        return _SUITE_FILES, f"{_CELL_FILES[kept]} changed"
+    return kept, None
+
+
+def _read_back(cell_dir):
+    """(instances, suite manifest, prompt rows) read back from cell_dir, or
+    None when a file does not read."""
     try:
         return (
             suite.read_suite(cell_dir / "suite.jsonl"),
@@ -422,10 +480,47 @@ def _reuse(cell_dir, previous):
         return None
 
 
+@contextmanager
+def _locked(out_dir):
+    """Hold an exclusive flock on <out_dir>/.lock, so that one report writes
+    an out_dir at a time; the kernel drops it with the process."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / ".lock"
+    with open(path, "ab") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OutDirLocked(
+                f"{path} is held by another report run; give each concurrent run its own out_dir"
+            ) from None
+        yield
+
+
+def _report_records(cfg, in_path) -> tuple[list, list[str], list[str]]:
+    """The records of cfg.language in in_path, each with a nonce root when an
+    ood cell needs one; the ids of those skipped for lack of one; and the
+    lines printed on rejected and skipped records."""
+    notes = []
+
+    def note(line):
+        notes.append(line)
+        _eprint(line)
+
+    records = _language_records(in_path, cfg.language, note)
+    missing = [r for r in records if not r.nonce_root]  # a supplied root is kept
+    if suite.OUT_DIST not in cfg.distributions or not missing:
+        return records, [], notes
+    profile = profiles.load_profile(cfg.language)
+    lexicon = nonce.load_lexicon(cfg.lexicon, profile) if cfg.lexicon else None
+    _, skipped = _add_nonces(missing, profile, lexicon, cfg.seed, note)
+    return [r for r in records if r.nonce_root], skipped, notes
+
+
 def cmd_report(args) -> int:
-    """Each cell builds its suite and renders its prompts, or reuses them
-    (_reuse) when the run's reuse key, a digest of the program and of every
-    input its suites and prompts depend on, matches the previous run.json."""
+    """Each cell builds its suite, renders its prompts, evaluates and scores,
+    or keeps the files that the previous run.json in out_dir vouches for
+    (_reuse). The reuse key digests the program and every input the cells
+    depend on. When every cell is kept whole, no input record is read."""
     raw = read_json(args.config)
     cfg = read_config(ReportConfig, raw, args.config, "report config")
     if isinstance(cfg.model_config, str):
@@ -436,79 +531,93 @@ def cmd_report(args) -> int:
         )
 
     out_dir = Path(cfg.out_dir)
-    in_path, records = _language_records(cfg.input, cfg.language)
-
-    skipped, lexicon_digest = [], None
-    missing = [r for r in records if not r.nonce_root]  # a supplied root is kept
-    if suite.OUT_DIST in cfg.distributions and missing:
-        profile = profiles.load_profile(cfg.language)
-        lexicon = None
-        if cfg.lexicon:
-            lexicon = nonce.load_lexicon(cfg.lexicon, profile)
-            lexicon_digest = suite.file_digest(cfg.lexicon)
-        _, skipped = _add_nonces(missing, profile, lexicon, cfg.seed)
-        records = [r for r in records if r.nonce_root]
-
+    in_path = resolve_input(cfg.input)
+    cells = [(task, dist) for task in cfg.tasks for dist in cfg.distributions]
     catalog = prompts.load_templates(cfg.templates)
     templates = [  # each cell's template, read and checked before any cell writes
         field_values(catalog.get(cfg.instruction_language, task, dist, cfg.variant))
-        for task in cfg.tasks
-        for dist in cfg.distributions
+        for task, dist in cells
     ]
-
-    input_digest = suite.file_digest(in_path)
-    options = {k: v for k, v in field_values(cfg).items()
-               if k not in ("model_config", "out_dir", "cache")}
-    key = hashlib.sha256(dumps(
-        [_program_digest(), options, input_digest, lexicon_digest, templates]
-    ).encode()).hexdigest()
-    previous = _previous_cells(out_dir / "run.json", key)
-
-    negative_cache: dict = {}  # shared by this run's cells, freed with it
-
-    def run_cell(task, dist, cache):
-        """The summary and run.json entry of one cell; its instances, rows
-        and answers go when it returns."""
-        cell_dir = out_dir / f"{task}_{dist}"
-        suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
-        reused = _reuse(cell_dir, previous.get(cell_dir.name))
-        if reused is None:
-            instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
-            write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
-            rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
-        else:
-            instances, manifest, rows = reused
-            _print_warnings(manifest)
-            rendered = _render_manifest(suite_path, cfg, rows)
-        answers, evaluated = _evaluate(rows, prompts_path, model, cache, cell_dir / "records.jsonl")
-        report = metrics.stratify_report(answers, instances, manifest)
-        _write_report(cell_dir, report)
-        _eprint(f"report: {task}/{dist} -> {cell_dir}"
-                + (" (reused suite and prompts)" if reused else ""))
-        scores = {m: metrics.round1(v) for m, v in report.overall.items()}
-        return scores, {"render": rendered, "evaluate": evaluated,
-                         "reused": reused is not None, "stamps": _stamps(cell_dir)}
-
-    summary, cells = {}, {}
-    with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
-        for task in cfg.tasks:
-            for dist in cfg.distributions:
-                cell = f"{task}_{dist}"
-                summary[cell], cells[cell] = run_cell(task, dist, cache)
-
-    run_manifest = {
-        "command": "report",
-        "version": __version__,
-        "config": raw,
-        "input_digest": input_digest,
-        "reuse_key": key,
-        "skipped_records": skipped,
-        "cells": cells,
-        "summary": summary,
+    key = {  # in the order a rebuild names the first part that changed
+        "program": _program_digest(),
+        "options": _digest({k: v for k, v in field_values(cfg).items()
+                            if k not in ("model_config", "cache")}),
+        "input": suite.file_digest(in_path),
+        "lexicon": (_readable_digest(cfg.lexicon)
+                    if cfg.lexicon and suite.OUT_DIST in cfg.distributions else None),
+        "templates": _digest(templates),
+        # the model fields a mock record or an evaluate manifest depends on
+        "model": _digest([{k: getattr(model, k) for k in _MODEL_KEYS}, model.seed]),
     }
-    write_json(out_dir / "run.json", run_manifest)
-    print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
-    return 2 if any("failed_prompts" in c["evaluate"] for c in cells.values()) else 0
+
+    with ExitStack() as stack:
+        locked = out_dir.is_dir()
+        if locked:  # what an earlier run left is read under the lock
+            stack.enter_context(_locked(out_dir))
+        previous, reason = _previous_run(out_dir / "run.json", key)
+        plans = [_reuse(out_dir / f"{task}_{dist}", previous, reason, model.is_mock)
+                 for task, dist in cells]
+        if all(kept == len(_CELL_FILES) for kept, _ in plans):
+            records, skipped, notes = None, previous["skipped_records"], previous["notes"]
+            for line in notes:
+                _eprint(line)
+        else:
+            records, skipped, notes = _report_records(cfg, in_path)
+        if not locked:  # made only now, so that a bad input leaves no out_dir
+            stack.enter_context(_locked(out_dir))
+
+        negative_cache: dict = {}  # shared by this run's cells, freed with it
+
+        def run_cell(task, dist, kept, why, cache):
+            """The summary and run.json entry of one cell; its instances, rows
+            and answers go when it returns."""
+            cell_dir = out_dir / f"{task}_{dist}"
+            if kept == len(_CELL_FILES):
+                entry = previous["cells"][cell_dir.name]
+                _print_warnings(entry)
+                _eprint(f"report: {task}/{dist} -> {cell_dir} (reused cell)")
+                scores = previous["summary"][cell_dir.name]
+                return scores, entry | {"reused": "cell", "reason": None}
+            suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
+            reused = _read_back(cell_dir) if kept else None
+            if reused is None:
+                why = "unreadable suite or prompts" if kept else why
+                instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
+                write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
+                rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
+            else:
+                instances, manifest, rows = reused
+                _print_warnings(manifest)
+                rendered = _render_manifest(suite_path, cfg, rows)
+            answers, evaluated = _evaluate(rows, prompts_path, model, cache, cell_dir / "records.jsonl")
+            report = metrics.stratify_report(answers, instances, manifest)
+            _write_report(cell_dir, report)
+            what = "built" if reused is None else "reused suite and prompts"
+            _eprint(f"report: {task}/{dist} -> {cell_dir} ({what}: {why})")
+            scores = {m: metrics.round1(v) for m, v in report.overall.items()}
+            return scores, {"warnings": manifest["warnings"], "render": rendered,
+                            "evaluate": evaluated, "stamps": _stamps(cell_dir),
+                            "reused": reused is not None and "suite and prompts", "reason": why}
+
+        summary, entries = {}, {}
+        with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
+            for (task, dist), (kept, why) in zip(cells, plans):
+                cell = f"{task}_{dist}"
+                summary[cell], entries[cell] = run_cell(task, dist, kept, why, cache)
+
+        write_json(out_dir / "run.json", {
+            "command": "report",
+            "version": __version__,
+            "config": raw,
+            "input_digest": key["input"],
+            "reuse_key": key,
+            "skipped_records": skipped,
+            "notes": notes,
+            "cells": entries,
+            "summary": summary,
+        })
+        print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
+    return 2 if any("failed_prompts" in c["evaluate"] for c in entries.values()) else 0
 
 
 # ---------------------------------------------------------------------------

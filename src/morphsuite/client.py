@@ -100,10 +100,11 @@ class Completion:
 
 class ResponseCache:
     """Append-only log of {"key": ..., "response": ...} JSON lines in
-    <directory>/responses.jsonl, read once on open; a repeated key keeps its
-    last response. get and put take the digest that key() computes from
-    (endpoint, model, temperature, top_p, max_tokens, prompt), so any
-    parameter change misses.
+    <directory>/responses.jsonl, read at the first get or put (so a run that
+    asks nothing of the cache neither creates the directory nor reads the
+    log); a repeated key keeps its last response. get and put take the
+    digest that key() computes from (endpoint, model, temperature, top_p,
+    max_tokens, prompt), so any parameter change misses.
 
     Each put appends its line with one write(2) to the log opened with
     O_APPEND. Used as a context manager, the cache opens the log at the
@@ -113,39 +114,54 @@ class ResponseCache:
 
     def __init__(self, directory):
         self.path = Path(directory) / "responses.jsonl"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = self.path.read_bytes() if self.path.exists() else b""
-        # a run killed mid-append leaves a torn last line: end it before appending
-        self._separator = b"\n" if data and not data.endswith(b"\n") else b""
         self._lock = threading.Lock()
         self._hold = False  # inside a with block
         self._log = None  # the held log, from the first put in the block
-        self._responses = {}
-        skipped = 0
-        for line in filter(None, data.split(b"\n")):
-            try:
-                entry = json.loads(line)
-                key, response = entry["key"], entry["response"]
-            except (ValueError, KeyError, TypeError):
-                key = response = None
-            # a response with a lone surrogate could not be written to a records file
-            if (isinstance(key, str) and isinstance(response, str)
-                    and not LONE_SURROGATE.search(response)):
-                self._responses[key] = response
-            else:
-                skipped += 1
-        if skipped:
-            print(f"warning: {self.path}: {skipped} unreadable cache lines skipped", file=sys.stderr)
+        self._responses = None  # read from the log by the first get or put
+        self._separator = b""
+
+    def _entries(self) -> dict:
+        """The responses of the log, read at the first call under _lock:
+        _complete_all calls get and put from worker threads."""
+        if self._responses is not None:
+            return self._responses
+        with self._lock:
+            if self._responses is not None:
+                return self._responses
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            data = self.path.read_bytes() if self.path.exists() else b""
+            # a run killed mid-append leaves a torn last line: end it before appending
+            self._separator = b"\n" if data and not data.endswith(b"\n") else b""
+            responses = {}
+            skipped = 0
+            for line in filter(None, data.split(b"\n")):
+                try:
+                    entry = json.loads(line)
+                    key, response = entry["key"], entry["response"]
+                except (ValueError, KeyError, TypeError):
+                    key = response = None
+                # a response with a lone surrogate could not be written to a records file
+                if (isinstance(key, str) and isinstance(response, str)
+                        and not LONE_SURROGATE.search(response)):
+                    responses[key] = response
+                else:
+                    skipped += 1
+            if skipped:
+                print(f"warning: {self.path}: {skipped} unreadable cache lines skipped",
+                      file=sys.stderr)
+            self._responses = responses
+            return responses
 
     def key(self, cfg: ModelConfig, prompt: str) -> str:
         material = dumps(cfg.cache_key_material(prompt))
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> str | None:
-        return self._responses.get(key)
+        return self._entries().get(key)
 
     def put(self, key: str, response: str) -> None:
         entry = json.dumps({"key": key, "response": response}).encode("ascii") + b"\n"
+        responses = self._entries()
         with self._lock:  # _complete_all puts from worker threads
             line = self._separator + entry
             log = self._log or open(self.path, "ab", buffering=0)  # one write(2) with O_APPEND
@@ -156,7 +172,7 @@ class ResponseCache:
                     self._log = log
                 else:
                     log.close()
-            self._responses[key] = response
+            responses[key] = response
 
     def close(self) -> None:
         """Close the held log, if any; a later put opens the log for its own line."""

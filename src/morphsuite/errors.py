@@ -106,5 +106,9 @@ class DuplicateRecord(MorphSuiteError):
     record's (instance_id, option_index)."""
 
 
+class OutDirLocked(MorphSuiteError):
+    """Another report run holds the lock of the output directory."""
+
+
 class UsageError(MorphSuiteError):
     """Invalid command-line usage."""

@@ -1,4 +1,5 @@
 import argparse
+import fcntl
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from factory import synth_turkish_records
-from morphsuite import cli, client, derive, prompts, suite
+from morphsuite import cli, client, derive, jsonl, metrics, nonce, prompts, suite
 from morphsuite.errors import SchemaError
 from morphsuite.jsonl import read_config, write_jsonl
 from morphsuite.suite import record_to_row
@@ -668,19 +669,42 @@ def _reverse_rows(config):  # the same size, other bytes
     return config
 
 
+def _touch(name, cell):
+    def change(config):
+        Path("run", cell, name).touch()
+        return config
+    return change
+
+
+def _edit_report_json(config):
+    path = Path("run/systematicity_id/report.json")
+    path.write_text(path.read_text("utf-8").replace("100.0", "99.0", 1), encoding="utf-8")
+    return config
+
+
+def _answer_yes(url, payload, headers, timeout):
+    return 200, {"choices": [{"message": {"content": "Yes"}}]}, None
+
+
 class TestReuse:
-    """A rerun of report reads back each cell's suite and prompts while the
-    reuse key and the stamps of the cell's files hold; any other rerun builds
-    the cell as a fresh out_dir would."""
+    """A rerun of report keeps each cell whole while the reuse key, the mock
+    endpoint and the stamps of the cell's files hold, and keeps its suite and
+    prompts while only the model or the records and report files changed;
+    any other rerun builds the cell as a fresh out_dir would."""
 
     @pytest.fixture(autouse=True)
     def reuse_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         records = write_corpus(Path("corpus.jsonl"), per_stratum=8, strata=(1, 2, 3))
-        with open("corpus.jsonl", "a", encoding="utf-8") as f:  # a record that warns
+        with open("corpus.jsonl", "a", encoding="utf-8") as f:
             f.write(json.dumps({"record_id": "same-forms", "language_id": "turkish", "root": "ev",
                                 "affixes": [{"form": "ler"}, {"form": "ler"}],
-                                "gold_surface": "evlerler"}) + "\n")
+                                "gold_surface": "evlerler"}) + "\n")  # warns in the build
+            f.write(json.dumps({"record_id": "no-vowel", "language_id": "turkish", "root": "krt",
+                                "affixes": [{"form": "lar"}, {"form": "da"}],
+                                "gold_surface": "krtlarda"}) + "\n")  # gets no nonce root
+            f.write(json.dumps({"record_id": "bad-gold", "language_id": "turkish", "root": "ev",
+                                "affixes": [{"form": "ler"}], "gold_surface": "evler!"}) + "\n")
         Path("lexicon.txt").write_text("".join(r.root + "\n" for r in records), encoding="utf-8")
         shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
         mock_config(Path("model.json"))
@@ -703,13 +727,25 @@ class TestReuse:
         }
 
     @staticmethod
-    def reused(out_dir="run"):
-        cells = json.loads(Path(out_dir, "run.json").read_text("utf-8"))["cells"]
-        return {cell: entry["reused"] for cell, entry in cells.items()}
+    def stats(out_dir="run"):
+        """The inode, mtime and ctime of every file under out_dir."""
+        return {path.as_posix(): [(s := path.stat()).st_ino, s.st_mtime_ns, s.st_ctime_ns]
+                for path in sorted(Path(out_dir).rglob("*")) if path.is_file()}
+
+    @staticmethod
+    def cells(out_dir="run"):
+        return json.loads(Path(out_dir, "run.json").read_text("utf-8"))["cells"]
+
+    def reused(self, out_dir="run"):
+        return {cell: entry["reused"] for cell, entry in self.cells(out_dir).items()}
+
+    def reasons(self, out_dir="run"):
+        return {cell: entry["reason"] for cell, entry in self.cells(out_dir).items()}
 
     def test_a_rerun_reads_back_every_cell(self, monkeypatch, capsys):
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.reasons() == dict.fromkeys(CELLS, "no run.json")
         stamps = {cell: cli._stamps(Path("run", cell)) for cell in CELLS}
 
         def refuse(*args, **kwargs):
@@ -720,7 +756,8 @@ class TestReuse:
             patch.setattr(prompts, "render_suite", refuse)
             code, reused_err = self.report(REUSE_CONFIG, capsys)
         assert code == 0
-        assert self.reused() == dict.fromkeys(CELLS, True)
+        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        assert self.reasons() == dict.fromkeys(CELLS, None)
         assert {cell: cli._stamps(Path("run", cell)) for cell in CELLS} == stamps
         reused = self.outputs("run")
         reused_run = json.loads(Path("run/run.json").read_text("utf-8"))
@@ -730,58 +767,191 @@ class TestReuse:
         assert code == 0
         assert self.reused() == dict.fromkeys(CELLS, False)
         assert self.outputs("run") == reused
-        assert "warning: " in built_err  # the reused cells print their build's warnings too
-        assert reused_err.splitlines() == [
-            line + " (reused suite and prompts)" if line.startswith("report: ") else line
-            for line in built_err.splitlines()
-        ]
+        for line in ("warning: ", "reject line ", "skip no-vowel: "):  # printed by both runs
+            assert line in built_err
+        assert reused_err.splitlines() == [line.replace(" (built: no run.json)", " (reused cell)")
+                                           for line in built_err.splitlines()]
         built_run = json.loads(Path("run/run.json").read_text("utf-8"))
-        for cell in CELLS:  # the render manifest is rebuilt as render makes it
-            assert reused_run["cells"][cell]["render"] == built_run["cells"][cell]["render"]
+        for key in ("skipped_records", "notes", "summary"):
+            assert reused_run[key] == built_run[key]
+        for cell in CELLS:  # a kept cell's entry is the one its build wrote
+            kept, built = reused_run["cells"][cell], built_run["cells"][cell]
+            for entry in (kept, built):
+                del entry["reused"], entry["reason"]
+            assert kept == built
+
+    def test_a_whole_rerun_reads_and_writes_nothing(self, monkeypatch, capsys):
+        """Every cell kept whole: no ingest, nonce, evaluate or score, no
+        suite or prompt read, the same summary and stderr lines, and every
+        file left as it was, run.json too once its bytes repeat."""
+        Path("config.json").write_text(json.dumps(REUSE_CONFIG), encoding="utf-8")
+        runs = []
+        for patched in (False, False, True):  # cold, a rerun that flips reused, then again
+            with monkeypatch.context() as patch:
+                if patched:
+                    for module, name in ((suite, "ingest"), (nonce, "make_nonce"),
+                                         (client, "evaluate_rows"), (metrics, "stratify_report"),
+                                         (suite, "read_suite"), (jsonl, "read_objects"),
+                                         (cli, "read_objects")):
+                        patch.setattr(module, name, self.refuse)
+                before = self.stats()
+                assert run(["report", "--config", "config.json"]) == 0
+            runs.append(capsys.readouterr())
+        assert self.stats() == before
+        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        cold, _, patched = runs
+        assert patched.out == cold.out and patched.out.startswith("{")
+        assert patched.err.splitlines() == [line.replace(" (built: no run.json)", " (reused cell)")
+                                            for line in cold.err.splitlines()]
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run that keeps every cell whole did work it could skip")
 
     def test_a_mock_rerun_rewrites_only_run_json(self, capsys):
         """A mock answers without the cache, so a rerun writes the same
-        records and leaves every file but run.json as it was."""
-        def stats():
-            return {path: [(s := path.stat()).st_ino, s.st_mtime_ns, s.st_ctime_ns]
-                    for path in Path("run").rglob("*") if path.is_file()}
-
+        records and leaves every file but run.json as it was, and the cache
+        directory is never made."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
-        before = stats()
+        before = self.stats()
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         assert self.outputs("run") == first
-        changed = [path.as_posix() for path, stat in stats().items() if before.get(path) != stat]
+        changed = [path for path, stat in self.stats().items() if before.get(path) != stat]
         assert changed == ["run/run.json"]
-        assert not Path("cache/responses.jsonl").exists()
+        assert not Path("cache").exists()
+
+    def test_a_mock_report_never_reads_a_planted_log(self, monkeypatch, capsys):
+        Path("cache").mkdir()
+        log = Path("cache/responses.jsonl")
+        log.write_bytes(b"not json\n")
+        read = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda path: read.append(path.name) or read_bytes(path))
+        code, err = self.report(REUSE_CONFIG, capsys)
+        assert code == 0
+        assert "unreadable" not in err and "responses.jsonl" not in read
+        assert log.read_bytes() == b"not json\n"
 
     def test_another_model_config_reuses_the_cells(self, capsys):
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         mock_config(Path("random.json"), endpoint="mock://random", seed=3)
-        assert self.report(REUSE_CONFIG | {"model_config": "random.json"}, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, True)
+        random_config = REUSE_CONFIG | {"model_config": "random.json"}
+        assert self.report(random_config, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
+        assert self.reasons() == dict.fromkeys(CELLS, "model changed")
+        seed_3 = self.outputs("run")
+        mock_config(Path("random.json"), endpoint="mock://random", seed=4)
+        code, err = self.report(random_config, capsys)
+        assert code == 0
+        assert err.count("(reused suite and prompts: model changed)") == len(CELLS)
+        records = [f"{cell}/records.jsonl" for cell in CELLS]
+        assert all(self.outputs("run")[name] != seed_3[name] for name in records)
+        assert self.report(random_config | {"out_dir": "fresh"}, capsys)[0] == 0
+        assert self.outputs("run") == self.outputs("fresh")
+        mock_config(Path("random.json"), endpoint="mock://random", seed=4, parallelism=3, timeout=5)
+        assert self.report(random_config, capsys)[0] == 0  # a field no record depends on
+        assert self.reused() == dict.fromkeys(CELLS, "cell")
 
-    @pytest.mark.parametrize("change, rebuilt", [
-        (lambda config: config | {"seed": 6}, CELLS),
-        (lambda config: config | {"shots": 2}, CELLS),
-        (lambda config: config | {"strategy": "random"}, CELLS),
-        (lambda config: config | {"variant": "cot"}, CELLS),
-        (_edit_input_line, CELLS),
-        (_lexicon_with_the_nonce_roots, CELLS),
-        (_edit_template, CELLS),
-        (_reverse_rows, ["productivity_id"]),
+    def test_a_new_model_reads_back_the_suite_and_prompts(self, monkeypatch, capsys):
+        """A cell that keeps only its suite and prompts builds and renders
+        nothing, prints a build's lines but for the suffix, and writes the
+        run.json entries of a rebuild."""
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        mock_config(Path("random.json"), endpoint="mock://random", seed=3)
+        config = REUSE_CONFIG | {"model_config": "random.json"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kept suite or prompts file built again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(suite, "build_suite", refuse)
+            patch.setattr(prompts, "render_suite", refuse)
+            code, reused_err = self.report(config, capsys)
+        assert code == 0
+        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
+        reused_run = json.loads(Path("run/run.json").read_text("utf-8"))
+
+        Path("run/run.json").unlink()
+        code, built_err = self.report(config, capsys)
+        assert code == 0
+        assert self.reused() == dict.fromkeys(CELLS, False)
+        for line in ("warning: ", "reject line ", "skip no-vowel: "):  # printed by both runs
+            assert line in built_err
+        assert reused_err.splitlines() == [
+            line.replace(" (built: no run.json)", " (reused suite and prompts: model changed)")
+            for line in built_err.splitlines()
+        ]
+        built_run = json.loads(Path("run/run.json").read_text("utf-8"))
+        for key in ("skipped_records", "notes", "summary"):
+            assert reused_run[key] == built_run[key]
+        for cell in CELLS:  # render and evaluate manifests, warnings and stamps
+            kept, built = reused_run["cells"][cell], built_run["cells"][cell]
+            for entry in (kept, built):
+                del entry["reused"], entry["reason"]
+            assert kept == built
+
+    def test_a_lexicon_no_draw_reads_need_not_exist(self, capsys):
+        """Every record carries its nonce root, so a missing lexicon is
+        never read: the run and its rerun exit 0, and the lexicon's
+        appearance rebuilds every cell."""
+        assert run(["gen-nonce", "--lang", "turkish", "--seed", "5", "--in", "corpus.jsonl",
+                    "--out", "nonced.jsonl"]) == 0
+        config = REUSE_CONFIG | {"input": "nonced.jsonl", "lexicon": "missing.txt"}
+        for reused in (False, "cell"):
+            code, err = self.report(config, capsys)
+            assert code == 0, err
+            assert self.reused() == dict.fromkeys(CELLS, reused)
+        Path("missing.txt").write_text("ev\n", encoding="utf-8")
+        assert self.report(config, capsys)[0] == 0
+        assert self.reasons() == dict.fromkeys(CELLS, "lexicon changed")
+
+    def test_an_http_cell_never_reuses_its_records(self, monkeypatch, capsys):
+        monkeypatch.setattr(client, "_default_transport", _answer_yes)
+        mock_config(Path("http.json"), endpoint="http://127.0.0.1:9/v1")
+        config = REUSE_CONFIG | {"model_config": "http.json"}
+        for _ in range(2):
+            assert self.report(config, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
+        assert self.reasons() == dict.fromkeys(CELLS, "HTTP endpoint")
+        for cell, entry in self.cells().items():  # answered again, from the cache
+            assert entry["evaluate"]["cached"] == entry["evaluate"]["records"] > 0
+
+    @pytest.mark.parametrize("change, changed, reused, reason", [
+        (lambda config: config | {"seed": 6}, CELLS, False, "options changed"),
+        (lambda config: config | {"shots": 2}, CELLS, False, "options changed"),
+        (lambda config: config | {"strategy": "random"}, CELLS, False, "options changed"),
+        (lambda config: config | {"variant": "cot"}, CELLS, False, "options changed"),
+        (_edit_input_line, CELLS, False, "input changed"),
+        (_lexicon_with_the_nonce_roots, CELLS, False, "lexicon changed"),
+        (_edit_template, CELLS, False, "templates changed"),
+        (_reverse_rows, ["productivity_id"], False, "suite.jsonl changed"),
         (lambda config: Path("run/systematicity_ood/prompts.jsonl").unlink() or config,
-         ["systematicity_ood"]),
-        (lambda config: Path("run/productivity_ood/suite.jsonl.manifest.json").touch() or config,
-         ["productivity_ood"]),
+         ["systematicity_ood"], False, "prompts.jsonl changed"),
+        (_touch("suite.jsonl.manifest.json", "productivity_ood"), ["productivity_ood"], False,
+         "suite.jsonl.manifest.json changed"),
+        (_touch("records.jsonl", "productivity_id"), ["productivity_id"], "suite and prompts",
+         "records.jsonl changed"),
+        (_edit_report_json, ["systematicity_id"], "suite and prompts", "report.json changed"),
+        (_touch("report.csv", "systematicity_ood"), ["systematicity_ood"], "suite and prompts",
+         "report.csv changed"),
+        (lambda config: Path("run/productivity_ood/report.txt").unlink() or config,
+         ["productivity_ood"], "suite and prompts", "report.txt changed"),
     ], ids=["seed", "shots", "strategy", "variant", "input line", "lexicon", "template",
-            "rewritten file", "deleted file", "touched file"])
-    def test_a_changed_input_builds_the_cell_as_a_fresh_out_dir(self, capsys, change, rebuilt):
+            "rewritten file", "deleted file", "touched file", "touched records",
+            "edited report", "touched csv", "deleted txt"])
+    def test_a_changed_input_builds_the_cell_as_a_fresh_out_dir(self, capsys, change, changed,
+                                                                reused, reason):
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         config = change(dict(REUSE_CONFIG))
-        assert self.report(config, capsys)[0] == 0
-        assert self.reused() == {cell: cell not in rebuilt for cell in CELLS}
+        code, err = self.report(config, capsys)
+        assert code == 0
+        assert self.reused() == {cell: reused if cell in changed else "cell" for cell in CELLS}
+        assert self.reasons() == {cell: reason if cell in changed else None for cell in CELLS}
+        what = "built" if reused is False else "reused suite and prompts"
+        assert err.count(f"({what}: {reason})") == len(changed)
         assert self.report(config | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
         if change is _lexicon_with_the_nonce_roots:  # the change reaches the suite
@@ -792,27 +962,52 @@ class TestReuse:
         monkeypatch.setattr(cli, "_program_digest", lambda: "another program")
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.reasons() == dict.fromkeys(CELLS, "program changed")
         assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
 
-    @pytest.mark.parametrize("fault", [
-        lambda text, run: "{not json",
-        lambda text, run: json.dumps([run]),
-        lambda text, run: json.dumps(run | {"cells": list(run["cells"].values())}),
-        lambda text, run: json.dumps(run | {"cells": dict.fromkeys(run["cells"], 1)}),
-        lambda text, run: json.dumps(run | {"cells": {
+    def test_a_held_lock_stops_a_second_run(self, capsys):
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        first = self.outputs("run") | {"run.json": Path("run/run.json").read_bytes()}
+        before = self.stats()
+        with open("run/.lock", "ab") as held:  # a lock of another open file description
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code, err = self.report(REUSE_CONFIG | {"seed": 6}, capsys)
+        assert code == 1
+        assert err.splitlines() == [
+            "error: OutDirLocked: run/.lock is held by another report run;"
+            " give each concurrent run its own out_dir"
+        ]
+        assert self.outputs("run") | {"run.json": Path("run/run.json").read_bytes()} == first
+        assert self.stats() == before
+        assert self.report(REUSE_CONFIG | {"seed": 6}, capsys)[0] == 0  # the lock went with it
+
+    @pytest.mark.parametrize("fault, reason", [
+        (lambda text, run: "{not json", "malformed run.json"),
+        (lambda text, run: json.dumps([run]), "malformed run.json"),
+        (lambda text, run: json.dumps(run | {"cells": list(run["cells"].values())}),
+         "malformed run.json"),
+        (lambda text, run: json.dumps(run | {"cells": dict.fromkeys(run["cells"], 1)}),
+         "malformed run.json"),
+        (lambda text, run: json.dumps(run | {"cells": {
             cell: entry | {"stamps": {n: s[:3] for n, s in entry["stamps"].items()}}
-            for cell, entry in run["cells"].items()}}),
-        lambda text, run: json.dumps(run | {"cells": {
+            for cell, entry in run["cells"].items()}}), "suite.jsonl changed"),
+        (lambda text, run: json.dumps(run | {"cells": {
             cell: entry | {"stamps": {n: list(map(str, s)) for n, s in entry["stamps"].items()}}
-            for cell, entry in run["cells"].items()}}),
-        lambda text, run: json.dumps(run | {"cells": {
+            for cell, entry in run["cells"].items()}}), "suite.jsonl changed"),
+        (lambda text, run: json.dumps(run | {"cells": {
             cell: entry | {"stamps": list(entry["stamps"].values())}
-            for cell, entry in run["cells"].items()}}),
-        lambda text, run: text.replace("{", '{"lone": "\\ud800", ', 1),
+            for cell, entry in run["cells"].items()}}), "malformed run.json"),
+        (lambda text, run: text.replace("{", '{"lone": "\\ud800", ', 1), "malformed run.json"),
+        (lambda text, run: json.dumps(run | {"reuse_key": "0" * 64}), "program changed"),
+        (lambda text, run: json.dumps(run | {"summary": []}), "malformed run.json"),
+        (lambda text, run: json.dumps(run | {"cells": {
+            cell: {k: v for k, v in entry.items() if k != "warnings"}
+            for cell, entry in run["cells"].items()}}), "malformed run.json"),
     ], ids=["not JSON", "not an object", "cells a list", "cell not an object",
-            "stamps too short", "stamps strings", "stamps a list", "lone surrogate"])
-    def test_a_bad_run_json_builds_every_cell(self, capsys, fault):
+            "stamps too short", "stamps strings", "stamps a list", "lone surrogate",
+            "key a digest string", "summary a list", "cell without warnings"])
+    def test_a_bad_run_json_builds_every_cell(self, capsys, fault, reason):
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         path = Path("run/run.json")
@@ -822,6 +1017,7 @@ class TestReuse:
         assert code == 0
         assert "Traceback" not in err and "error" not in err
         assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.reasons() == dict.fromkeys(CELLS, reason)
         assert self.outputs("run") == first
 
 

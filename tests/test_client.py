@@ -141,8 +141,8 @@ class TestComplete:
             f.write(b"not json\n[1, 2]\n{\"key\": 1, \"response\": \"x\"}\n")
             f.write(b'{"key": "' + torn.encode() + b'", "resp')  # killed mid-append
         cache = ResponseCache(tmp_path)
-        assert "4 unreadable cache lines skipped" in capsys.readouterr().err
         assert cache.get(good) == "iyi"
+        assert "4 unreadable cache lines skipped" in capsys.readouterr().err
         assert cache.get(torn) is None
         cache.put(new, "yeni")
         reopened = ResponseCache(tmp_path)
@@ -158,8 +158,38 @@ class TestComplete:
         line = json.dumps({"key": key, "response": "Yes \ud800"})  # ensure_ascii: a \u escape
         (tmp_path / "responses.jsonl").write_text(line + "\n", encoding="ascii")
         cache = ResponseCache(tmp_path)
-        assert "1 unreadable cache lines skipped" in capsys.readouterr().err
         assert cache.get(key) is None
+        assert "1 unreadable cache lines skipped" in capsys.readouterr().err
+
+    def test_cache_reads_its_log_at_the_first_lookup(self, tmp_path, capsys):
+        ResponseCache(tmp_path / "unused")
+        assert not (tmp_path / "unused").exists()
+        (tmp_path / "responses.jsonl").write_bytes(b"not json\n")
+        cache = ResponseCache(tmp_path)
+        assert capsys.readouterr().err == ""
+        assert cache.get("k") is None
+        assert cache.get("k") is None
+        assert capsys.readouterr().err.count("1 unreadable cache lines skipped") == 1
+        lazy = ResponseCache(tmp_path / "lazy")
+        lazy.put("k", "v")
+        assert (tmp_path / "lazy/responses.jsonl").read_bytes() == b'{"key": "k", "response": "v"}\n'
+
+    def test_cache_reads_its_log_once_under_concurrent_first_lookups(self, tmp_path, capsys):
+        keys = [f"k{i}" for i in range(400)]
+        (tmp_path / "responses.jsonl").write_text(
+            "".join(json.dumps({"key": key, "response": key.upper()}) + "\n" for key in keys)
+            + "not json\n", encoding="ascii")
+        cache = ResponseCache(tmp_path)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(cache.get, key) for key in keys]
+                answers = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert answers == [key.upper() for key in keys]
+        assert capsys.readouterr().err.count("unreadable") == 1
 
     def test_cache_last_put_wins_and_old_layout_misses(self, tmp_path):
         key = ResponseCache(tmp_path).key(cfg(), "p")
