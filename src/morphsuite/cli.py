@@ -192,7 +192,8 @@ def _render_manifest(suite_path, opts, rows) -> dict:
 def _evaluate(rows, prompts_path, cfg, cache, out):
     """A prompt that fails after its retries is left out of the records,
     listed under failed_prompts in the manifest and named on one
-    transport error line; score counts it missing."""
+    transport error line; score counts it missing. cached counts the cache's hits."""
+    hits = cache.hits if cache else 0
     try:
         records, incomplete = client.evaluate_rows(rows, cfg, cache), None
     except IncompleteEvaluation as exc:
@@ -205,7 +206,7 @@ def _evaluate(rows, prompts_path, cfg, cache, out):
         "model": {key: getattr(cfg, key) for key in _MODEL_KEYS},
         "answer_normalization": client.NORMALIZATION_NOTE,
         "records": len(records),
-        "cached": sum(1 for r in records if r.cached),
+        "cached": cache.hits - hits if cache else 0,
         "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE),
     }
     if incomplete is not None:
@@ -316,10 +317,8 @@ def cmd_evaluate(args) -> int:
     _write_manifest(args.out, manifest, prompts=args.prompts)
     if "failed_prompts" in manifest:
         return 2
-    _eprint(
-        f"evaluate: {len(records)} records ({manifest['cached']} cached,"
-        f" {manifest['parse_failures']} parse failures)"
-    )
+    _eprint(f"evaluate: {len(records)} records ({manifest['cached']} cached,"
+            f" {manifest['parse_failures']} parse failures)")
     return 0
 
 
@@ -363,10 +362,10 @@ def cmd_kappa(args) -> int:
     return 0
 
 
-# The files of a report cell, in the order a cell writes them, each stamped in
-# run.json. A rerun keeps the first _SUITE_FILES (the suite and its prompts)
-# when the reuse key holds but for the model, and all of them when the whole
-# key holds too and the endpoint is a mock, whose records depend on nothing else.
+# The files of a report cell, in the order a cell writes them, each stamped in run.json.
+# A rerun keeps the first _SUITE_FILES (the suite and its prompts) when the reuse key holds
+# but for the model, and all of them when the whole key holds too and no prompt failed:
+# every answer came from the response cache or went into it, so a rerun would answer the same.
 _CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl",
                "records.jsonl", "report.json", "report.csv", "report.txt")
 _SUITE_FILES = 3
@@ -439,12 +438,12 @@ def _previous_run(path, key) -> tuple[dict, str | None]:
     return previous, changed and "model changed"
 
 
-def _reuse(cell_dir, previous, reason, mock) -> tuple[int, str | None]:
+def _reuse(cell_dir, previous, reason) -> tuple[int, str | None]:
     """How many of _CELL_FILES the cell keeps (0, _SUITE_FILES or all), and
     why it keeps no more (None when it keeps all). previous and reason are
     what _previous_run gave. The cell's entry in previous must hold the
     stamps of the files it keeps; all of them are kept only when reason is
-    None and the endpoint is a mock."""
+    None and no prompt failed, whatever the endpoint; the cache is not read."""
     if not previous:
         return 0, reason
     entry = previous["cells"].get(cell_dir.name)
@@ -460,8 +459,8 @@ def _reuse(cell_dir, previous, reason, mock) -> tuple[int, str | None]:
         return 0, f"{_CELL_FILES[kept]} changed"
     if reason is not None:  # the model changed
         return _SUITE_FILES, reason
-    if not mock:  # an HTTP answer comes from a cache that may have changed
-        return _SUITE_FILES, "HTTP endpoint"
+    if "failed_prompts" in entry["evaluate"]:  # a rerun sends them again
+        return _SUITE_FILES, "failed prompts"
     if kept < len(_CELL_FILES):
         return _SUITE_FILES, f"{_CELL_FILES[kept]} changed"
     return kept, None
@@ -546,7 +545,7 @@ def cmd_report(args) -> int:
         "lexicon": (_readable_digest(cfg.lexicon)
                     if cfg.lexicon and suite.OUT_DIST in cfg.distributions else None),
         "templates": _digest(templates),
-        # the model fields a mock record or an evaluate manifest depends on
+        # the model fields a cell's records or its evaluate manifest depend on
         "model": _digest([{k: getattr(model, k) for k in _MODEL_KEYS}, model.seed]),
     }
 
@@ -555,8 +554,7 @@ def cmd_report(args) -> int:
         if locked:  # what an earlier run left is read under the lock
             stack.enter_context(_locked(out_dir))
         previous, reason = _previous_run(out_dir / "run.json", key)
-        plans = [_reuse(out_dir / f"{task}_{dist}", previous, reason, model.is_mock)
-                 for task, dist in cells]
+        plans = [_reuse(out_dir / f"{task}_{dist}", previous, reason) for task, dist in cells]
         if all(kept == len(_CELL_FILES) for kept, _ in plans):
             records, skipped, notes = None, previous["skipped_records"], previous["notes"]
             for line in notes:

@@ -119,6 +119,7 @@ class ResponseCache:
         self._log = None  # the held log, from the first put in the block
         self._responses = None  # read from the log by the first get or put
         self._separator = b""
+        self.hits = 0  # gets that found a response, all on _complete_all's calling thread
 
     def _entries(self) -> dict:
         """The responses of the log, read at the first call under _lock:
@@ -157,7 +158,9 @@ class ResponseCache:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> str | None:
-        return self._entries().get(key)
+        response = self._entries().get(key)
+        self.hits += response is not None
+        return response
 
     def put(self, key: str, response: str) -> None:
         entry = json.dumps({"key": key, "response": response}).encode("ascii") + b"\n"
@@ -486,7 +489,6 @@ class EvalRecord:
     parsed_value: str | None = None
     gold: str = ""
     model_name: str = ""
-    cached: bool = False
 
     def to_row(self) -> dict:
         return field_values(self)
@@ -545,7 +547,6 @@ def evaluate_rows(
                 parsed_value=value,
                 gold=row.get("gold_answer", ""),
                 model_name=cfg.model_name,
-                cached=completion.cached,
             )
         )
     if failed:

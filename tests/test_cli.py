@@ -687,10 +687,11 @@ def _answer_yes(url, payload, headers, timeout):
 
 
 class TestReuse:
-    """A rerun of report keeps each cell whole while the reuse key, the mock
-    endpoint and the stamps of the cell's files hold, and keeps its suite and
-    prompts while only the model or the records and report files changed;
-    any other rerun builds the cell as a fresh out_dir would."""
+    """A rerun of report keeps each cell whole while the reuse key and the
+    stamps of the cell's files hold and no prompt failed, whatever the
+    endpoint, and keeps its suite and prompts while only the model, a failed
+    prompt or the records and report files changed; any other rerun builds
+    the cell as a fresh out_dir would."""
 
     @pytest.fixture(autouse=True)
     def reuse_dir(self, tmp_path, monkeypatch):
@@ -907,16 +908,66 @@ class TestReuse:
         assert self.report(config, capsys)[0] == 0
         assert self.reasons() == dict.fromkeys(CELLS, "lexicon changed")
 
-    def test_an_http_cell_never_reuses_its_records(self, monkeypatch, capsys):
+    def test_an_http_cell_is_kept_whole(self, monkeypatch, capsys):
+        """An HTTP cell is kept whole as a mock cell is: the rerun sends no
+        request, never reads the cache log and rewrites only run.json. A
+        rebuild answers from the cache and writes the same cell files."""
         monkeypatch.setattr(client, "_default_transport", _answer_yes)
         mock_config(Path("http.json"), endpoint="http://127.0.0.1:9/v1")
         config = REUSE_CONFIG | {"model_config": "http.json"}
-        for _ in range(2):
-            assert self.report(config, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
-        assert self.reasons() == dict.fromkeys(CELLS, "HTTP endpoint")
-        for cell, entry in self.cells().items():  # answered again, from the cache
-            assert entry["evaluate"]["cached"] == entry["evaluate"]["records"] > 0
+        assert self.report(config, capsys)[0] == 0
+        before = self.stats() | self.stats("cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(client, "_default_transport", self.refuse)
+            patch.setattr(client.ResponseCache, "_entries", self.refuse)
+            code, err = self.report(config, capsys)
+        assert code == 0
+        assert err.count(" (reused cell)") == len(CELLS)
+        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        after = self.stats() | self.stats("cache")
+        assert [path for path in after if before.get(path) != after[path]] == ["run/run.json"]
+        for entry in self.cells().values():  # the count of the run that wrote the records
+            assert entry["evaluate"]["cached"] == 0 < entry["evaluate"]["records"]
+        Path("run/run.json").unlink()  # a rebuild takes each cell's answers from the cache
+        monkeypatch.setattr(client, "_default_transport", self.refuse)
+        assert self.report(config, capsys)[0] == 0
+        for entry in self.cells().values():
+            assert entry["evaluate"]["cached"] == entry["evaluate"]["records"]
+        rebuilt = self.stats() | self.stats("cache")
+        assert [path for path in rebuilt if after.get(path) != rebuilt[path]] == ["run/run.json"]
+
+    def test_a_cell_with_failed_prompts_sends_only_those_again(self, capsys, monkeypatch):
+        """A cell that lists failed prompts keeps only its suite and prompts;
+        its rerun sends the failed prompt alone, and the rerun after that
+        keeps every cell whole."""
+        sent = []
+
+        def transport(url, payload, headers, timeout):
+            """A 503 for the first prompt ever sent, while the loop below says down."""
+            sent.append(payload["messages"][0]["content"])
+            if down and sent[-1] == sent[0]:
+                return 503, {}, None
+            return _answer_yes(url, payload, headers, timeout)
+
+        monkeypatch.setattr(client, "_default_transport", transport)
+        mock_config(Path("http.json"), endpoint="http://127.0.0.1:9/v1", max_retries=0)
+        config = REUSE_CONFIG | {"model_config": "http.json"}
+        runs = []
+        for down in (True, False, False):
+            before = len(sent)
+            code, _ = self.report(config, capsys)
+            failed = [cell for cell, entry in self.cells().items()
+                      if "failed_prompts" in entry["evaluate"]]
+            runs.append((code, len(sent) - before, failed, self.reused(), self.reasons()))
+        distinct = {row["prompt"] for cell in CELLS
+                    for _, row in jsonl.read_jsonl(Path("run", cell, "prompts.jsonl"))}
+        kept = dict.fromkeys(CELLS, "cell") | {"productivity_id": "suite and prompts"}
+        assert runs == [
+            (2, len(distinct), ["productivity_id"], dict.fromkeys(CELLS, False),
+             dict.fromkeys(CELLS, "no run.json")),
+            (0, 1, [], kept, dict.fromkeys(CELLS, None) | {"productivity_id": "failed prompts"}),
+            (0, 0, [], dict.fromkeys(CELLS, "cell"), dict.fromkeys(CELLS, None)),
+        ]
 
     @pytest.mark.parametrize("change, changed, reused, reason", [
         (lambda config: config | {"seed": 6}, CELLS, False, "options changed"),
@@ -1225,7 +1276,7 @@ def _set_surface(row):
     ("record", {"option_index": "0"}, "row key 'option_index' must be an integer or null"),
     ("record", {"parsed_kind": 5}, "row key 'parsed_kind' must be one of word, yes, no"),
     ("record", {"parsed_kind": "maybe"}, "row key 'parsed_kind' must be one of word, yes, no"),
-    ("record", {"cached": "no"}, "row key 'cached' must be true or false"),
+    ("record", {"cached": "no"}, "unknown row key 'cached'"),
     ("record", {"parsed_value": ["yes"]}, "row key 'parsed_value' must be a string or null"),
     ("label row", {"instance_id": ["a"]}, "row key 'instance_id' must be a string or null"),
 ])

@@ -28,7 +28,7 @@ REPORT_DIGESTS = {
         "65de6db74879a5a026aa7f6347e946f52ef935656cceb86cba1ef2eee76dc64c"
     ),
     "productivity_id/records.jsonl": (
-        "ffd875d790e81cb649a6b6cc1d0446028a61733492ed7a612d2f206aff6b5695"
+        "04f43002e9378bc71d26e8ea76b563d432eab13fbc765d38c9466059f5ae4f4e"
     ),
     "productivity_id/report.csv": (
         "2ebf9cce6f21f8617c5a517ef65c93331ed8edbd1cffc7ea6aff80084495c5e4"
@@ -49,7 +49,7 @@ REPORT_DIGESTS = {
         "f68f69aae25b2c28af6e2d4220b6d30214409c9d2142349cd7122dbb12399593"
     ),
     "productivity_ood/records.jsonl": (
-        "21dbcdad56a856d1c473cc461de54bb075626e58951120a5a2f48692de58ec22"
+        "f8c3c283c51995944b2e1d08ccdb12858eb3dd671df157d9e61ad507aa9b4f64"
     ),
     "productivity_ood/report.csv": (
         "d10835fec88b5427c081d26a07212fb7e04a259afabf226dad6a45e94bd2ddc0"
@@ -70,7 +70,7 @@ REPORT_DIGESTS = {
         "f19fa222e085595923ba460765f29b43f981eccfe39478084259432dcbc94ffc"
     ),
     "systematicity_id/records.jsonl": (
-        "5339bdc72fbad836d86bc9a25ada17b5ddc0c072716a15976d0db8dfef3cbd9d"
+        "aaa8c8fd2da4bd96eb0274677e95ad4014ca62b7a171b574cdaf6902c37c54dc"
     ),
     "systematicity_id/report.csv": (
         "bafbdff034e0462d2f111cf62671ae606751b2d052aa47676d0390c0c88bdd0e"
@@ -91,7 +91,7 @@ REPORT_DIGESTS = {
         "a39be9aa0370922bbb24ce5870701f5cad70a4128fdb6fcb925b4eaae89539d1"
     ),
     "systematicity_ood/records.jsonl": (
-        "fe7f63769d3f79201852701313df5b772abee46bb525f85c12ac1f540644c92f"
+        "0bf126afcd9879a343b2d4368084ad871c97eb29289a5cf0fd96ea9facc94fc2"
     ),
     "systematicity_ood/report.csv": (
         "e71ca5d38168bccca7a70839f0d6500b79bdd2e03ae97ffb34839ea06b842bb6"
@@ -118,13 +118,13 @@ STAGE_DIGESTS = {
         "3a9874e1c1c4523e1e508b7a5ff1a6aa66bc087870d44977eefcc4f36578fba0"
     ),
     "records.jsonl": (
-        "bae119d242a59b34827f59b8241f1e58614eef96b6321d08fa0a30e696699fab"
+        "ed3a753eea53ea4bb8528185987fac34da6d1b5fdd35d0ec5b3959b904cebf5c"
     ),
     "report/report.csv": (
         "294b532a5e73b020e042a4a7ac4e460179788f2f11baf8426c3f82af9899c6db"
     ),
     "report/report.json": (
-        "f51625066f9b6d5dd9b606a21d57aeb9e0f5bfb6f65655619d1570917a53b765"
+        "f197703ec80c35e53e1589b19d211539a7c3e6968996d67a42f07e65b2296f3a"
     ),
     "report/report.txt": (
         "fd89bc0d0a218250d501778dc87293270aae385050f443733c32020d8511a634"
