@@ -39,8 +39,9 @@ from morphsuite.jsonl import (
 )
 from morphsuite.rng import derive_seed
 
-# The model config keys an evaluate manifest records.
-_MODEL_KEYS = ("endpoint_url", "model_name", "temperature", "top_p", "max_tokens", "auth_token_env")
+# The model config keys an evaluate manifest records; reruns of evaluate and report compare them.
+_MODEL_KEYS = ("endpoint_url", "model_name", "temperature", "top_p", "max_tokens",
+               "auth_token_env", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,6 +190,17 @@ def _render_manifest(suite_path, opts, rows) -> dict:
     }
 
 
+def _evaluate_key(prompts_path, cfg) -> dict:
+    """The fields of an evaluate manifest that name what its records depend on."""
+    return {
+        "command": "evaluate",
+        "version": __version__,
+        "program": _program_digest(),
+        "prompts": str(prompts_path),
+        "model": {key: getattr(cfg, key) for key in _MODEL_KEYS},
+    }
+
+
 def _evaluate(rows, prompts_path, cfg, cache, out):
     """A prompt that fails after its retries is left out of the records,
     listed under failed_prompts in the manifest and named on one
@@ -199,15 +211,12 @@ def _evaluate(rows, prompts_path, cfg, cache, out):
     except IncompleteEvaluation as exc:
         records, incomplete = exc.records, exc
     write_jsonl(out, (r.to_row() for r in records))
-    manifest = {
-        "command": "evaluate",
-        "version": __version__,
-        "prompts": str(prompts_path),
-        "model": {key: getattr(cfg, key) for key in _MODEL_KEYS},
+    manifest = _evaluate_key(prompts_path, cfg) | {
         "answer_normalization": client.NORMALIZATION_NOTE,
         "records": len(records),
         "cached": cache.hits - hits if cache else 0,
         "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE),
+        "output_digest": _output_digest(out),
     }
     if incomplete is not None:
         manifest["failed_prompts"] = incomplete.failed
@@ -248,7 +257,7 @@ def cmd_gen_nonce(args) -> int:
         "version": __version__,
         "language": args.lang,
         "seed": args.seed,
-        "input": str(in_path),
+        "input": args.input,
         "lexicon": (
             {"path": args.lexicon, "words": len(lexicon)}
             if lexicon is not None
@@ -289,7 +298,7 @@ def cmd_build_suite(args) -> int:
     instances, manifest = _build(records, args.task, args.dist, args, args.out)
     manifest.update(
         command="build-suite", version=__version__, language=languages.pop(),
-        input=str(in_path), sampling=sampling, output=str(args.out),
+        input=args.input, sampling=sampling, output=str(args.out),
     )
     _write_manifest(args.out, manifest, input=in_path)
     _eprint(f"build-suite: wrote {len(instances)} instances")
@@ -309,12 +318,18 @@ def cmd_render(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Keeps --out when its manifest vouches for it (_kept): no cache, prompt
+    row or endpoint is read."""
     cfg = client.ModelConfig.from_file(args.model_config)
+    key = _evaluate_key(args.prompts, cfg) | {"prompts_digest": suite.file_digest(args.prompts)}
+    if _kept(f"{args.out}.manifest.json", key, args.out):
+        _eprint(f"evaluate: kept {args.out} (unchanged prompts, model and output)")
+        return 0
     cache = client.ResponseCache(args.cache) if args.cache else None
     rows = read_objects(args.prompts, prompts.PromptRow)
     with cache or nullcontext():
         records, manifest = _evaluate(rows, args.prompts, cfg, cache, args.out)
-    _write_manifest(args.out, manifest, prompts=args.prompts)
+    write_json(f"{args.out}.manifest.json", manifest | key)
     if "failed_prompts" in manifest:
         return 2
     _eprint(f"evaluate: {len(records)} records ({manifest['cached']} cached,"
@@ -323,8 +338,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    records = read_objects(args.records, client.EvalRecord)
-    instances = suite.read_suite(args.suite)
+    """report.json holds the manifest; score.manifest.json adds the program
+    and the report files' digests, so that a rerun can keep them (_kept)."""
     manifest = {
         "records": str(args.records),
         "records_digest": suite.file_digest(args.records),
@@ -332,7 +347,17 @@ def cmd_score(args) -> int:
         "suite_digest": suite.file_digest(args.suite),
         "version": __version__,
     }
-    _write_report(args.out_dir, metrics.stratify_report(records, instances, manifest))
+    key = manifest | {"command": "score", "program": _program_digest()}
+    out_dir = Path(args.out_dir)
+    reports = [out_dir / f"report.{ext}" for ext in ("json", "csv", "txt")]
+    if _kept(out_dir / "score.manifest.json", key, *reports):
+        _eprint(f"score: kept report.{{json,csv,txt}} in {args.out_dir}"
+                " (unchanged records, suite and output)")
+        return 0
+    records = read_objects(args.records, client.EvalRecord)
+    instances = suite.read_suite(args.suite)
+    _write_report(out_dir, metrics.stratify_report(records, instances, manifest))
+    write_json(out_dir / "score.manifest.json", key | {"output_digest": _output_digest(*reports)})
     _eprint(f"score: wrote report.{{json,csv,txt}} to {args.out_dir}")
     return 0
 
@@ -398,6 +423,33 @@ def _readable_digest(path) -> str | None:
         return suite.file_digest(path)
     except OSError:
         return None
+
+
+def _output_digest(*paths):
+    """The digest of one output file, or {file name: digest} of several; None
+    when one is not a regular file, which is never opened (a FIFO would
+    block), or does not read."""
+    digests = {Path(p).name: Path(p).is_file() and _readable_digest(p) for p in paths}
+    if not all(digests.values()):
+        return None
+    return digests.popitem()[1] if len(digests) == 1 else digests
+
+
+def _kept(manifest_path, key, *outputs) -> bool:
+    """Whether the manifest at manifest_path vouches for outputs: it holds
+    every field of key, lists no failed_prompts, and its output_digest is
+    what the files digest to now. This is the verifying trace of Mokhov,
+    Mitchell and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). A
+    run killed before its manifest, or an edited output, never matches."""
+    try:
+        previous = read_json(manifest_path)
+    except (MorphSuiteError, OSError):
+        return False
+    if not (isinstance(previous, dict) and "failed_prompts" not in previous
+            and all(previous.get(name) == value for name, value in key.items())):
+        return False
+    digest = _output_digest(*outputs)
+    return digest is not None and previous.get("output_digest") == digest
 
 
 def _stamps(cell_dir) -> dict:
@@ -545,8 +597,7 @@ def cmd_report(args) -> int:
         "lexicon": (_readable_digest(cfg.lexicon)
                     if cfg.lexicon and suite.OUT_DIST in cfg.distributions else None),
         "templates": _digest(templates),
-        # the model fields a cell's records or its evaluate manifest depend on
-        "model": _digest([{k: getattr(model, k) for k in _MODEL_KEYS}, model.seed]),
+        "model": _digest({k: getattr(model, k) for k in _MODEL_KEYS}),
     }
 
     with ExitStack() as stack:

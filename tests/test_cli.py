@@ -3,6 +3,7 @@ import fcntl
 import json
 import os
 import shutil
+import threading
 from dataclasses import fields, make_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -662,10 +663,14 @@ def _edit_template(config):
     return config
 
 
-def _reverse_rows(config):  # the same size, other bytes
-    path = Path("run/productivity_id/suite.jsonl")
+def _reverse_lines(name):  # the same rows in another order: the same size, other bytes
+    path = Path(name)
     path.write_text("".join(reversed(path.read_text("utf-8").splitlines(keepends=True))),
                     encoding="utf-8")
+
+
+def _reverse_rows(config):
+    _reverse_lines("run/productivity_id/suite.jsonl")
     return config
 
 
@@ -1070,6 +1075,208 @@ class TestReuse:
         assert self.reused() == dict.fromkeys(CELLS, False)
         assert self.reasons() == dict.fromkeys(CELLS, reason)
         assert self.outputs("run") == first
+
+
+EVALUATE = ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
+            "--cache", "cache", "--out", "records.jsonl"]
+SCORE = ["score", "--records", "records.jsonl", "--suite", "suite.jsonl", "--out-dir", "report"]
+KEPT = {"evaluate": "evaluate: kept records.jsonl (unchanged prompts, model and output)\n",
+        "score": "score: kept report.{json,csv,txt} in report (unchanged records, suite and output)\n"}
+STAGE_MANIFESTS = {"evaluate": "records.jsonl.manifest.json", "score": "report/score.manifest.json"}
+
+
+def _edit_line(name, edit):
+    """A change that rewrites the first row of name with edit(row)."""
+    def change():
+        lines = Path(name).read_text("utf-8").splitlines(keepends=True)
+        row = json.loads(lines[0])
+        edit(row)
+        lines[0] = json.dumps(row, ensure_ascii=False) + "\n"
+        Path(name).write_text("".join(lines), encoding="utf-8")
+    return change
+
+
+def _one_prompt_byte(row):
+    row["prompt"] = row["prompt"][:-1] + ("x" if row["prompt"][-1] != "x" else "y")
+
+
+def _edit_manifest(command, edit):
+    def change():
+        path = Path(STAGE_MANIFESTS[command])
+        path.write_text(edit(path.read_text("utf-8")), encoding="utf-8")
+    return change
+
+
+def _parent_format(text):  # a manifest written before it held the program and output digest
+    manifest = json.loads(text)
+    del manifest["program"], manifest["output_digest"]
+    return json.dumps(manifest)
+
+
+class TestStageReuse:
+    """A rerun of evaluate or score keeps its output while its manifest
+    holds the same inputs, program and version, lists no failed prompts,
+    and holds the digest of the output now on disk; any other rerun runs as
+    a first run does and writes the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def stage_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_corpus(Path("corpus.jsonl"), per_stratum=8, strata=(1, 2))
+        for argv in (
+            ["build-suite", "--task", "systematicity", "--dist", "id", "--seed", "3",
+             "--demo-fraction", "0.25", "--in", "corpus.jsonl", "--out", "suite.jsonl"],
+            ["render", "--suite", "suite.jsonl", "--shots", "1", "--seed", "3",
+             "--out", "prompts.jsonl"],
+        ):
+            assert run(argv) == 0
+        mock_config(Path("model.json"))
+
+    @staticmethod
+    def stats():
+        """The inode, mtime and ctime of every file under the working directory."""
+        return {path.as_posix(): [(s := path.stat()).st_ino, s.st_mtime_ns, s.st_ctime_ns]
+                for path in sorted(Path().rglob("*")) if path.is_file()}
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept stage did work it could skip")
+
+    @staticmethod
+    def stage(argv, capsys):
+        capsys.readouterr()
+        code = run(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint", ["mock://echo-gold", "http://127.0.0.1:9/v1"])
+    def test_a_rerun_over_unchanged_inputs_keeps_every_file(self, monkeypatch, capsys,
+                                                            endpoint):
+        monkeypatch.setattr(client, "_default_transport", _answer_yes)
+        mock_config(Path("model.json"), endpoint=endpoint)
+        for argv in (EVALUATE, SCORE):
+            assert run(argv) == 0
+        assert Path("cache").exists() == endpoint.startswith("http")
+        before = self.stats()
+        for module, name in ((client, "evaluate_rows"), (client, "_default_transport"),
+                             (client.ResponseCache, "_entries"), (cli, "read_objects"),
+                             (jsonl, "read_objects"), (suite, "read_suite"),
+                             (metrics, "stratify_report")):
+            monkeypatch.setattr(module, name, self.refuse)
+        for argv in (EVALUATE, SCORE):
+            assert self.stage(argv, capsys) == (0, KEPT[argv[0]])
+        assert self.stats() == before
+
+    @staticmethod
+    def calls(monkeypatch, module, name):
+        """A list that grows by one on each call of module.name."""
+        calls, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("command, change", [
+        ("evaluate", _edit_line("prompts.jsonl", _one_prompt_byte)),
+        ("evaluate", lambda: mock_config(Path("model.json"), max_tokens=9)),
+        ("evaluate", lambda: Path("records.jsonl").write_bytes(
+            Path("records.jsonl").read_bytes()[:-10])),
+        ("evaluate", _edit_line("records.jsonl", lambda row: row.update(raw_response="edit"))),
+        ("evaluate", lambda: Path("records.jsonl.manifest.json").unlink()),
+        ("evaluate", _edit_manifest("evaluate", lambda text: "{not json")),
+        ("evaluate", _edit_manifest("evaluate", _parent_format)),
+        ("evaluate", _edit_manifest("evaluate", lambda text: json.dumps(
+            json.loads(text) | {"failed_prompts": [["x", 0]]}))),
+        ("score", lambda: _reverse_lines("suite.jsonl")),
+        ("score", _edit_line("records.jsonl", lambda row: row.update(raw_response="edit"))),
+        ("score", lambda: Path("report/report.csv").write_text("edited\n", encoding="utf-8")),
+        ("score", lambda: Path("report/score.manifest.json").unlink()),
+        ("score", _edit_manifest("score", lambda text: "[]")),
+        ("score", _edit_manifest("score", _parent_format)),
+    ], ids=["prompt byte", "model key", "truncated records", "edited records",
+            "evaluate manifest missing", "evaluate manifest malformed", "evaluate parent format",
+            "failed prompts", "edited suite", "score edited records", "edited csv",
+            "score manifest missing", "score manifest malformed", "score parent format"])
+    def test_a_changed_input_or_output_runs_again(self, monkeypatch, capsys, command, change):
+        for argv in (EVALUATE, SCORE):
+            assert run(argv) == 0
+        change()
+        argv = EVALUATE if command == "evaluate" else SCORE
+        work = self.calls(monkeypatch, *((client, "evaluate_rows") if command == "evaluate"
+                                         else (metrics, "stratify_report")))
+        code, err = self.stage(argv, capsys)
+        assert (code, len(work)) == (0, 1) and "kept" not in err
+        out, fresh = (("records.jsonl", "fresh.jsonl") if command == "evaluate"
+                      else ("report", "fresh"))
+        assert run(argv[:-1] + [fresh]) == 0  # a first run over the same inputs
+        if command == "evaluate":
+            assert Path(out).read_bytes() == Path(fresh).read_bytes()
+        else:
+            for name in ("report.json", "report.csv", "report.txt"):
+                assert Path(out, name).read_bytes() == Path(fresh, name).read_bytes()
+        assert self.stage(argv, capsys) == (0, KEPT[command])  # the rewritten manifest vouches
+
+    @pytest.mark.parametrize("command", ["evaluate", "score"])
+    def test_another_program_runs_again(self, monkeypatch, capsys, command):
+        for argv in (EVALUATE, SCORE):
+            assert run(argv) == 0
+        monkeypatch.setattr(cli, "_program_digest", lambda: "another program")
+        argv = EVALUATE if command == "evaluate" else SCORE
+        code, err = self.stage(argv, capsys)
+        assert code == 0 and "kept" not in err
+        assert json.loads(Path(STAGE_MANIFESTS[command]).read_text("utf-8"))["program"] == (
+            "another program")
+
+    def test_only_the_seed_of_the_random_baseline_runs_again(self, capsys):
+        records = {}
+        for seed in (1, 2, 1):
+            mock_config(Path("model.json"), endpoint="mock://random", seed=seed)
+            code, err = self.stage(EVALUATE, capsys)
+            assert code == 0 and "kept" not in err
+            records.setdefault(seed, []).append(Path("records.jsonl").read_bytes())
+        assert records[1][0] == records[1][1] != records[2][0]
+
+    def test_an_output_that_is_not_a_regular_file_is_never_read(self, monkeypatch, capsys):
+        """A FIFO next to a manifest that vouches for other bytes: the rerun
+        does not open it to digest it (that would block) but runs, and
+        writes its records into it."""
+        assert run(EVALUATE) == 0
+        os.mkfifo("fifo.jsonl")
+        shutil.copy("records.jsonl.manifest.json", "fifo.jsonl.manifest.json")
+        real = suite.file_digest
+
+        def file_digest(path):
+            assert Path(path).name != "fifo.jsonl", "read the FIFO"
+            return real(path)
+
+        monkeypatch.setattr(suite, "file_digest", file_digest)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(Path("fifo.jsonl").read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            code, err = self.stage(EVALUATE[:-1] + ["fifo.jsonl"], capsys)
+        finally:  # a reader still waiting for a writer gets end of file
+            if reader.is_alive():
+                os.close(os.open("fifo.jsonl", os.O_RDWR))
+            reader.join(10)
+        assert code == 0 and "kept" not in err
+        assert got == [Path("records.jsonl").read_bytes()]
+        manifest = json.loads(Path("fifo.jsonl.manifest.json").read_text("utf-8"))
+        assert manifest["output_digest"] is None  # which no later run matches
+
+
+def test_manifests_name_a_bundled_corpus_as_given(tmp_path, monkeypatch):
+    """The manifests of gen-nonce and build-suite hold the same bytes from
+    any checkout or install."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen-nonce", "--lang", "turkish", "--seed", "7", "--in", "bundled:turkish_demo",
+         "--out", "nonced.jsonl"],
+        ["build-suite", "--task", "productivity", "--dist", "id", "--seed", "7",
+         "--in", "bundled:turkish_demo", "--out", "suite.jsonl"],
+    ):
+        assert run(argv) == 0
+        manifest = json.loads(Path(f"{argv[-1]}.manifest.json").read_text("utf-8"))
+        assert manifest["input"] == "bundled:turkish_demo"
+        assert manifest["input_digest"] == suite.file_digest(cli.resolve_input(argv[-3]))
 
 
 # One strategy per kind of JSON value, and the kinds each config field
