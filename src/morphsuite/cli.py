@@ -388,8 +388,8 @@ def cmd_kappa(args) -> int:
 
 
 # The files of a report cell, in the order a cell writes them, each stamped in run.json.
-# A rerun keeps the first _SUITE_FILES (the suite and its prompts) when the reuse key holds
-# but for the model, and all of them when the whole key holds too and no prompt failed:
+# A rerun keeps the first _SUITE_FILES (the suite and its prompts) when the reuse key holds,
+# and all of them when all stamps hold and the cell's evaluate manifest vouches (_changed):
 # every answer came from the response cache or went into it, so a rerun would answer the same.
 _CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl",
                "records.jsonl", "report.json", "report.csv", "report.txt")
@@ -435,18 +435,27 @@ def _output_digest(*paths):
     return digests.popitem()[1] if len(digests) == 1 else digests
 
 
+def _changed(record, key) -> str | None:
+    """Why record, written by a previous run, does not vouch for a rerun of
+    key: "<field> changed" for the first field of key it lacks, else "failed
+    prompts" when it lists failed_prompts, else None. Every rerun asks this."""
+    record = record if isinstance(record, dict) else {}
+    for name, value in key.items():
+        if record.get(name) != value:
+            return f"{name} changed"
+    return "failed prompts" if "failed_prompts" in record else None
+
+
 def _kept(manifest_path, key, *outputs) -> bool:
-    """Whether the manifest at manifest_path vouches for outputs: it holds
-    every field of key, lists no failed_prompts, and its output_digest is
-    what the files digest to now. This is the verifying trace of Mokhov,
-    Mitchell and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). A
-    run killed before its manifest, or an edited output, never matches."""
+    """Whether the manifest at manifest_path vouches for outputs: _changed
+    finds nothing and its output_digest is what the files digest to now (the
+    verifying trace of Mokhov, Mitchell and Peyton Jones, "Build Systems a la
+    Carte", ICFP 2018). A run killed before its manifest never matches."""
     try:
         previous = read_json(manifest_path)
     except (MorphSuiteError, OSError):
         return False
-    if not (isinstance(previous, dict) and "failed_prompts" not in previous
-            and all(previous.get(name) == value for name, value in key.items())):
+    if _changed(previous, key) is not None:
         return False
     digest = _output_digest(*outputs)
     return digest is not None and previous.get("output_digest") == digest
@@ -467,10 +476,8 @@ def _stamps(cell_dir) -> dict:
 
 
 def _previous_run(path, key) -> tuple[dict, str | None]:
-    """The run.json at path and why its cells cannot be kept whole: the first
-    part of key, a dict of digests ending in "model", that it does not hold,
-    or None. It comes back as {} when it is missing, unreadable or malformed,
-    or holds another key but for the model."""
+    """The run.json at path, or {} and why no cell can be kept: it is missing
+    or malformed, or its reuse_key does not hold key, a dict of digests."""
     try:
         previous = read_json(path)
     except FileNotFoundError:
@@ -479,25 +486,20 @@ def _previous_run(path, key) -> tuple[dict, str | None]:
         return {}, "malformed run.json"
     if not isinstance(previous, dict):
         return {}, "malformed run.json"
-    stored = previous.get("reuse_key")  # a digest string before the key had parts
-    stored = stored if isinstance(stored, dict) else {}
-    changed = next((part for part, digest in key.items() if stored.get(part) != digest), None)
-    if changed not in (None, "model"):
-        return {}, f"{changed} changed"
+    if changed := _changed(previous.get("reuse_key"), key):  # a string before the key had parts
+        return {}, changed
     shapes = {"cells": dict, "summary": dict, "skipped_records": list, "notes": list}
     if not all(isinstance(previous.get(name), kind) for name, kind in shapes.items()):
         return {}, "malformed run.json"
-    return previous, changed and "model changed"
+    return previous, None
 
 
-def _reuse(cell_dir, previous, reason) -> tuple[int, str | None]:
+def _reuse(cell_dir, previous, model_key) -> tuple[int, str | None]:
     """How many of _CELL_FILES the cell keeps (0, _SUITE_FILES or all), and
-    why it keeps no more (None when it keeps all). previous and reason are
-    what _previous_run gave. The cell's entry in previous must hold the
-    stamps of the files it keeps; all of them are kept only when reason is
-    None and no prompt failed, whatever the endpoint; the cache is not read."""
-    if not previous:
-        return 0, reason
+    why it keeps no more (None when it keeps all), by its entry in a run.json
+    that _previous_run gave: the stamps of the files it keeps, and for all of
+    them an evaluate manifest that vouches for model_key, {"model": the
+    _MODEL_KEYS fields}, whatever the endpoint. The cache is not read."""
     entry = previous["cells"].get(cell_dir.name)
     if not (isinstance(entry, dict) and isinstance(entry.get("warnings"), list)
             and isinstance(previous["summary"].get(cell_dir.name), dict)
@@ -509,13 +511,10 @@ def _reuse(cell_dir, previous, reason) -> tuple[int, str | None]:
                 len(_CELL_FILES))
     if kept < _SUITE_FILES:
         return 0, f"{_CELL_FILES[kept]} changed"
-    if reason is not None:  # the model changed
-        return _SUITE_FILES, reason
-    if "failed_prompts" in entry["evaluate"]:  # a rerun sends them again
-        return _SUITE_FILES, "failed prompts"
-    if kept < len(_CELL_FILES):
-        return _SUITE_FILES, f"{_CELL_FILES[kept]} changed"
-    return kept, None
+    why = _changed(entry["evaluate"], model_key)
+    if why is None and kept < len(_CELL_FILES):
+        why = f"{_CELL_FILES[kept]} changed"
+    return (kept, None) if why is None else (_SUITE_FILES, why)
 
 
 def _read_back(cell_dir):
@@ -569,9 +568,9 @@ def _report_records(cfg, in_path) -> tuple[list, list[str], list[str]]:
 
 def cmd_report(args) -> int:
     """Each cell builds its suite, renders its prompts, evaluates and scores,
-    or keeps the files that the previous run.json in out_dir vouches for
-    (_reuse). The reuse key digests the program and every input the cells
-    depend on. When every cell is kept whole, no input record is read."""
+    or keeps what the previous run.json in out_dir vouches for (_reuse): the
+    digests of the program and inputs, and each cell's model. When every
+    cell is kept whole, no input record is read."""
     raw = read_json(args.config)
     cfg = read_config(ReportConfig, raw, args.config, "report config")
     if isinstance(cfg.model_config, str):
@@ -597,15 +596,16 @@ def cmd_report(args) -> int:
         "lexicon": (_readable_digest(cfg.lexicon)
                     if cfg.lexicon and suite.OUT_DIST in cfg.distributions else None),
         "templates": _digest(templates),
-        "model": _digest({k: getattr(model, k) for k in _MODEL_KEYS}),
     }
+    model_key = {"model": {k: getattr(model, k) for k in _MODEL_KEYS}}
 
     with ExitStack() as stack:
         locked = out_dir.is_dir()
         if locked:  # what an earlier run left is read under the lock
             stack.enter_context(_locked(out_dir))
         previous, reason = _previous_run(out_dir / "run.json", key)
-        plans = [_reuse(out_dir / f"{task}_{dist}", previous, reason) for task, dist in cells]
+        plans = [(0, reason) if reason else _reuse(out_dir / f"{task}_{dist}", previous, model_key)
+                 for task, dist in cells]
         if all(kept == len(_CELL_FILES) for kept, _ in plans):
             records, skipped, notes = None, previous["skipped_records"], previous["notes"]
             for line in notes:
@@ -658,7 +658,6 @@ def cmd_report(args) -> int:
             "command": "report",
             "version": __version__,
             "config": raw,
-            "input_digest": key["input"],
             "reuse_key": key,
             "skipped_records": skipped,
             "notes": notes,

@@ -898,6 +898,97 @@ class TestReuse:
                 del entry["reused"], entry["reason"]
             assert kept == built
 
+    def test_the_evaluate_entry_decides_whether_the_records_are_kept(self, capsys):
+        """A cell keeps its records only while its own run.json evaluate entry
+        holds the model the config names: an entry edited to another seed
+        evaluates the cell again as a rebuild would, and is written again with
+        the config's seed; an entry that lists failed prompts keeps only its
+        suite and prompts."""
+        mock_config(Path("random.json"), endpoint="mock://random", seed=3)
+        config = REUSE_CONFIG | {"model_config": "random.json"}
+        assert self.report(config, capsys)[0] == 0
+        path = Path("run/run.json")
+        edited = json.loads(path.read_text("utf-8"))
+        for entry in edited["cells"].values():
+            entry["evaluate"]["model"]["seed"] = 4
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        code, err = self.report(config, capsys)
+        assert code == 0
+        assert err.count("(reused suite and prompts: model changed)") == len(CELLS)
+        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
+        assert self.reasons() == dict.fromkeys(CELLS, "model changed")
+        reused = self.outputs("run")
+        reused_run = json.loads(path.read_text("utf-8"))
+
+        path.unlink()  # what a fresh out_dir gets
+        assert self.report(config, capsys)[0] == 0
+        assert self.outputs("run") == reused
+        built_run = json.loads(path.read_text("utf-8"))
+        for cell in CELLS:
+            kept, built = reused_run["cells"][cell], built_run["cells"][cell]
+            for entry in (kept, built):
+                del entry["reused"], entry["reason"]
+            assert kept == built
+            assert kept["evaluate"]["model"]["seed"] == 3
+
+        built_run["cells"]["systematicity_id"]["evaluate"]["failed_prompts"] = [["x", 0]]
+        path.write_text(json.dumps(built_run), encoding="utf-8")
+        assert self.report(config, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, "cell") | {
+            "systematicity_id": "suite and prompts"}
+        assert self.reasons() == dict.fromkeys(CELLS, None) | {
+            "systematicity_id": "failed prompts"}
+
+    def test_a_run_json_in_the_older_format_costs_one_rebuild(self, monkeypatch, capsys):
+        """A run.json whose reuse_key still holds a model part, beside an
+        input_digest, keeps every cell whole under the program that wrote it.
+        Under another program every cell is built once, for that reason
+        alone, and is kept whole after that."""
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        first = self.outputs("run")
+        path = Path("run/run.json")
+        older = json.loads(path.read_text("utf-8"))
+        model = client.ModelConfig.from_file("model.json")
+        older["reuse_key"] |= {"program": "older program",
+                               "model": cli._digest({k: getattr(model, k) for k in cli._MODEL_KEYS})}
+        older["input_digest"] = older["reuse_key"]["input"]
+        older_text = json.dumps(older)
+        path.write_text(older_text, encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_program_digest", lambda: "older program")
+            assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        path.write_text(older_text, encoding="utf-8")
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.reasons() == dict.fromkeys(CELLS, "program changed")
+        assert self.outputs("run") == first
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, "cell")
+
+    @pytest.mark.parametrize("edit, kept", [
+        ({"seed": 4}, False),
+        ({"max_tokens": 9}, False),
+        ({"model_name": "other"}, False),
+        ({"parallelism": 3}, True),
+        ({"timeout": 5}, True),
+        ({"max_retries": 1}, True),
+    ], ids=["seed", "max_tokens", "model_name", "parallelism", "timeout", "max_retries"])
+    def test_evaluate_and_report_keep_records_on_the_same_model_edits(self, capsys, edit, kept):
+        """evaluate prints its kept line exactly when a report cell is kept
+        whole, for each edit of the model config."""
+        mock_config(Path("random.json"), endpoint="mock://random", seed=3)
+        config = REUSE_CONFIG | {"model_config": "random.json"}
+        evaluate = ["evaluate", "--prompts", "run/systematicity_id/prompts.jsonl",
+                    "--model-config", "random.json", "--out", "records.jsonl"]
+        assert self.report(config, capsys)[0] == 0
+        assert run(evaluate) == 0
+        mock_config(Path("random.json"), endpoint="mock://random", **{"seed": 3} | edit)
+        assert self.report(config, capsys)[0] == 0
+        assert run(evaluate) == 0
+        evaluate_kept = capsys.readouterr().err.startswith("evaluate: kept records.jsonl ")
+        assert evaluate_kept == (set(self.reused().values()) == {"cell"}) == kept
+
     def test_a_lexicon_no_draw_reads_need_not_exist(self, capsys):
         """Every record carries its nonce root, so a missing lexicon is
         never read: the run and its rerun exit 0, and the lexicon's
