@@ -16,7 +16,7 @@ import sys
 import unicodedata
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -161,15 +161,9 @@ def _options(cls, opts):
     return cls(**{f.name: getattr(opts, f.name) for f in fields(cls)})
 
 
-def _print_warnings(manifest) -> None:
-    for warning in manifest["warnings"]:
-        _eprint(f"warning: {warning}")
-
-
 def _build(records, task, dist, opts, out, negative_cache=None):
     options = _options(suite.BuildOptions, opts)
     instances, manifest = suite.build_suite(records, task, dist, options, negative_cache)
-    _print_warnings(manifest)
     write_jsonl(out, (i.to_row() for i in instances))
     return instances, manifest
 
@@ -177,11 +171,7 @@ def _build(records, task, dist, opts, out, negative_cache=None):
 def _render(instances, suite_path, catalog, opts, out):
     rows = prompts.render_suite(instances, catalog, _options(prompts.RenderOptions, opts))
     write_jsonl(out, rows)
-    return rows, _render_manifest(suite_path, opts, rows)
-
-
-def _render_manifest(suite_path, opts, rows) -> dict:
-    return field_values(_options(prompts.RenderOptions, opts)) | {
+    return rows, field_values(_options(prompts.RenderOptions, opts)) | {
         "command": "render",
         "version": __version__,
         "suite": str(suite_path),
@@ -216,7 +206,6 @@ def _evaluate(rows, prompts_path, cfg, cache, out):
         "records": len(records),
         "cached": cache.hits - hits if cache else 0,
         "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE),
-        "output_digest": _output_digest(out),
     }
     if incomplete is not None:
         manifest["failed_prompts"] = incomplete.failed
@@ -224,11 +213,15 @@ def _evaluate(rows, prompts_path, cfg, cache, out):
     return records, manifest
 
 
-def _write_manifest(out, manifest, **inputs) -> None:
-    """Write manifest to <out>.manifest.json with the digest of each input
-    file the subcommand read, as <name>_digest."""
-    manifest.update({f"{name}_digest": suite.file_digest(path) for name, path in inputs.items()})
-    write_json(f"{out}.manifest.json", manifest)
+def _write_manifest(path, manifest, *outputs, **inputs) -> None:
+    """Write manifest to path with the digest of each input file the
+    subcommand read, as <name>_digest; for an output that is not a regular
+    file (/dev/null, a FIFO), which no rerun can read back, say so instead."""
+    for out in outputs:
+        if not Path(out).is_file():
+            return _eprint(f"no manifest: {out} is not a regular file")
+    manifest.update({f"{name}_digest": suite.file_digest(p) for name, p in inputs.items()})
+    write_json(path, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +260,7 @@ def cmd_gen_nonce(args) -> int:
         "skipped_records": skipped,
         "written": len(kept),
     }
-    _write_manifest(args.out, manifest, input=in_path)
+    _write_manifest(f"{args.out}.manifest.json", manifest, args.out, input=in_path)
     _eprint(f"gen-nonce: wrote {len(kept)} records, skipped {len(skipped)}")
     return 0
 
@@ -296,11 +289,13 @@ def cmd_build_suite(args) -> int:
             _eprint(f"stratum {stratum}: short {short} records")
 
     instances, manifest = _build(records, args.task, args.dist, args, args.out)
+    for warning in manifest["warnings"]:
+        _eprint(f"warning: {warning}")
     manifest.update(
         command="build-suite", version=__version__, language=languages.pop(),
         input=args.input, sampling=sampling, output=str(args.out),
     )
-    _write_manifest(args.out, manifest, input=in_path)
+    _write_manifest(f"{args.out}.manifest.json", manifest, args.out, input=in_path)
     _eprint(f"build-suite: wrote {len(instances)} instances")
     return 0
 
@@ -312,24 +307,25 @@ def cmd_render(args) -> int:
         for key in catalog.missing:
             _eprint(f"missing template for {key}")
     rows, manifest = _render(instances, args.suite, catalog, args, args.out)
-    _write_manifest(args.out, manifest, suite=args.suite)
+    _write_manifest(f"{args.out}.manifest.json", manifest, args.out, suite=args.suite)
     _eprint(f"render: wrote {len(rows)} prompts")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    """Keeps --out when its manifest vouches for it (_kept): no cache, prompt
+    """Keeps --out when its manifest vouches for it (_changed): no cache, prompt
     row or endpoint is read."""
     cfg = client.ModelConfig.from_file(args.model_config)
     key = _evaluate_key(args.prompts, cfg) | {"prompts_digest": suite.file_digest(args.prompts)}
-    if _kept(f"{args.out}.manifest.json", key, args.out):
+    manifest_path = f"{args.out}.manifest.json"
+    if _changed(_record(manifest_path), key, args.out) is None:
         _eprint(f"evaluate: kept {args.out} (unchanged prompts, model and output)")
         return 0
     cache = client.ResponseCache(args.cache) if args.cache else None
     rows = read_objects(args.prompts, prompts.PromptRow)
     with cache or nullcontext():
         records, manifest = _evaluate(rows, args.prompts, cfg, cache, args.out)
-    write_json(f"{args.out}.manifest.json", manifest | key)
+    _write_manifest(manifest_path, manifest | key | {"outputs": _fingerprints(args.out)}, args.out)
     if "failed_prompts" in manifest:
         return 2
     _eprint(f"evaluate: {len(records)} records ({manifest['cached']} cached,"
@@ -339,25 +335,22 @@ def cmd_evaluate(args) -> int:
 
 def cmd_score(args) -> int:
     """report.json holds the manifest; score.manifest.json adds the program
-    and the report files' digests, so that a rerun can keep them (_kept)."""
-    manifest = {
-        "records": str(args.records),
-        "records_digest": suite.file_digest(args.records),
-        "suite": str(args.suite),
-        "suite_digest": suite.file_digest(args.suite),
-        "version": __version__,
-    }
+    and the report files' fingerprints, so that a rerun can keep them (_changed)."""
+    manifest = {"records": str(args.records), "records_digest": suite.file_digest(args.records),
+                "suite": str(args.suite), "suite_digest": suite.file_digest(args.suite),
+                "version": __version__}
     key = manifest | {"command": "score", "program": _program_digest()}
     out_dir = Path(args.out_dir)
     reports = [out_dir / f"report.{ext}" for ext in ("json", "csv", "txt")]
-    if _kept(out_dir / "score.manifest.json", key, *reports):
+    if _changed(_record(out_dir / "score.manifest.json"), key, *reports) is None:
         _eprint(f"score: kept report.{{json,csv,txt}} in {args.out_dir}"
                 " (unchanged records, suite and output)")
         return 0
     records = read_objects(args.records, client.EvalRecord)
     instances = suite.read_suite(args.suite)
     _write_report(out_dir, metrics.stratify_report(records, instances, manifest))
-    write_json(out_dir / "score.manifest.json", key | {"output_digest": _output_digest(*reports)})
+    _write_manifest(out_dir / "score.manifest.json", key | {"outputs": _fingerprints(*reports)},
+                    *reports)
     _eprint(f"score: wrote report.{{json,csv,txt}} to {args.out_dir}")
     return 0
 
@@ -387,15 +380,6 @@ def cmd_kappa(args) -> int:
     return 0
 
 
-# The files of a report cell, in the order a cell writes them, each stamped in run.json.
-# A rerun keeps the first _SUITE_FILES (the suite and its prompts) when the reuse key holds,
-# and all of them when all stamps hold and the cell's evaluate manifest vouches (_changed):
-# every answer came from the response cache or went into it, so a rerun would answer the same.
-_CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl",
-               "records.jsonl", "report.json", "report.csv", "report.txt")
-_SUITE_FILES = 3
-
-
 @cache
 def _program_digest() -> str:
     """A digest of the files of the morphsuite package (__pycache__ aside),
@@ -417,117 +401,126 @@ def _digest(obj) -> str:
 def _readable_digest(path) -> str | None:
     """The file's digest, or None when it does not read. A lexicon that no
     nonce draw reads need not exist; one that a draw reads fails in the
-    ingest, which a key holding None never skips, since a run that fails
-    there writes no run.json."""
+    ingest, which writes no run.json, so no build record holds that None."""
     try:
         return suite.file_digest(path)
     except OSError:
         return None
 
 
-def _output_digest(*paths):
-    """The digest of one output file, or {file name: digest} of several; None
-    when one is not a regular file, which is never opened (a FIFO would
-    block), or does not read."""
-    digests = {Path(p).name: Path(p).is_file() and _readable_digest(p) for p in paths}
-    if not all(digests.values()):
-        return None
-    return digests.popitem()[1] if len(digests) == 1 else digests
+def _fingerprints(*paths, previous=None) -> dict:
+    """{file name: [st_ino, st_size, st_mtime_ns, st_ctime_ns, sha256]} of
+    each path; None for a file that is missing, does not read or is not
+    regular (a FIFO is never opened). A file whose stamp, the first four, is
+    the one previous holds for it keeps that sha256 unread, as git's index
+    and a .pyc (PEP 552) trust a stamp: a rewrite, touch or cp -p moves it."""
+    previous = previous if isinstance(previous, dict) else {}
+    prints = {}
+    for path in paths:
+        name = os.path.basename(path)
+        prints[name] = None
+        if os.path.isfile(path):
+            s, old = os.stat(path), previous.get(name)
+            stamp = [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
+            same = isinstance(old, list) and len(old) == 5 and old[:4] == stamp
+            digest = old[4] if same else _readable_digest(path)
+            prints[name] = digest and stamp + [digest]
+    return prints
 
 
-def _changed(record, key) -> str | None:
-    """Why record, written by a previous run, does not vouch for a rerun of
-    key: "<field> changed" for the first field of key it lacks, else "failed
-    prompts" when it lists failed_prompts, else None. Every rerun asks this."""
-    record = record if isinstance(record, dict) else {}
+def _changed(record, key, *outputs) -> str | None:
+    """Why record, written by an earlier run, does not vouch for a rerun of
+    key over the files outputs: "no record" (not a JSON object), "<field>
+    changed" for the first field of key it does not hold, "failed prompts",
+    or "<file> changed" for the first output whose sha256 is not the one its
+    outputs hold; else None, and its outputs take the stamps the files have
+    now. This is the verifying trace of Mokhov, Mitchell and Peyton Jones,
+    "Build Systems a la Carte" (ICFP 2018)."""
+    if not isinstance(record, dict):
+        return "no record"
     for name, value in key.items():
         if record.get(name) != value:
             return f"{name} changed"
-    return "failed prompts" if "failed_prompts" in record else None
+    if "failed_prompts" in record:
+        return "failed prompts"
+    previous = record.get("outputs")
+    now = _fingerprints(*outputs, previous=previous)
+    for name, fingerprint in now.items():
+        old = previous.get(name) if isinstance(previous, dict) else None
+        if fingerprint is None or not isinstance(old, list) or old[4:] != fingerprint[4:]:
+            return f"{name} changed"
+    record["outputs"] = now
+    return None
 
 
-def _kept(manifest_path, key, *outputs) -> bool:
-    """Whether the manifest at manifest_path vouches for outputs: _changed
-    finds nothing and its output_digest is what the files digest to now (the
-    verifying trace of Mokhov, Mitchell and Peyton Jones, "Build Systems a la
-    Carte", ICFP 2018). A run killed before its manifest never matches."""
+def _record(path):
+    """The JSON document at path, or None when it does not read."""
     try:
-        previous = read_json(manifest_path)
-    except (MorphSuiteError, OSError):
-        return False
-    if _changed(previous, key) is not None:
-        return False
-    digest = _output_digest(*outputs)
-    return digest is not None and previous.get("output_digest") == digest
-
-
-def _stamps(cell_dir) -> dict:
-    """[st_ino, st_size, st_mtime_ns, st_ctime_ns] of each of a cell's
-    _CELL_FILES, the way a .pyc records its source (PEP 552): a rewrite, a
-    touch or a cp -p changes one. None for a missing file."""
-    stamps = dict.fromkeys(_CELL_FILES)
-    for name in _CELL_FILES:
-        try:
-            s = os.stat(Path(cell_dir, name))
-        except OSError:
-            continue
-        stamps[name] = [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
-    return stamps
-
-
-def _previous_run(path, key) -> tuple[dict, str | None]:
-    """The run.json at path, or {} and why no cell can be kept: it is missing
-    or malformed, or its reuse_key does not hold key, a dict of digests."""
-    try:
-        previous = read_json(path)
-    except FileNotFoundError:
-        return {}, "no run.json"
-    except (MorphSuiteError, OSError):
-        return {}, "malformed run.json"
-    if not isinstance(previous, dict):
-        return {}, "malformed run.json"
-    if changed := _changed(previous.get("reuse_key"), key):  # a string before the key had parts
-        return {}, changed
-    shapes = {"cells": dict, "summary": dict, "skipped_records": list, "notes": list}
-    if not all(isinstance(previous.get(name), kind) for name, kind in shapes.items()):
-        return {}, "malformed run.json"
-    return previous, None
-
-
-def _reuse(cell_dir, previous, model_key) -> tuple[int, str | None]:
-    """How many of _CELL_FILES the cell keeps (0, _SUITE_FILES or all), and
-    why it keeps no more (None when it keeps all), by its entry in a run.json
-    that _previous_run gave: the stamps of the files it keeps, and for all of
-    them an evaluate manifest that vouches for model_key, {"model": the
-    _MODEL_KEYS fields}, whatever the endpoint. The cache is not read."""
-    entry = previous["cells"].get(cell_dir.name)
-    if not (isinstance(entry, dict) and isinstance(entry.get("warnings"), list)
-            and isinstance(previous["summary"].get(cell_dir.name), dict)
-            and all(isinstance(entry.get(k), dict) for k in ("render", "evaluate", "stamps"))):
-        return 0, "malformed run.json"
-    stamps = _stamps(cell_dir)
-    kept = next((i for i, name in enumerate(_CELL_FILES)
-                 if stamps[name] is None or entry["stamps"].get(name) != stamps[name]),
-                len(_CELL_FILES))
-    if kept < _SUITE_FILES:
-        return 0, f"{_CELL_FILES[kept]} changed"
-    why = _changed(entry["evaluate"], model_key)
-    if why is None and kept < len(_CELL_FILES):
-        why = f"{_CELL_FILES[kept]} changed"
-    return (kept, None) if why is None else (_SUITE_FILES, why)
-
-
-def _read_back(cell_dir):
-    """(instances, suite manifest, prompt rows) read back from cell_dir, or
-    None when a file does not read."""
-    try:
-        return (
-            suite.read_suite(cell_dir / "suite.jsonl"),
-            read_json(cell_dir / "suite.jsonl.manifest.json"),
-            read_objects(cell_dir / "prompts.jsonl", prompts.PromptRow),
-        )
+        return read_json(path)
     except (MorphSuiteError, OSError):
         return None
+
+
+def _previous_run(path) -> tuple[dict, str | None]:
+    """The run.json at path, or {} and why it holds no stage record."""
+    run = _record(path)
+    shapes = {"cells": dict, "skipped_records": list, "notes": list}
+    if isinstance(run, dict) and all(isinstance(run.get(k), t) for k, t in shapes.items()):
+        return run, None
+    return {}, "malformed run.json" if Path(path).exists() else "no run.json"
+
+
+# The files each stage of a report cell writes, in stage order; the field of a
+# stage record that a kept stage uses, with its JSON type.
+_STAGE_FILES = {"build": ("suite.jsonl", "suite.jsonl.manifest.json"),
+                "render": ("prompts.jsonl",), "evaluate": ("records.jsonl",),
+                "score": ("report.json", "report.csv", "report.txt")}
+_KEPT_FIELDS = {"build": ("warnings", list), "score": ("scores", dict)}
+
+
+class _Cell:
+    """A report cell: its directory, its entry in the previous run.json, the
+    entry this run writes (reused lists the stages kept; reason names the
+    first stage that ran, and why) and the sha256 of each file its stages
+    wrote or kept. A stage that runs sets what it makes of instances,
+    manifest, rows and answers, and reads the others on first use."""
+
+    def __init__(self, cell_dir, previous, missing):
+        self.dir, self.missing, self.whys, self.digests = cell_dir, missing, {}, {}
+        self.previous = previous if isinstance(previous, dict) else {}
+        self.entry = {"reused": [], "reason": None}
+        self.paths = {stage: [os.path.join(cell_dir, name) for name in names]
+                      for stage, names in _STAGE_FILES.items()}
+
+    def why(self, stage, key) -> str | None:
+        """Why stage runs again (asked once), or None when its record vouches
+        for key and its files."""
+        if stage not in self.whys:
+            record = self.previous.get(stage)
+            why = self.missing or _changed(record, key, *self.paths[stage])
+            name, kind = _KEPT_FIELDS.get(stage, ("outputs", dict))  # _changed checked outputs
+            if why is None and not isinstance(record.get(name), kind):
+                why = f"malformed {name}"
+            self.whys[stage] = why
+        return self.whys[stage]
+
+    def run(self, stage, key, work) -> None:
+        """Keep stage, whose record _changed brought up to date, or run
+        work(), which writes its files and returns its record's other fields."""
+        record, why = self.previous.get(stage), self.why(stage, key)
+        if why is None:
+            self.entry["reused"].append(stage)
+        else:
+            self.entry["reason"] = self.entry["reason"] or f"{stage}: {why}"
+            record = key | work() | {"outputs": _fingerprints(*self.paths[stage])}
+        self.entry[stage] = record
+        self.digests.update((name, fp and fp[4]) for name, fp in record["outputs"].items())
+
+    instances = cached_property(lambda self: suite.read_suite(self.dir / "suite.jsonl"))
+    manifest = cached_property(lambda self: read_json(self.dir / "suite.jsonl.manifest.json"))
+    rows = cached_property(lambda self: read_objects(self.dir / "prompts.jsonl", prompts.PromptRow))
+    answers = cached_property(
+        lambda self: read_objects(self.dir / "records.jsonl", client.EvalRecord))
 
 
 @contextmanager
@@ -567,46 +560,44 @@ def _report_records(cfg, in_path) -> tuple[list, list[str], list[str]]:
 
 
 def cmd_report(args) -> int:
-    """Each cell builds its suite, renders its prompts, evaluates and scores,
-    or keeps what the previous run.json in out_dir vouches for (_reuse): the
-    digests of the program and inputs, and each cell's model. When every
-    cell is kept whole, no input record is read."""
+    """Each cell runs four stages, build, render, evaluate and score, and
+    keeps each stage whose record in the previous run.json vouches for it.
+    A stage's key holds the sha256 of its input from the stage before, so it
+    runs again only when its own inputs change. Ingest and nonces run only
+    when some cell builds."""
     raw = read_json(args.config)
     cfg = read_config(ReportConfig, raw, args.config, "report config")
     if isinstance(cfg.model_config, str):
         model = client.ModelConfig.from_file(cfg.model_config)
     else:
-        model = read_config(
-            client.ModelConfig, cfg.model_config, f"{args.config}: model_config", "model config"
-        )
+        model = read_config(client.ModelConfig, cfg.model_config,
+                            f"{args.config}: model_config", "model config")
 
     out_dir = Path(cfg.out_dir)
     in_path = resolve_input(cfg.input)
     cells = [(task, dist) for task in cfg.tasks for dist in cfg.distributions]
     catalog = prompts.load_templates(cfg.templates)
     templates = [  # each cell's template, read and checked before any cell writes
-        field_values(catalog.get(cfg.instruction_language, task, dist, cfg.variant))
+        _digest(field_values(catalog.get(cfg.instruction_language, task, dist, cfg.variant)))
         for task, dist in cells
     ]
-    key = {  # in the order a rebuild names the first part that changed
-        "program": _program_digest(),
-        "options": _digest({k: v for k, v in field_values(cfg).items()
-                            if k not in ("model_config", "cache")}),
-        "input": suite.file_digest(in_path),
-        "lexicon": (_readable_digest(cfg.lexicon)
-                    if cfg.lexicon and suite.OUT_DIST in cfg.distributions else None),
-        "templates": _digest(templates),
-    }
-    model_key = {"model": {k: getattr(model, k) for k in _MODEL_KEYS}}
+    ood = suite.OUT_DIST in cfg.distributions
+    stamp = {"version": __version__, "program": _program_digest()}
+    build_key = stamp | field_values(_options(suite.BuildOptions, cfg)) | {
+        "language": cfg.language, "input": cfg.input, "input_digest": suite.file_digest(in_path),
+        # which records get a nonce root, and so which records an id suite holds
+        "ood": ood, "lexicon": _readable_digest(cfg.lexicon) if cfg.lexicon and ood else None}
+    render_key = stamp | field_values(_options(prompts.RenderOptions, cfg))
 
     with ExitStack() as stack:
         locked = out_dir.is_dir()
         if locked:  # what an earlier run left is read under the lock
             stack.enter_context(_locked(out_dir))
-        previous, reason = _previous_run(out_dir / "run.json", key)
-        plans = [(0, reason) if reason else _reuse(out_dir / f"{task}_{dist}", previous, model_key)
-                 for task, dist in cells]
-        if all(kept == len(_CELL_FILES) for kept, _ in plans):
+        previous, missing = _previous_run(out_dir / "run.json")
+        plans = {f"{task}_{dist}": _Cell(out_dir / f"{task}_{dist}",
+                                         previous.get("cells", {}).get(f"{task}_{dist}"), missing)
+                 for task, dist in cells}
+        if all(cell.why("build", build_key) is None for cell in plans.values()):
             records, skipped, notes = None, previous["skipped_records"], previous["notes"]
             for line in notes:
                 _eprint(line)
@@ -616,56 +607,60 @@ def cmd_report(args) -> int:
             stack.enter_context(_locked(out_dir))
 
         negative_cache: dict = {}  # shared by this run's cells, freed with it
-
-        def run_cell(task, dist, kept, why, cache):
-            """The summary and run.json entry of one cell; its instances, rows
-            and answers go when it returns."""
-            cell_dir = out_dir / f"{task}_{dist}"
-            if kept == len(_CELL_FILES):
-                entry = previous["cells"][cell_dir.name]
-                _print_warnings(entry)
-                _eprint(f"report: {task}/{dist} -> {cell_dir} (reused cell)")
-                scores = previous["summary"][cell_dir.name]
-                return scores, entry | {"reused": "cell", "reason": None}
-            suite_path, prompts_path = cell_dir / "suite.jsonl", cell_dir / "prompts.jsonl"
-            reused = _read_back(cell_dir) if kept else None
-            if reused is None:
-                why = "unreadable suite or prompts" if kept else why
-                instances, manifest = _build(records, task, dist, cfg, suite_path, negative_cache)
-                write_json(cell_dir / "suite.jsonl.manifest.json", manifest)
-                rows, rendered = _render(instances, suite_path, catalog, cfg, prompts_path)
-            else:
-                instances, manifest, rows = reused
-                _print_warnings(manifest)
-                rendered = _render_manifest(suite_path, cfg, rows)
-            answers, evaluated = _evaluate(rows, prompts_path, model, cache, cell_dir / "records.jsonl")
-            report = metrics.stratify_report(answers, instances, manifest)
-            _write_report(cell_dir, report)
-            what = "built" if reused is None else "reused suite and prompts"
-            _eprint(f"report: {task}/{dist} -> {cell_dir} ({what}: {why})")
-            scores = {m: metrics.round1(v) for m, v in report.overall.items()}
-            return scores, {"warnings": manifest["warnings"], "render": rendered,
-                            "evaluate": evaluated, "stamps": _stamps(cell_dir),
-                            "reused": reused is not None and "suite and prompts", "reason": why}
-
         summary, entries = {}, {}
-        with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
-            for (task, dist), (kept, why) in zip(cells, plans):
-                cell = f"{task}_{dist}"
-                summary[cell], entries[cell] = run_cell(task, dist, kept, why, cache)
 
-        write_json(out_dir / "run.json", {
-            "command": "report",
-            "version": __version__,
-            "config": raw,
-            "reuse_key": key,
-            "skipped_records": skipped,
-            "notes": notes,
-            "cells": entries,
-            "summary": summary,
-        })
+        def run_cell(task, dist, template, cache):
+            """Run or keep the stages of one cell; what they made or read goes
+            when it returns."""
+            cell = plans.pop(f"{task}_{dist}")
+            suite_path, prompts_path = cell.dir / "suite.jsonl", cell.dir / "prompts.jsonl"
+
+            def build():
+                cell.instances, cell.manifest = _build(
+                    records, task, dist, cfg, suite_path, negative_cache)
+                write_json(cell.dir / "suite.jsonl.manifest.json", cell.manifest)
+                return {"warnings": cell.manifest["warnings"]}
+
+            def render():
+                cell.rows, manifest = _render(
+                    cell.instances, suite_path, catalog, cfg, prompts_path)
+                return manifest
+
+            def evaluate():
+                cell.answers, manifest = _evaluate(
+                    cell.rows, prompts_path, model, cache, cell.dir / "records.jsonl")
+                return manifest
+
+            def score():
+                report = metrics.stratify_report(cell.answers, cell.instances, cell.manifest)
+                _write_report(cell.dir, report)
+                return {"scores": {m: metrics.round1(v) for m, v in report.overall.items()}}
+
+            digests = cell.digests
+            cell.run("build", build_key, build)
+            for warning in cell.entry["build"]["warnings"]:
+                _eprint(f"warning: {warning}")
+            cell.run("render", render_key | {"suite": str(suite_path), "template": template,
+                                             "suite_digest": digests["suite.jsonl"]}, render)
+            cell.run("evaluate", _evaluate_key(prompts_path, model)
+                     | {"prompts_digest": digests["prompts.jsonl"]}, evaluate)
+            cell.run("score", stamp | {
+                "records_digest": digests["records.jsonl"], "suite_digest": digests["suite.jsonl"],
+                "suite_manifest_digest": digests["suite.jsonl.manifest.json"]}, score)
+            kept, reason = cell.entry["reused"], cell.entry["reason"]
+            what = ([f"kept {', '.join(kept)}"] if kept else []) + ([reason] if reason else [])
+            _eprint(f"report: {task}/{dist} -> {cell.dir} ({'; '.join(what)})")
+            summary[cell.dir.name] = cell.entry["score"]["scores"]
+            entries[cell.dir.name] = cell.entry
+
+        with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
+            for (task, dist), template in zip(cells, templates):
+                run_cell(task, dist, template, cache)
+        write_text(out_dir / "run.json", (dumps({  # unindented, so the C encoder writes it
+            "command": "report", "version": __version__, "config": raw, "skipped_records": skipped,
+            "notes": notes, "cells": entries, "summary": summary}), "\n"))
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
-    return 2 if any("failed_prompts" in c["evaluate"] for c in entries.values()) else 0
+    return 2 if any("failed_prompts" in entry["evaluate"] for entry in entries.values()) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Literal
 
 from morphsuite import derive, profiles
@@ -343,7 +342,11 @@ def _negatives_or_skip(record, options, cache) -> list | str:
 # ---------------------------------------------------------------------------
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):  # a block at a time: an output can run to megabytes
+            digest.update(block)
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import fcntl
+import filecmp
 import json
 import os
 import shutil
@@ -593,7 +594,8 @@ class TestReproducibility:
     def test_report_cell_runs_the_stage_code(self, tmp_path, monkeypatch):
         """A report cell and the stage commands with the same options write
         the same suite, prompts and records bytes, and run.json holds the
-        render and evaluate manifests of the stages but for paths and digests."""
+        fields of the stage render and evaluate manifests but for paths, and
+        the sha256 of the same output bytes."""
         monkeypatch.chdir(tmp_path)
         write_corpus(Path("corpus.jsonl"), per_stratum=20, strata=(2, 3))
         mock_config(Path("model.json"), endpoint="mock://random", seed=2)
@@ -625,12 +627,12 @@ class TestReproducibility:
         write_jsonl("library_prompts.jsonl", rows)  # the options reach the renderer
         assert Path("library_prompts.jsonl").read_bytes() == Path("prompts.jsonl").read_bytes()
         cell = json.loads(Path("run/run.json").read_text("utf-8"))["cells"]["systematicity_ood"]
-        paths = {"suite", "suite_digest", "prompts", "prompts_digest"}
+        paths = {"suite", "prompts", "outputs"}
         for stage, out in (("render", "prompts.jsonl"), ("evaluate", "records.jsonl")):
             manifest = json.loads(Path(f"{out}.manifest.json").read_text("utf-8"))
-            assert {k: v for k, v in cell[stage].items() if k not in paths} == {
-                k: v for k, v in manifest.items() if k not in paths
-            }
+            assert {k: v for k, v in manifest.items() if k not in paths}.items() <= cell[stage].items()
+            assert set(cell[stage]) - set(manifest) <= {"program", "template", "outputs"}
+            assert cell[stage]["outputs"][out][4] == suite.file_digest(out)
 
 
 CELLS = ["productivity_id", "productivity_ood", "systematicity_id", "systematicity_ood"]
@@ -691,12 +693,37 @@ def _answer_yes(url, payload, headers, timeout):
     return 200, {"choices": [{"message": {"content": "Yes"}}]}, None
 
 
+STAGES = ["build", "render", "evaluate", "score"]
+NEW = " (build: no run.json)"  # the stderr suffix of a cell in a new out_dir
+WHOLE = " (kept build, render, evaluate, score)"
+
+
+def _label(reused, reason):
+    """The stderr suffix of a cell that kept reused and ran for reason."""
+    parts = ([f"kept {', '.join(reused)}"] if reused else []) + ([reason] if reason else [])
+    return f" ({'; '.join(parts)})"
+
+
+def _each_cell(edit):
+    """A run.json fault: edit(entry) applied to the entry of each cell."""
+    def fault(text, run):
+        for entry in run["cells"].values():
+            edit(entry)
+        return json.dumps(run)
+    return fault
+
+
+def _outputs(stage, edit):
+    """A run.json fault: the outputs of each cell's stage record become edit(outputs)."""
+    return _each_cell(lambda entry: entry[stage].update(outputs=edit(entry[stage]["outputs"])))
+
+
 class TestReuse:
-    """A rerun of report keeps each cell whole while the reuse key and the
-    stamps of the cell's files hold and no prompt failed, whatever the
-    endpoint, and keeps its suite and prompts while only the model, a failed
-    prompt or the records and report files changed; any other rerun builds
-    the cell as a fresh out_dir would."""
+    """A rerun of report runs the four stages of each cell (build, render,
+    evaluate, score) and keeps each stage whose run.json record holds its
+    key, its inputs' sha256 among it, and the sha256 of the files it wrote,
+    whatever the endpoint; a stage that runs writes what a fresh out_dir
+    gets."""
 
     @pytest.fixture(autouse=True)
     def reuse_dir(self, tmp_path, monkeypatch):
@@ -738,6 +765,10 @@ class TestReuse:
         return {path.as_posix(): [(s := path.stat()).st_ino, s.st_mtime_ns, s.st_ctime_ns]
                 for path in sorted(Path(out_dir).rglob("*")) if path.is_file()}
 
+    def rewritten(self, before, out_dir="run"):
+        after = self.stats(out_dir)
+        return [path for path in after if before.get(path) != after[path]]
+
     @staticmethod
     def cells(out_dir="run"):
         return json.loads(Path(out_dir, "run.json").read_text("utf-8"))["cells"]
@@ -748,47 +779,54 @@ class TestReuse:
     def reasons(self, out_dir="run"):
         return {cell: entry["reason"] for cell, entry in self.cells(out_dir).items()}
 
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept stage did work it could skip")
+
+    @staticmethod
+    def kept_and_built(kept_run, built_run):
+        """Each cell's run.json entry in two runs, without reused and reason."""
+        for run_ in (kept_run, built_run):
+            for entry in run_["cells"].values():
+                del entry["reused"], entry["reason"]
+        return kept_run["cells"], built_run["cells"]
+
     def test_a_rerun_reads_back_every_cell(self, monkeypatch, capsys):
+        """A rerun over unchanged inputs keeps every stage and prints what a
+        first run printed; its run.json entries are those a build writes."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, False)
-        assert self.reasons() == dict.fromkeys(CELLS, "no run.json")
-        stamps = {cell: cli._stamps(Path("run", cell)) for cell in CELLS}
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a reused cell built again")
-
+        assert self.reused() == dict.fromkeys(CELLS, [])
+        assert self.reasons() == dict.fromkeys(CELLS, "build: no run.json")
+        before = self.stats()
         with monkeypatch.context() as patch:
-            patch.setattr(suite, "build_suite", refuse)
-            patch.setattr(prompts, "render_suite", refuse)
+            patch.setattr(suite, "build_suite", self.refuse)
+            patch.setattr(prompts, "render_suite", self.refuse)
             code, reused_err = self.report(REUSE_CONFIG, capsys)
         assert code == 0
-        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        assert self.reused() == dict.fromkeys(CELLS, STAGES)
         assert self.reasons() == dict.fromkeys(CELLS, None)
-        assert {cell: cli._stamps(Path("run", cell)) for cell in CELLS} == stamps
+        assert self.rewritten(before) == ["run/run.json"]
         reused = self.outputs("run")
         reused_run = json.loads(Path("run/run.json").read_text("utf-8"))
 
         Path("run/run.json").unlink()
         code, built_err = self.report(REUSE_CONFIG, capsys)
         assert code == 0
-        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.reused() == dict.fromkeys(CELLS, [])
         assert self.outputs("run") == reused
         for line in ("warning: ", "reject line ", "skip no-vowel: "):  # printed by both runs
             assert line in built_err
-        assert reused_err.splitlines() == [line.replace(" (built: no run.json)", " (reused cell)")
+        assert reused_err.splitlines() == [line.replace(NEW, WHOLE)
                                            for line in built_err.splitlines()]
         built_run = json.loads(Path("run/run.json").read_text("utf-8"))
         for key in ("skipped_records", "notes", "summary"):
             assert reused_run[key] == built_run[key]
-        for cell in CELLS:  # a kept cell's entry is the one its build wrote
-            kept, built = reused_run["cells"][cell], built_run["cells"][cell]
-            for entry in (kept, built):
-                del entry["reused"], entry["reason"]
-            assert kept == built
+        kept, built = self.kept_and_built(reused_run, built_run)
+        assert kept == built  # a kept stage's record is the one its run wrote
 
     def test_a_whole_rerun_reads_and_writes_nothing(self, monkeypatch, capsys):
-        """Every cell kept whole: no ingest, nonce, evaluate or score, no
-        suite or prompt read, the same summary and stderr lines, and every
+        """Every stage kept: no ingest, nonce, evaluate or score, no suite,
+        prompt or record read, the same summary and stderr lines, and every
         file left as it was, run.json too once its bytes repeat."""
         Path("config.json").write_text(json.dumps(REUSE_CONFIG), encoding="utf-8")
         runs = []
@@ -804,15 +842,11 @@ class TestReuse:
                 assert run(["report", "--config", "config.json"]) == 0
             runs.append(capsys.readouterr())
         assert self.stats() == before
-        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        assert self.reused() == dict.fromkeys(CELLS, STAGES)
         cold, _, patched = runs
         assert patched.out == cold.out and patched.out.startswith("{")
-        assert patched.err.splitlines() == [line.replace(" (built: no run.json)", " (reused cell)")
+        assert patched.err.splitlines() == [line.replace(NEW, WHOLE)
                                             for line in cold.err.splitlines()]
-
-    @staticmethod
-    def refuse(*args, **kwargs):
-        raise AssertionError("a run that keeps every cell whole did work it could skip")
 
     def test_a_mock_rerun_rewrites_only_run_json(self, capsys):
         """A mock answers without the cache, so a rerun writes the same
@@ -823,8 +857,7 @@ class TestReuse:
         before = self.stats()
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         assert self.outputs("run") == first
-        changed = [path for path, stat in self.stats().items() if before.get(path) != stat]
-        assert changed == ["run/run.json"]
+        assert self.rewritten(before) == ["run/run.json"]
         assert not Path("cache").exists()
 
     def test_a_mock_report_never_reads_a_planted_log(self, monkeypatch, capsys):
@@ -845,65 +878,59 @@ class TestReuse:
         mock_config(Path("random.json"), endpoint="mock://random", seed=3)
         random_config = REUSE_CONFIG | {"model_config": "random.json"}
         assert self.report(random_config, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
-        assert self.reasons() == dict.fromkeys(CELLS, "model changed")
+        assert self.reused() == dict.fromkeys(CELLS, ["build", "render"])
+        assert self.reasons() == dict.fromkeys(CELLS, "evaluate: model changed")
         seed_3 = self.outputs("run")
         mock_config(Path("random.json"), endpoint="mock://random", seed=4)
         code, err = self.report(random_config, capsys)
         assert code == 0
-        assert err.count("(reused suite and prompts: model changed)") == len(CELLS)
+        assert err.count("(kept build, render; evaluate: model changed)") == len(CELLS)
         records = [f"{cell}/records.jsonl" for cell in CELLS]
         assert all(self.outputs("run")[name] != seed_3[name] for name in records)
         assert self.report(random_config | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
         mock_config(Path("random.json"), endpoint="mock://random", seed=4, parallelism=3, timeout=5)
         assert self.report(random_config, capsys)[0] == 0  # a field no record depends on
-        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        assert self.reused() == dict.fromkeys(CELLS, STAGES)
 
     def test_a_new_model_reads_back_the_suite_and_prompts(self, monkeypatch, capsys):
-        """A cell that keeps only its suite and prompts builds and renders
-        nothing, prints a build's lines but for the suffix, and writes the
-        run.json entries of a rebuild."""
+        """A cell that keeps its build and render reads no input record,
+        builds and renders nothing, prints what a build prints but for the
+        suffix, and writes the run.json entries of a build."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         mock_config(Path("random.json"), endpoint="mock://random", seed=3)
         config = REUSE_CONFIG | {"model_config": "random.json"}
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a kept suite or prompts file built again")
-
         with monkeypatch.context() as patch:
-            patch.setattr(suite, "build_suite", refuse)
-            patch.setattr(prompts, "render_suite", refuse)
+            for module, name in ((suite, "ingest"), (nonce, "make_nonce"),
+                                 (suite, "build_suite"), (prompts, "render_suite")):
+                patch.setattr(module, name, self.refuse)
             code, reused_err = self.report(config, capsys)
         assert code == 0
-        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
+        assert self.reused() == dict.fromkeys(CELLS, ["build", "render"])
         reused_run = json.loads(Path("run/run.json").read_text("utf-8"))
 
         Path("run/run.json").unlink()
         code, built_err = self.report(config, capsys)
         assert code == 0
-        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert self.reused() == dict.fromkeys(CELLS, [])
         for line in ("warning: ", "reject line ", "skip no-vowel: "):  # printed by both runs
             assert line in built_err
         assert reused_err.splitlines() == [
-            line.replace(" (built: no run.json)", " (reused suite and prompts: model changed)")
+            line.replace(NEW, " (kept build, render; evaluate: model changed)")
             for line in built_err.splitlines()
         ]
         built_run = json.loads(Path("run/run.json").read_text("utf-8"))
         for key in ("skipped_records", "notes", "summary"):
             assert reused_run[key] == built_run[key]
-        for cell in CELLS:  # render and evaluate manifests, warnings and stamps
-            kept, built = reused_run["cells"][cell], built_run["cells"][cell]
-            for entry in (kept, built):
-                del entry["reused"], entry["reason"]
-            assert kept == built
+        kept, built = self.kept_and_built(reused_run, built_run)
+        assert kept == built
 
     def test_the_evaluate_entry_decides_whether_the_records_are_kept(self, capsys):
-        """A cell keeps its records only while its own run.json evaluate entry
-        holds the model the config names: an entry edited to another seed
-        evaluates the cell again as a rebuild would, and is written again with
-        the config's seed; an entry that lists failed prompts keeps only its
-        suite and prompts."""
+        """A cell keeps its records only while its own run.json evaluate record
+        holds the model the config names: a record edited to another seed
+        evaluates the cell again, writes the same records, keeps the score and
+        is written again with the config's seed; a record that lists failed
+        prompts evaluates again too."""
         mock_config(Path("random.json"), endpoint="mock://random", seed=3)
         config = REUSE_CONFIG | {"model_config": "random.json"}
         assert self.report(config, capsys)[0] == 0
@@ -914,9 +941,9 @@ class TestReuse:
         path.write_text(json.dumps(edited), encoding="utf-8")
         code, err = self.report(config, capsys)
         assert code == 0
-        assert err.count("(reused suite and prompts: model changed)") == len(CELLS)
-        assert self.reused() == dict.fromkeys(CELLS, "suite and prompts")
-        assert self.reasons() == dict.fromkeys(CELLS, "model changed")
+        assert err.count("(kept build, render, score; evaluate: model changed)") == len(CELLS)
+        assert self.reused() == dict.fromkeys(CELLS, ["build", "render", "score"])
+        assert self.reasons() == dict.fromkeys(CELLS, "evaluate: model changed")
         reused = self.outputs("run")
         reused_run = json.loads(path.read_text("utf-8"))
 
@@ -924,47 +951,48 @@ class TestReuse:
         assert self.report(config, capsys)[0] == 0
         assert self.outputs("run") == reused
         built_run = json.loads(path.read_text("utf-8"))
-        for cell in CELLS:
-            kept, built = reused_run["cells"][cell], built_run["cells"][cell]
-            for entry in (kept, built):
-                del entry["reused"], entry["reason"]
-            assert kept == built
-            assert kept["evaluate"]["model"]["seed"] == 3
+        kept, built = self.kept_and_built(reused_run, built_run)
+        assert kept == built
+        assert all(entry["evaluate"]["model"]["seed"] == 3 for entry in kept.values())
 
         built_run["cells"]["systematicity_id"]["evaluate"]["failed_prompts"] = [["x", 0]]
         path.write_text(json.dumps(built_run), encoding="utf-8")
         assert self.report(config, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, "cell") | {
-            "systematicity_id": "suite and prompts"}
+        assert self.reused() == dict.fromkeys(CELLS, STAGES) | {
+            "systematicity_id": ["build", "render", "score"]}
         assert self.reasons() == dict.fromkeys(CELLS, None) | {
-            "systematicity_id": "failed prompts"}
+            "systematicity_id": "evaluate: failed prompts"}
 
-    def test_a_run_json_in_the_older_format_costs_one_rebuild(self, monkeypatch, capsys):
-        """A run.json whose reuse_key still holds a model part, beside an
-        input_digest, keeps every cell whole under the program that wrote it.
-        Under another program every cell is built once, for that reason
-        alone, and is kept whole after that."""
+    def test_a_run_json_in_the_older_format_costs_one_rebuild(self, capsys):
+        """A run.json in the format of the version before stage records
+        (reuse_key, per-cell stamps, warnings and render and evaluate entries
+        without keys) holds no stage record: every stage runs once and writes
+        the same bytes, and every stage is kept after that."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         path = Path("run/run.json")
         older = json.loads(path.read_text("utf-8"))
-        model = client.ModelConfig.from_file("model.json")
-        older["reuse_key"] |= {"program": "older program",
-                               "model": cli._digest({k: getattr(model, k) for k in cli._MODEL_KEYS})}
-        older["input_digest"] = older["reuse_key"]["input"]
-        older_text = json.dumps(older)
-        path.write_text(older_text, encoding="utf-8")
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_program_digest", lambda: "older program")
-            assert self.report(REUSE_CONFIG, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, "cell")
-        path.write_text(older_text, encoding="utf-8")
+        older["reuse_key"] = {part: "0" * 64 for part in
+                              ("program", "options", "input", "lexicon", "templates")}
+        for cell, entry in older["cells"].items():
+            older["cells"][cell] = {
+                "warnings": entry["build"]["warnings"],
+                "render": {k: v for k, v in entry["render"].items()
+                           if k not in ("program", "suite_digest", "template", "outputs")},
+                "evaluate": {k: v for k, v in entry["evaluate"].items()
+                             if k not in ("prompts_digest", "outputs")}
+                | {"output_digest": entry["evaluate"]["outputs"]["records.jsonl"][4]},
+                "stamps": {name: fingerprint[:4] for stage in STAGES
+                           for name, fingerprint in entry[stage]["outputs"].items()},
+                "reused": "cell", "reason": None,
+            }
+        path.write_text(json.dumps(older), encoding="utf-8")
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, False)
-        assert self.reasons() == dict.fromkeys(CELLS, "program changed")
+        assert self.reused() == dict.fromkeys(CELLS, [])
+        assert self.reasons() == dict.fromkeys(CELLS, "build: no record")
         assert self.outputs("run") == first
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        assert self.reused() == dict.fromkeys(CELLS, STAGES)
 
     @pytest.mark.parametrize("edit, kept", [
         ({"seed": 4}, False),
@@ -975,8 +1003,8 @@ class TestReuse:
         ({"max_retries": 1}, True),
     ], ids=["seed", "max_tokens", "model_name", "parallelism", "timeout", "max_retries"])
     def test_evaluate_and_report_keep_records_on_the_same_model_edits(self, capsys, edit, kept):
-        """evaluate prints its kept line exactly when a report cell is kept
-        whole, for each edit of the model config."""
+        """evaluate prints its kept line exactly when a report cell keeps its
+        evaluate stage, for each edit of the model config."""
         mock_config(Path("random.json"), endpoint="mock://random", seed=3)
         config = REUSE_CONFIG | {"model_config": "random.json"}
         evaluate = ["evaluate", "--prompts", "run/systematicity_id/prompts.jsonl",
@@ -987,22 +1015,23 @@ class TestReuse:
         assert self.report(config, capsys)[0] == 0
         assert run(evaluate) == 0
         evaluate_kept = capsys.readouterr().err.startswith("evaluate: kept records.jsonl ")
-        assert evaluate_kept == (set(self.reused().values()) == {"cell"}) == kept
+        report_kept = all("evaluate" in reused for reused in self.reused().values())
+        assert evaluate_kept == report_kept == kept
 
     def test_a_lexicon_no_draw_reads_need_not_exist(self, capsys):
         """Every record carries its nonce root, so a missing lexicon is
         never read: the run and its rerun exit 0, and the lexicon's
-        appearance rebuilds every cell."""
+        appearance builds every suite again."""
         assert run(["gen-nonce", "--lang", "turkish", "--seed", "5", "--in", "corpus.jsonl",
                     "--out", "nonced.jsonl"]) == 0
         config = REUSE_CONFIG | {"input": "nonced.jsonl", "lexicon": "missing.txt"}
-        for reused in (False, "cell"):
+        for reused in ([], STAGES):
             code, err = self.report(config, capsys)
             assert code == 0, err
             assert self.reused() == dict.fromkeys(CELLS, reused)
         Path("missing.txt").write_text("ev\n", encoding="utf-8")
         assert self.report(config, capsys)[0] == 0
-        assert self.reasons() == dict.fromkeys(CELLS, "lexicon changed")
+        assert self.reasons() == dict.fromkeys(CELLS, "build: lexicon changed")
 
     def test_an_http_cell_is_kept_whole(self, monkeypatch, capsys):
         """An HTTP cell is kept whole as a mock cell is: the rerun sends no
@@ -1018,8 +1047,8 @@ class TestReuse:
             patch.setattr(client.ResponseCache, "_entries", self.refuse)
             code, err = self.report(config, capsys)
         assert code == 0
-        assert err.count(" (reused cell)") == len(CELLS)
-        assert self.reused() == dict.fromkeys(CELLS, "cell")
+        assert err.count(WHOLE) == len(CELLS)
+        assert self.reused() == dict.fromkeys(CELLS, STAGES)
         after = self.stats() | self.stats("cache")
         assert [path for path in after if before.get(path) != after[path]] == ["run/run.json"]
         for entry in self.cells().values():  # the count of the run that wrote the records
@@ -1033,9 +1062,9 @@ class TestReuse:
         assert [path for path in rebuilt if after.get(path) != rebuilt[path]] == ["run/run.json"]
 
     def test_a_cell_with_failed_prompts_sends_only_those_again(self, capsys, monkeypatch):
-        """A cell that lists failed prompts keeps only its suite and prompts;
-        its rerun sends the failed prompt alone, and the rerun after that
-        keeps every cell whole."""
+        """A cell that lists failed prompts keeps its build and render; its
+        rerun sends the failed prompt alone, and the rerun after that keeps
+        every stage."""
         sent = []
 
         def transport(url, payload, headers, timeout):
@@ -1057,48 +1086,67 @@ class TestReuse:
             runs.append((code, len(sent) - before, failed, self.reused(), self.reasons()))
         distinct = {row["prompt"] for cell in CELLS
                     for _, row in jsonl.read_jsonl(Path("run", cell, "prompts.jsonl"))}
-        kept = dict.fromkeys(CELLS, "cell") | {"productivity_id": "suite and prompts"}
+        kept = dict.fromkeys(CELLS, STAGES) | {"productivity_id": ["build", "render"]}
         assert runs == [
-            (2, len(distinct), ["productivity_id"], dict.fromkeys(CELLS, False),
-             dict.fromkeys(CELLS, "no run.json")),
-            (0, 1, [], kept, dict.fromkeys(CELLS, None) | {"productivity_id": "failed prompts"}),
-            (0, 0, [], dict.fromkeys(CELLS, "cell"), dict.fromkeys(CELLS, None)),
+            (2, len(distinct), ["productivity_id"], dict.fromkeys(CELLS, []),
+             dict.fromkeys(CELLS, "build: no run.json")),
+            (0, 1, [], kept,
+             dict.fromkeys(CELLS, None) | {"productivity_id": "evaluate: failed prompts"}),
+            (0, 0, [], dict.fromkeys(CELLS, STAGES), dict.fromkeys(CELLS, None)),
         ]
 
-    @pytest.mark.parametrize("change, changed, reused, reason", [
-        (lambda config: config | {"seed": 6}, CELLS, False, "options changed"),
-        (lambda config: config | {"shots": 2}, CELLS, False, "options changed"),
-        (lambda config: config | {"strategy": "random"}, CELLS, False, "options changed"),
-        (lambda config: config | {"variant": "cot"}, CELLS, False, "options changed"),
-        (_edit_input_line, CELLS, False, "input changed"),
-        (_lexicon_with_the_nonce_roots, CELLS, False, "lexicon changed"),
-        (_edit_template, CELLS, False, "templates changed"),
-        (_reverse_rows, ["productivity_id"], False, "suite.jsonl changed"),
+    @pytest.mark.parametrize("change, runs", [
+        (lambda config: config | {"seed": 6}, dict.fromkeys(CELLS, ([], "build: seed changed"))),
+        (lambda config: config | {"shots": 2},
+         dict.fromkeys(CELLS, (["build", "score"], "render: shots changed"))),
+        (lambda config: config | {"strategy": "random"}, {
+            "productivity_id": (["render", "evaluate"], "build: strategy changed"),
+            "productivity_ood": (["render", "evaluate"], "build: strategy changed"),
+            "systematicity_id": ([], "build: strategy changed"),
+            "systematicity_ood": ([], "build: strategy changed")}),
+        (lambda config: config | {"variant": "cot"},
+         dict.fromkeys(CELLS, (["build", "score"], "render: variant changed"))),
+        (_edit_input_line, dict.fromkeys(CELLS, ([], "build: input_digest changed"))),
+        (_lexicon_with_the_nonce_roots, {
+            "productivity_id": (["render", "evaluate", "score"], "build: lexicon changed"),
+            "productivity_ood": ([], "build: lexicon changed"),
+            "systematicity_id": (["render", "evaluate", "score"], "build: lexicon changed"),
+            "systematicity_ood": ([], "build: lexicon changed")}),
+        (_edit_template, {"systematicity_id": (["build", "score"], "render: template changed")}),
+        (_reverse_rows,
+         {"productivity_id": (["render", "evaluate", "score"], "build: suite.jsonl changed")}),
         (lambda config: Path("run/systematicity_ood/prompts.jsonl").unlink() or config,
-         ["systematicity_ood"], False, "prompts.jsonl changed"),
-        (_touch("suite.jsonl.manifest.json", "productivity_ood"), ["productivity_ood"], False,
-         "suite.jsonl.manifest.json changed"),
-        (_touch("records.jsonl", "productivity_id"), ["productivity_id"], "suite and prompts",
-         "records.jsonl changed"),
-        (_edit_report_json, ["systematicity_id"], "suite and prompts", "report.json changed"),
-        (_touch("report.csv", "systematicity_ood"), ["systematicity_ood"], "suite and prompts",
-         "report.csv changed"),
+         {"systematicity_ood": (["build", "evaluate", "score"], "render: prompts.jsonl changed")}),
+        (_touch("suite.jsonl.manifest.json", "productivity_ood"), {}),
+        (_touch("records.jsonl", "productivity_id"), {}),
+        (_edit_report_json,
+         {"systematicity_id": (["build", "render", "evaluate"], "score: report.json changed")}),
+        (_touch("report.csv", "systematicity_ood"), {}),
         (lambda config: Path("run/productivity_ood/report.txt").unlink() or config,
-         ["productivity_ood"], "suite and prompts", "report.txt changed"),
+         {"productivity_ood": (["build", "render", "evaluate"], "score: report.txt changed")}),
     ], ids=["seed", "shots", "strategy", "variant", "input line", "lexicon", "template",
             "rewritten file", "deleted file", "touched file", "touched records",
             "edited report", "touched csv", "deleted txt"])
-    def test_a_changed_input_builds_the_cell_as_a_fresh_out_dir(self, capsys, change, changed,
-                                                                reused, reason):
+    def test_a_changed_input_builds_the_cell_as_a_fresh_out_dir(self, capsys, change, runs):
+        """Each stage whose inputs changed runs, and only that stage and the
+        ones whose inputs it changed; every cell then holds what a fresh
+        out_dir gets. A touched file keeps its bytes, so no stage runs, and
+        the record takes its new stamp."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         config = change(dict(REUSE_CONFIG))
         code, err = self.report(config, capsys)
         assert code == 0
-        assert self.reused() == {cell: reused if cell in changed else "cell" for cell in CELLS}
-        assert self.reasons() == {cell: reason if cell in changed else None for cell in CELLS}
-        what = "built" if reused is False else "reused suite and prompts"
-        assert err.count(f"({what}: {reason})") == len(changed)
+        assert {cell: (entry["reused"], entry["reason"]) for cell, entry in self.cells().items()} \
+            == {cell: runs.get(cell, (STAGES, None)) for cell in CELLS}
+        for cell, (reused, reason) in runs.items():
+            assert f"run/{cell}{_label(reused, reason)}" in err
+        for cell, entry in self.cells().items():  # each record holds its files' stamps now
+            for stage in STAGES:
+                for name, fingerprint in entry[stage]["outputs"].items():
+                    s = Path("run", cell, name).stat()
+                    assert fingerprint == [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns,
+                                           suite.file_digest(Path("run", cell, name))]
         assert self.report(config | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
         if change is _lexicon_with_the_nonce_roots:  # the change reaches the suite
@@ -1108,8 +1156,8 @@ class TestReuse:
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         monkeypatch.setattr(cli, "_program_digest", lambda: "another program")
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
-        assert self.reused() == dict.fromkeys(CELLS, False)
-        assert self.reasons() == dict.fromkeys(CELLS, "program changed")
+        assert self.reused() == dict.fromkeys(CELLS, [])
+        assert self.reasons() == dict.fromkeys(CELLS, "build: program changed")
         assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys)[0] == 0
         assert self.outputs("run") == self.outputs("fresh")
 
@@ -1129,32 +1177,40 @@ class TestReuse:
         assert self.stats() == before
         assert self.report(REUSE_CONFIG | {"seed": 6}, capsys)[0] == 0  # the lock went with it
 
-    @pytest.mark.parametrize("fault, reason", [
-        (lambda text, run: "{not json", "malformed run.json"),
-        (lambda text, run: json.dumps([run]), "malformed run.json"),
-        (lambda text, run: json.dumps(run | {"cells": list(run["cells"].values())}),
-         "malformed run.json"),
-        (lambda text, run: json.dumps(run | {"cells": dict.fromkeys(run["cells"], 1)}),
-         "malformed run.json"),
-        (lambda text, run: json.dumps(run | {"cells": {
-            cell: entry | {"stamps": {n: s[:3] for n, s in entry["stamps"].items()}}
-            for cell, entry in run["cells"].items()}}), "suite.jsonl changed"),
-        (lambda text, run: json.dumps(run | {"cells": {
-            cell: entry | {"stamps": {n: list(map(str, s)) for n, s in entry["stamps"].items()}}
-            for cell, entry in run["cells"].items()}}), "suite.jsonl changed"),
-        (lambda text, run: json.dumps(run | {"cells": {
-            cell: entry | {"stamps": list(entry["stamps"].values())}
-            for cell, entry in run["cells"].items()}}), "malformed run.json"),
-        (lambda text, run: text.replace("{", '{"lone": "\\ud800", ', 1), "malformed run.json"),
-        (lambda text, run: json.dumps(run | {"reuse_key": "0" * 64}), "program changed"),
-        (lambda text, run: json.dumps(run | {"summary": []}), "malformed run.json"),
-        (lambda text, run: json.dumps(run | {"cells": {
-            cell: {k: v for k, v in entry.items() if k != "warnings"}
-            for cell, entry in run["cells"].items()}}), "malformed run.json"),
+    @pytest.mark.parametrize("fault, reused, reason", [
+        (lambda text, run: "{not json", [], "build: malformed run.json"),
+        (lambda text, run: json.dumps([run]), [], "build: malformed run.json"),
+        (lambda text, run: json.dumps(run | {"cells": list(run["cells"].values())}), [],
+         "build: malformed run.json"),
+        (lambda text, run: json.dumps(run | {"cells": dict.fromkeys(run["cells"], 1)}), [],
+         "build: no record"),
+        (_outputs("evaluate", lambda outputs: {n: f[:3] for n, f in outputs.items()}),
+         ["build", "render", "score"], "evaluate: records.jsonl changed"),
+        (_outputs("render", lambda outputs: {n: f[4] for n, f in outputs.items()}),
+         ["build", "evaluate", "score"], "render: prompts.jsonl changed"),
+        (_outputs("score", lambda outputs: list(outputs.values())),
+         ["build", "render", "evaluate"], "score: report.json changed"),
+        (lambda text, run: text.replace("{", '{"lone": "\\ud800", ', 1), [],
+         "build: malformed run.json"),
+        (_each_cell(lambda entry: entry.update(build="0" * 64)), ["render", "evaluate", "score"],
+         "build: no record"),
+        (lambda text, run: json.dumps(run | {"summary": []}), STAGES, None),
+        (_each_cell(lambda entry: entry["build"].pop("warnings")),
+         ["render", "evaluate", "score"], "build: malformed warnings"),
+        (_each_cell(lambda entry: entry["build"].update(warnings=5)),
+         ["render", "evaluate", "score"], "build: malformed warnings"),
+        (_each_cell(lambda entry: entry["score"].update(scores="100.0")),
+         ["build", "render", "evaluate"], "score: malformed scores"),
+        (_each_cell(lambda entry: entry.update(evaluate=[])), ["build", "render", "score"],
+         "evaluate: no record"),
     ], ids=["not JSON", "not an object", "cells a list", "cell not an object",
             "stamps too short", "stamps strings", "stamps a list", "lone surrogate",
-            "key a digest string", "summary a list", "cell without warnings"])
-    def test_a_bad_run_json_builds_every_cell(self, capsys, fault, reason):
+            "key a digest string", "summary a list", "cell without warnings",
+            "warnings an int", "scores a string", "record not an object"])
+    def test_a_bad_run_json_builds_every_cell(self, capsys, fault, reused, reason):
+        """A hand-edited run.json never ends in a traceback: a file that does
+        not read, or holds no cells, builds every cell; a bad stage record
+        runs that stage again with a one-line reason; summary is not read."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         path = Path("run/run.json")
@@ -1163,9 +1219,51 @@ class TestReuse:
         code, err = self.report(REUSE_CONFIG, capsys)
         assert code == 0
         assert "Traceback" not in err and "error" not in err
-        assert self.reused() == dict.fromkeys(CELLS, False)
+        assert err.count(_label(reused, reason)) == len(CELLS)
+        assert self.reused() == dict.fromkeys(CELLS, reused)
         assert self.reasons() == dict.fromkeys(CELLS, reason)
         assert self.outputs("run") == first
+
+    def test_a_render_option_builds_no_suite(self, monkeypatch, capsys):
+        """Another instruction_language reads no input record and builds no
+        suite: every suite.jsonl keeps its inode, mtime and ctime, and the
+        cells hold what a fresh out_dir gets."""
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        before = self.stats()
+        config = REUSE_CONFIG | {"instruction_language": "turkish"}
+        with monkeypatch.context() as patch:
+            patch.setattr(suite, "ingest", self.refuse)
+            patch.setattr(suite, "build_suite", self.refuse)
+            assert self.report(config, capsys)[0] == 0
+        assert self.reasons() == dict.fromkeys(CELLS, "render: instruction_language changed")
+        suites = [path for path in self.rewritten(before) if path.endswith("suite.jsonl")]
+        assert suites == []
+        assert self.report(config | {"out_dir": "fresh"}, capsys)[0] == 0
+        assert self.outputs("run") == self.outputs("fresh")
+
+    def test_a_new_task_leaves_the_other_cells_alone(self, capsys):
+        config = REUSE_CONFIG | {"tasks": ["productivity"]}
+        assert self.report(config, capsys)[0] == 0
+        before = self.stats()
+        assert self.report(config | {"tasks": ["productivity", "systematicity"]}, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS[:2], STAGES) | dict.fromkeys(CELLS[2:], [])
+        assert {path for path in self.rewritten(before) if "productivity" in path} == set()
+        assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys)[0] == 0
+        assert self.outputs("run") == self.outputs("fresh")
+
+    def test_adding_ood_builds_the_id_suites_again(self, capsys):
+        """An ood cell drops every record that gets no nonce root, from the id
+        suites too: adding one builds the id suites without no-vowel."""
+        config = REUSE_CONFIG | {"distributions": ["id"]}
+        assert self.report(config, capsys)[0] == 0
+        suites = [Path("run", cell, "suite.jsonl") for cell in CELLS if cell.endswith("_id")]
+        assert all("no-vowel:" in path.read_text("utf-8") for path in suites)
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.reasons() == dict.fromkeys(CELLS, "build: ood changed") | {
+            cell: "build: no record" for cell in CELLS if cell.endswith("_ood")}
+        assert not any("no-vowel:" in path.read_text("utf-8") for path in suites)
+        assert self.report(REUSE_CONFIG | {"out_dir": "fresh"}, capsys)[0] == 0
+        assert self.outputs("run") == self.outputs("fresh")
 
 
 EVALUATE = ["evaluate", "--prompts", "prompts.jsonl", "--model-config", "model.json",
@@ -1198,9 +1296,10 @@ def _edit_manifest(command, edit):
     return change
 
 
-def _parent_format(text):  # a manifest written before it held the program and output digest
+def _parent_format(text):  # a manifest written before it held its outputs' fingerprints
     manifest = json.loads(text)
-    del manifest["program"], manifest["output_digest"]
+    digests = {name: fingerprint[4] for name, fingerprint in manifest.pop("outputs").items()}
+    manifest["output_digest"] = digests.popitem()[1] if len(digests) == 1 else digests
     return json.dumps(manifest)
 
 
@@ -1326,8 +1425,8 @@ class TestStageReuse:
 
     def test_an_output_that_is_not_a_regular_file_is_never_read(self, monkeypatch, capsys):
         """A FIFO next to a manifest that vouches for other bytes: the rerun
-        does not open it to digest it (that would block) but runs, and
-        writes its records into it."""
+        does not open it to digest it (that would block) but runs, writes
+        its records into it and leaves the manifest as it was."""
         assert run(EVALUATE) == 0
         os.mkfifo("fifo.jsonl")
         shutil.copy("records.jsonl.manifest.json", "fifo.jsonl.manifest.json")
@@ -1350,8 +1449,43 @@ class TestStageReuse:
             reader.join(10)
         assert code == 0 and "kept" not in err
         assert got == [Path("records.jsonl").read_bytes()]
-        manifest = json.loads(Path("fifo.jsonl.manifest.json").read_text("utf-8"))
-        assert manifest["output_digest"] is None  # which no later run matches
+        assert "no manifest: fifo.jsonl is not a regular file\n" in err
+        assert filecmp.cmp("fifo.jsonl.manifest.json", "records.jsonl.manifest.json", shallow=False)
+
+    @pytest.mark.parametrize("kind", ["fifo", "symlink to the null device"])
+    @pytest.mark.parametrize("argv", [
+        ["gen-nonce", "--lang", "turkish", "--seed", "3", "--in", "corpus.jsonl", "--out", "odd"],
+        BUILD[:-1] + ["odd"],
+        ["render", "--suite", "suite.jsonl", "--shots", "1", "--out", "odd"],
+        EVALUATE[:-1] + ["odd"],
+        SCORE[:-1] + ["odd"],
+    ], ids=lambda argv: argv[0])
+    def test_an_output_that_is_not_a_regular_file_gets_no_manifest(self, capsys, argv, kind):
+        """Every stage command writes into a FIFO or through a symlink to the
+        null device, exits 0 and says in one line that it wrote no manifest,
+        which would vouch for bytes no rerun can read back."""
+        out = "odd/report.json" if argv[0] == "score" else "odd"
+        if argv[0] == "score":
+            assert run(EVALUATE) == 0
+            Path("odd").mkdir()
+        manifests = sorted(Path().rglob("*manifest.json"))
+        if kind == "fifo":
+            os.mkfifo(out)
+            reader = threading.Thread(target=lambda: Path(out).read_bytes(), daemon=True)
+            reader.start()
+        else:
+            os.symlink(os.devnull, out)
+        try:
+            code, err = self.stage(argv, capsys)
+        finally:  # a reader still waiting for a writer gets end of file
+            if kind == "fifo":
+                if reader.is_alive():
+                    os.close(os.open(out, os.O_RDWR))
+                reader.join(10)
+        assert code == 0
+        assert [line for line in err.splitlines() if "manifest" in line] == [
+            f"no manifest: {out} is not a regular file"]
+        assert sorted(Path().rglob("*manifest.json")) == manifests
 
 
 def test_manifests_name_a_bundled_corpus_as_given(tmp_path, monkeypatch):

@@ -1,0 +1,243 @@
+"""A `report` rerun equals a fresh run: a stateful property test.
+
+"Build Systems a la Carte" (Mokhov, Mitchell and Peyton Jones, ICFP 2018)
+asks two things of an incremental build, and the machine below checks both
+after random edits of a report's config, model, input and out_dir:
+
+- correctness: after every step the machine runs report, and each file of
+  each cell the config names holds the bytes that the same config writes
+  into a fresh out_dir; the two runs exit alike, print the same summary and
+  record the same summary, skipped records and notes in run.json;
+- minimality: a run right after a run that exited 0, with no edit between
+  them (the rule `nothing`), writes no file but run.json and builds,
+  renders, evaluates and reads no suite.
+
+Every content edit changes the size of the file. A file rewritten at the
+same size within one tick of the file system's clock can go unseen (see the
+README), and no rule here makes one. The `reused` and `reason` labels are
+not checked.
+"""
+import contextlib
+import io
+import json
+import os
+import shutil
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from factory import synth_turkish_records
+from morphsuite import cli, client, prompts, suite
+from morphsuite.jsonl import write_jsonl
+from morphsuite.suite import record_to_row
+
+CELL_FILES = ("suite.jsonl", "suite.jsonl.manifest.json", "prompts.jsonl", "records.jsonl",
+              "report.json", "report.csv", "report.txt")
+CELLS = [f"{task}_{dist}" for task in suite.TASKS for dist in suite.DISTRIBUTIONS]
+
+# Allowed values of every build and render option.
+OPTIONS = {
+    "context": [False, True],
+    "order_mode": ["shuffled", "correct"],
+    "strategy": ["random", "lang_agnostic", "lang_specific_tr"],
+    "k": [None, 1, 2, 3],
+    "seed": [0, 1, 2],
+    "demo_fraction": [0.1, 0.25, 0.5],
+    "instruction_language": ["english", "turkish", "finnish"],
+    "variant": ["standard", "context", "cot", "paraphrased"],
+    "shots": [0, 1, 2],
+}
+
+# Records beside the factory's: one whose build warns, one that gets no
+# nonce root, and one that ingest rejects.
+EXTRA = [
+    {"record_id": "same-forms", "language_id": "turkish", "root": "ev",
+     "affixes": [{"form": "ler"}, {"form": "ler"}], "gold_surface": "evlerler",
+     "sentence": "sonunda ___ dedi ve sustu"},
+    {"record_id": "no-vowel", "language_id": "turkish", "root": "krt",
+     "affixes": [{"form": "lar"}, {"form": "da"}], "gold_surface": "krtlarda",
+     "sentence": "kitapta ___ diye bir bölüm vardı"},
+    {"record_id": "bad-gold", "language_id": "turkish", "root": "ev",
+     "affixes": [{"form": "ler"}], "gold_surface": "evler!"},
+]
+
+# The functions a rerun with nothing to do never calls.
+WORK = [(suite, "build_suite"), (prompts, "render_suite"), (client, "evaluate_rows"),
+        (suite, "read_suite")]
+
+
+def test_every_build_and_render_option_is_edited():
+    names = {f.name for cls in (suite.BuildOptions, prompts.RenderOptions) for f in fields(cls)}
+    assert set(OPTIONS) == names
+
+
+def _cell_files(out_dir, cells):
+    return {cell: {path.name: path.read_bytes() for path in sorted(Path(out_dir, cell).iterdir())}
+            for cell in cells}
+
+
+def _stats(out_dir):
+    return {path: [(s := path.stat()).st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
+            for path in sorted(Path(out_dir).rglob("*")) if path.is_file()}
+
+
+class ReportRerun(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="morphsuite-rerun-"))
+        records = synth_turkish_records(6, [1, 2, 3], seed=61)
+        self.corpus = self.root / "corpus.jsonl"
+        write_jsonl(self.corpus, [record_to_row(r) for r in records] + EXTRA)
+        (self.root / "lexicon.txt").write_text("".join(r.root + "\n" for r in records),
+                                               encoding="utf-8")
+        self.model = {"endpoint_url": "mock://random", "model_name": "random", "seed": 1}
+        self.config = {
+            "language": "turkish", "input": str(self.corpus), "out_dir": str(self.root / "run"),
+            "model_config": str(self.root / "model.json"),
+            "lexicon": str(self.root / "lexicon.txt"),
+            "tasks": list(suite.TASKS), "distributions": list(suite.DISTRIBUTIONS),
+            "shots": 1, "demo_fraction": 0.25,
+        }
+        self.settled = False  # the last step was a run that exited 0
+        self.fresh = {}  # (config, model, input bytes) -> what a fresh out_dir gets
+
+    def teardown(self):
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def edited(self):
+        self.settled = False
+
+    @rule(name=st.sampled_from(sorted(OPTIONS)), pick=st.integers(0, 3))
+    def set_option(self, name, pick):
+        default = next(f.default for cls in (suite.BuildOptions, prompts.RenderOptions)
+                       for f in fields(cls) if f.name == name)
+        others = [v for v in OPTIONS[name] if v != self.config.get(name, default)]
+        self.config[name] = others[pick % len(others)]
+        self.edited()
+
+    @rule(endpoint=st.sampled_from(["mock://random", "mock://echo-gold"]), seed=st.integers(1, 3))
+    def set_model(self, endpoint, seed):
+        self.model = {"endpoint_url": endpoint, "model_name": endpoint[7:], "seed": seed}
+        self.edited()
+
+    @rule(name=st.sampled_from(suite.TASKS + (suite.OUT_DIST,)))
+    def add_or_drop(self, name):
+        key = "distributions" if name == suite.OUT_DIST else "tasks"
+        values = self.config[key]
+        if name not in values:
+            values.append(name)
+        elif len(values) > 1:
+            values.remove(name)
+        self.edited()
+
+    @rule()
+    def drop_or_restore_the_lexicon(self):
+        """Without a lexicon, only whether an ood cell is asked decides which
+        records the id suites hold."""
+        if self.config.pop("lexicon", None) is None:
+            self.config["lexicon"] = str(self.root / "lexicon.txt")
+        self.edited()
+
+    @rule(line=st.integers(0, 30))
+    def edit_input_line(self, line):
+        lines = self.corpus.read_text("utf-8").splitlines(keepends=True)
+        row = json.loads(lines[line % len(lines)])
+        row["record_id"] += "x"
+        lines[line % len(lines)] = json.dumps(row, ensure_ascii=False) + "\n"
+        self.corpus.write_text("".join(lines), encoding="utf-8")
+        self.edited()
+
+    @rule(cell=st.sampled_from(CELLS), name=st.sampled_from(CELL_FILES),
+          how=st.sampled_from(["utime", "append", "truncate", "delete"]),
+          tail=st.sampled_from([b"\n", b"x", b"{}\n"]))
+    def edit_cell_file(self, cell, name, how, tail):
+        path = self.root / "run" / cell / name
+        if path.is_file():
+            s = path.stat()
+            if how == "utime":
+                os.utime(path, ns=(s.st_atime_ns, s.st_mtime_ns - 10**9))
+            elif how == "append":
+                with open(path, "ab") as f:
+                    f.write(tail)
+            elif how == "truncate":
+                os.truncate(path, s.st_size // 2)
+            else:
+                path.unlink()
+        self.edited()
+
+    @rule(how=st.sampled_from(["delete", "truncate", "not an object"]))
+    def edit_run_json(self, how):
+        path = self.root / "run" / "run.json"
+        if path.is_file():
+            if how == "delete":
+                path.unlink()
+            elif how == "truncate":
+                os.truncate(path, path.stat().st_size // 2)
+            else:
+                path.write_text("[]\n", encoding="utf-8")
+        self.edited()
+
+    def report(self, config):
+        """report's exit code and stdout under config."""
+        path = self.root / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        (self.root / "model.json").write_text(json.dumps(self.model), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["report", "--config", str(path)])
+        return code, out.getvalue()
+
+    def run_facts(self, out_dir, code, stdout):
+        if code != 0:
+            return code, stdout, None, None
+        cells = [f"{task}_{dist}" for task in self.config["tasks"]
+                 for dist in self.config["distributions"]]
+        run = json.loads(Path(out_dir, "run.json").read_text("utf-8"))
+        recorded = {key: run[key] for key in ("summary", "skipped_records", "notes")}
+        return code, stdout, recorded, _cell_files(out_dir, cells)
+
+    def fresh_run(self):
+        key = (json.dumps(self.config, sort_keys=True), json.dumps(self.model, sort_keys=True),
+               self.corpus.read_bytes())
+        if key not in self.fresh:
+            out_dir = self.root / "fresh"
+            shutil.rmtree(out_dir, ignore_errors=True)
+            code, stdout = self.report(self.config | {"out_dir": str(out_dir)})
+            self.fresh[key] = self.run_facts(out_dir, code, stdout)
+        return self.fresh[key]
+
+    @rule()
+    def nothing(self):
+        pass
+
+    @invariant()
+    def rerun_equals_a_fresh_run(self):
+        out_dir = self.root / "run"
+        before = _stats(out_dir) if self.settled else None
+        calls = []
+        with contextlib.ExitStack() as stack:
+            for module, name in WORK:
+                real = getattr(module, name)
+                stack.enter_context(mock.patch.object(
+                    module, name, lambda *a, _real=real, _name=name, **k: (
+                        calls.append(_name) or _real(*a, **k))))
+            code, stdout = self.report(self.config)
+        if before is not None:
+            assert calls == []
+            after = _stats(out_dir)
+            assert [p.name for p in after if before.get(p) != after[p]] in ([], ["run.json"])
+            assert before.keys() == after.keys()
+        assert self.run_facts(out_dir, code, stdout) == self.fresh_run()
+        self.settled = code == 0
+
+
+ReportRerun.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=15, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestReportRerun = ReportRerun.TestCase
