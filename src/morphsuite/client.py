@@ -193,35 +193,159 @@ class ResponseCache:
         self.close()
 
 
-def _default_transport(url, payload, headers, timeout):
-    """POST JSON on a connection of its own and return (status_code,
-    parsed_body_or_none, retry_after). A non-2xx answer is returned, not
-    raised; only a failure to get any answer raises TransportError."""
-    import http.client
-    import urllib.error
-    import urllib.request
+MAX_BODY_BYTES = 8 * 2**20  # a longer response body fails its attempt
 
-    try:
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode(),
-            headers={**headers, "User-Agent": USER_AGENT},
-            method="POST",
-        )
+_worker = threading.local()  # .connections of the _complete_all worker on this thread
+
+
+class _TLS:
+    """The TLS context of one _complete_all call, made at its first HTTPS
+    connection and shared by its workers: the CA store is loaded once per
+    call, not once per connection."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._context = None
+
+    def context(self):
+        with self._lock:
+            if self._context is None:
+                import ssl
+
+                self._context = ssl.create_default_context()
+            return self._context
+
+
+class _Connections:
+    """One thread's kept-alive HTTP connections, one per origin (RFC 9112
+    §9.3), each used for one request at a time."""
+
+    def __init__(self, tls: _TLS):
+        self._tls = tls
+        self._open = {}  # (scheme, netloc) -> (connection, proxy headers or None)
+
+    def close(self) -> None:
+        for connection, _ in self._open.values():
+            connection.close()
+        self._open.clear()
+
+    def _connection(self, scheme, netloc, timeout):
+        """The connection kept for an origin, made at its first request, and
+        the headers a request on it adds when it goes through an HTTP proxy
+        (None when it names its target in origin form). Proxies come from
+        urllib.request.getproxies() and proxy_bypass, as urllib's
+        ProxyHandler takes them: an HTTPS request goes through a CONNECT
+        tunnel, a plain one names its target in absolute form, and userinfo
+        in the proxy URL is sent as Proxy-Authorization."""
+        import base64
+        import http.client
+        import urllib.parse
+        import urllib.request
+
+        kept = self._open.get((scheme, netloc))
+        if kept is not None:
+            return kept
+        host = netloc.rpartition("@")[2]
+        if scheme not in ("http", "https") or not host:
+            raise ValueError(f"unsupported URL {scheme}://{netloc}")
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and urllib.request.proxy_bypass(host):
+            proxy = None
+        address, proxy_headers = host, None
+        if proxy:
+            parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            address = urllib.parse.unquote(parts.netloc.rpartition("@")[2])
+            proxy_headers = {}
+            if parts.username and parts.password:
+                userinfo = urllib.parse.unquote(f"{parts.username}:{parts.password}")
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(userinfo.encode()).decode("ascii"))
+        if scheme == "https" or (proxy and parts.scheme == "https"):
+            connection = http.client.HTTPSConnection(
+                address, timeout=timeout, context=self._tls.context())
+        else:
+            connection = http.client.HTTPConnection(address, timeout=timeout)
+        if scheme == "https" and proxy:
+            connection.set_tunnel(host, headers=proxy_headers)
+            proxy_headers = None
+        self._open[scheme, netloc] = connection, proxy_headers
+        return connection, proxy_headers
+
+    def post(self, url, payload, headers, timeout):
+        """_default_transport on this thread's connection to url's origin."""
+        import http.client
+        import urllib.parse
+
         try:
-            response = urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as exc:  # the answer of a non-2xx status
-            response = exc
-        with response:
-            status, retry_after = response.status, response.headers.get("Retry-After")
-            data = response.read()
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        raise TransportError(f"request to {url} failed: {exc}") from exc
+            parts = urllib.parse.urlsplit(url)
+            connection, proxy_headers = self._connection(parts.scheme, parts.netloc, timeout)
+        except (ValueError, http.client.HTTPException) as exc:
+            raise TransportError(f"request to {url} failed: {exc}") from exc
+        if proxy_headers is None:
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        else:
+            target = url.partition("#")[0]
+        body = json.dumps(payload).encode()
+        headers = {**headers, **(proxy_headers or {}), "User-Agent": USER_AGENT}
+        try:
+            reused = connection.sock is not None
+            try:
+                response = _send(connection, target, body, headers)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is one
+                if not reused:
+                    raise
+                # the server closed the kept connection before it read the
+                # request (RFC 9112 §9.3.1): send it once more on a new one
+                connection.close()
+                response = _send(connection, target, body, headers)
+            with response:
+                status, retry_after = response.status, response.headers.get("Retry-After")
+                data = response.read(MAX_BODY_BYTES + 1)
+                if len(data) > MAX_BODY_BYTES:
+                    raise http.client.HTTPException(
+                        f"response body over {MAX_BODY_BYTES >> 20} MiB")
+                if response.length:  # closed before Content-Length bytes came
+                    raise http.client.IncompleteRead(data, response.length)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            connection.close()  # a half-sent request or half-read answer is never reused
+            raise TransportError(f"request to {url} failed: {exc}") from exc
+        try:
+            body = json.loads(data)
+        except ValueError:
+            body = None
+        return status, body, retry_after
+
+
+def _send(connection, target, body, headers):
+    """POST body on connection and return the response, its headers read.
+    http.client's connect sets TCP_NODELAY, so the body, sent after the
+    headers, goes out at once; TCP_QUICKACK, which Linux clears as it goes,
+    is set again for each request, so the answer's first segment is
+    acknowledged at once and a server that sends its headers and body in
+    two writes under Nagle's algorithm does not wait for a delayed ACK."""
+    import socket
+
+    connection.request("POST", target, body, headers)
+    if hasattr(socket, "TCP_QUICKACK"):
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+    return connection.getresponse()
+
+
+def _default_transport(url, payload, headers, timeout):
+    """POST JSON and return (status_code, parsed_body_or_none, retry_after).
+    A _complete_all worker sends every request on its own kept-alive
+    connection to the origin; a call from elsewhere opens a connection for
+    itself and closes it. A non-2xx answer is returned, not raised; a
+    failure to get a whole answer, or a body over MAX_BODY_BYTES, raises
+    TransportError. No redirect is followed."""
+    connections = getattr(_worker, "connections", None)
+    if connections is not None:
+        return connections.post(url, payload, headers, timeout)
+    connections = _Connections(_TLS())
     try:
-        body = json.loads(data)
-    except ValueError:
-        body = None
-    return status, body, retry_after
+        return connections.post(url, payload, headers, timeout)
+    finally:
+        connections.close()
 
 
 def _retry_after_seconds(value) -> float:
@@ -261,7 +385,7 @@ def _attempt(prompt: str, cfg: ModelConfig, headers: dict, transport):
         raise AuthError(f"endpoint rejected credentials (HTTP {status})")
     if status == 429:
         return RateLimited("rate limited", retry_after=retry_after), _retry_after_seconds(retry_after)
-    if status >= 300:  # urllib follows no 307 or 308 of a POST
+    if status >= 300:  # no redirect is followed
         error = TransportError(f"HTTP {status} from {cfg.endpoint_url}")
         return error, _retry_after_seconds(retry_after) if status >= 500 else None
     try:
@@ -312,10 +436,12 @@ def _complete_all(prompts, cfg, cache=None, transport=None, sleep=None, clock=ti
     now = resume_at = clock()  # now never goes back, so a wait that timed out has passed
     busy = 0  # prompts in flight
     stop = None  # the exception that stopped dispatch
+    tls = _TLS()
 
     def work():
         nonlocal now, resume_at, busy, stop
         index = None
+        _worker.connections = _Connections(tls)  # _default_transport's, closed as work ends
         try:
             while True:
                 with cond:
@@ -353,6 +479,9 @@ def _complete_all(prompts, cfg, cache=None, transport=None, sleep=None, clock=ti
             with cond:
                 stop = exc if stop is None else stop
                 cond.notify_all()
+        finally:
+            _worker.connections.close()
+            del _worker.connections
 
     threads = [threading.Thread(target=work) for _ in range(min(cfg.parallelism, len(heap)) - 1)]
     for thread in threads:

@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import contextlib
 import gc
@@ -9,7 +10,7 @@ import sys
 import threading
 import time
 import warnings
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -50,16 +51,65 @@ def chat(text):
     return 200, {"Content-Type": "application/json"}, json.dumps(body).encode("utf-8")
 
 
+class Seen(list):
+    """What a local_server got: the (headers, JSON payload) of each POST, in
+    order; the (request line, headers) of every request, a CONNECT's too;
+    and the number of connections it accepted and saw end."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.requests = []
+        self.connections = self.closed = 0
+
+    def wait_closed(self, timeout=5):
+        """Whether every connection has ended, within timeout seconds."""
+        deadline = time.monotonic() + timeout
+        while self.closed < self.connections and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.closed == self.connections
+
+
 @contextlib.contextmanager
-def local_server(reply):
-    """Serve POSTs on 127.0.0.1 and yield (url, seen). Each POST is answered
-    with reply(prompt) -> (status, headers, body bytes), or closed without an
-    answer when reply returns None; seen collects each POST's headers and
-    JSON payload."""
-    seen = []
+def local_server(reply, protocol="HTTP/1.0", close=False):
+    """Serve POSTs on 127.0.0.1 and yield (url, seen), seen a Seen. Each POST
+    is answered with reply(prompt) -> (status, headers, body bytes), or
+    closed without an answer when reply returns None; a CONNECT is refused
+    with a 502. An HTTP/1.1 server serves each connection on a thread of its
+    own and keeps it alive, unless close, when it ends it after each answer
+    without saying so in the answer. Each answer goes out in two writes,
+    headers then body, under Nagle's algorithm."""
+    seen = Seen()
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = protocol
+        timeout = 30  # a connection the client never closes ends here
+
+        def setup(self):
+            super().setup()
+            with seen.lock:
+                seen.connections += 1
+
+        def handle(self):
+            try:
+                super().handle()
+            except (BrokenPipeError, ConnectionResetError):  # the client dropped a half-read answer
+                pass
+
+        def finish(self):
+            super().finish()
+            with seen.lock:
+                seen.closed += 1
+
+        def do_CONNECT(self):
+            seen.requests.append((self.requestline, self.headers))
+            self.send_response(502)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            self.close_connection = True
+
         def do_POST(self):
+            seen.requests.append((self.requestline, self.headers))
             payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             seen.append((self.headers, payload))
             answer = reply(payload["messages"][-1]["content"])
@@ -73,12 +123,15 @@ def local_server(reply):
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+            self.close_connection = self.close_connection or close
 
         def log_message(self, *args):
             pass
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server_class = ThreadingHTTPServer if protocol == "HTTP/1.1" else HTTPServer
+    server = server_class(("127.0.0.1", 0), Handler)
+    # shutdown() waits up to one poll interval: 0.05 s, not the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", seen
@@ -409,6 +462,195 @@ class TestTransport:
     def test_bad_url_is_a_transport_error(self, url):
         with pytest.raises(TransportError, match="request to .* failed"):
             client._default_transport(url, {}, {}, 5)
+
+
+def yes(prompt):
+    return chat("Yes")
+
+
+def hostport(url):
+    """The host:port of a local_server url."""
+    return url.split("/")[2]
+
+
+@pytest.fixture()
+def no_proxies(monkeypatch):
+    """No proxy setting from the environment, in either case."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+class TestKeptConnections:
+    """Each _complete_all worker keeps one connection to the endpoint."""
+
+    def test_each_worker_keeps_one_connection(self):
+        prompts = [f"p{i}" for i in range(40)]
+        with local_server(yes, protocol="HTTP/1.1") as (url, seen):
+            results = client._complete_all(prompts, cfg(endpoint_url=url, parallelism=2))
+            assert seen.wait_closed()
+        assert [r.text for r in results] == ["Yes"] * 40
+        assert sorted(payload["messages"][0]["content"] for _, payload in seen) == sorted(prompts)
+        assert 1 <= seen.connections <= 2
+
+    def test_an_http_1_0_server_gets_a_connection_per_request(self):
+        with local_server(yes) as (url, seen):
+            results = client._complete_all([f"p{i}" for i in range(5)], cfg(endpoint_url=url))
+        assert [r.text for r in results] == ["Yes"] * 5
+        assert seen.connections == len(seen) == 5
+
+    def test_a_stale_connection_is_replaced_without_a_retry(self):
+        """The server ends each connection after its answer without a
+        Connection: close header, so every later request meets a stale
+        connection: it is sent once more on a new one, not retried."""
+        prompts = [f"p{i}" for i in range(10)]
+        clock = FakeClock()
+        with local_server(yes, protocol="HTTP/1.1", close=True) as (url, seen):
+            results = client._complete_all(prompts, cfg(endpoint_url=url, max_retries=0),
+                                           sleep=clock.sleep, clock=clock)
+        assert [r.text for r in results] == ["Yes"] * 10
+        assert [payload["messages"][0]["content"] for _, payload in seen] == prompts
+        assert seen.connections == 10
+        assert clock.sleeps == []
+
+    @pytest.mark.parametrize("stop", ["401", "KeyboardInterrupt"])
+    def test_a_stopped_run_closes_every_connection(self, monkeypatch, stop):
+        send, sent = client._send, []
+
+        def interrupted_send(*args):
+            sent.append(1)
+            if len(sent) == 12:
+                raise KeyboardInterrupt
+            return send(*args)
+
+        def reply(prompt):
+            return (401, {}, b'{"error": "bad key"}') if prompt == "p11" else chat("Yes")
+
+        if stop == "KeyboardInterrupt":
+            monkeypatch.setattr(client, "_send", interrupted_send)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", lambda u: unraisable.append(u.exc_value))
+        with local_server(reply, protocol="HTTP/1.1") as (url, seen):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AuthError if stop == "401" else KeyboardInterrupt):
+                    client._complete_all([f"p{i}" for i in range(40)],
+                                         cfg(endpoint_url=url, parallelism=2))
+                gc.collect()
+            assert seen.wait_closed()
+        assert unraisable == []
+        assert 1 <= seen.connections <= 2
+        assert len(seen) < 40
+
+    def test_a_direct_call_closes_its_connection(self):
+        payload = {"messages": [{"role": "user", "content": "p"}]}
+        with local_server(yes, protocol="HTTP/1.1") as (url, seen):
+            for _ in range(2):
+                status, body, _ = client._default_transport(url, payload, {}, 5)
+                assert (status, body["choices"][0]["message"]["content"]) == (200, "Yes")
+            assert seen.wait_closed()
+        assert seen.connections == 2
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux's")
+    def test_a_kept_connection_does_not_wait_for_a_delayed_ack(self):
+        """local_server writes an answer's headers and body in two sends
+        under Nagle's algorithm, so the body waits until the headers are
+        acknowledged; a client that delays that ACK waits about 40 ms per
+        request on a kept connection."""
+        with local_server(yes, protocol="HTTP/1.1") as (url, seen):
+            start = time.perf_counter()
+            results = client._complete_all([f"p{i}" for i in range(30)], cfg(endpoint_url=url))
+            elapsed = time.perf_counter() - start
+        assert [r.text for r in results] == ["Yes"] * 30
+        assert seen.connections == 1
+        assert elapsed < 0.6  # a stalled client needs at least 30 x 40 ms
+
+    def test_a_body_over_8_mib_fails_the_prompt_after_its_retries(self, small_run, tmp_path,
+                                                                    capsys):
+        """A long body is read no further than the cap, and the connection
+        it was read from is not used again."""
+        instances, rows = small_run
+        huge = (200, {"Content-Type": "application/json"}, b" " * (9 * 2**20))
+        with local_server(lambda prompt: huge, protocol="HTTP/1.1") as (url, seen):
+            argv = write_run(tmp_path, rows[:1], instances, url, max_retries=1)
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("transport error: 1 of 1 prompts failed")
+        assert f"request to {url} failed: response body over 8 MiB" in err
+        assert len(seen) == seen.connections == 2  # max_retries + 1
+
+
+def test_a_body_cut_short_of_its_content_length_fails():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer():
+            connection, _ = listener.accept()
+            with connection, connection.makefile("rb") as request:
+                while request.readline() not in (b"\r\n", b""):
+                    pass
+                request.read(2)  # the payload, {}
+                connection.sendall(b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"choices"')
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1"
+        with pytest.raises(TransportError, match=rf"^request to {url} failed: "
+                           r"IncompleteRead\(10 bytes read, 90 more expected\)$"):
+            client._default_transport(url, {}, {}, 5)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestProxies:
+    """Proxies are taken from the environment as urllib takes them."""
+
+    def test_http_proxy_gets_the_absolute_form_target(self, no_proxies, monkeypatch):
+        url = "http://example.invalid:8080/v1/chat?x=1"
+        with local_server(yes) as (proxy, seen):
+            monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{hostport(proxy)}")
+            assert client.complete("p", cfg(endpoint_url=url)).text == "Yes"
+        [(line, headers)] = seen.requests
+        assert line == f"POST {url} HTTP/1.1"
+        assert headers["Host"] == "example.invalid:8080"
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_no_proxy_bypasses_the_proxy(self, no_proxies, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port()}")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with local_server(yes) as (url, seen):
+            assert client.complete("p", cfg(endpoint_url=url)).text == "Yes"
+        [(line, headers)] = seen.requests
+        assert line == "POST /v1/chat/completions HTTP/1.1"
+        assert "Proxy-Authorization" not in headers
+
+    def test_https_goes_through_a_connect_tunnel(self, no_proxies, monkeypatch):
+        with local_server(yes) as (proxy, seen):
+            monkeypatch.setenv("https_proxy", f"http://user:pw@{hostport(proxy)}")
+            with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
+                client.complete("p", cfg(endpoint_url="https://example.invalid/v1/chat",
+                                         max_retries=0))
+        [(line, headers)] = seen.requests
+        assert line == "CONNECT example.invalid:443 HTTP/1.0"
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+    def test_an_https_proxy_url_is_reached_over_tls(self, no_proxies, monkeypatch):
+        """A plain HTTP request through an https:// proxy opens with a TLS
+        handshake to the proxy."""
+        first = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def accept():
+                connection, _ = listener.accept()
+                with connection:
+                    first.append(connection.recv(1))
+
+            thread = threading.Thread(target=accept)
+            thread.start()
+            monkeypatch.setenv("http_proxy", f"https://127.0.0.1:{listener.getsockname()[1]}")
+            with pytest.raises(TransportError, match="request to http://example.invalid/v1 failed"):
+                client.complete("p", cfg(endpoint_url="http://example.invalid/v1", max_retries=0))
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert first == [b"\x16"]  # a TLS handshake record
 
 
 def write_run(directory, rows, instances, url, **model):
