@@ -198,30 +198,11 @@ MAX_BODY_BYTES = 8 * 2**20  # a longer response body fails its attempt
 _worker = threading.local()  # .connections of the _complete_all worker on this thread
 
 
-class _TLS:
-    """The TLS context of one _complete_all call, made at its first HTTPS
-    connection and shared by its workers: the CA store is loaded once per
-    call, not once per connection."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._context = None
-
-    def context(self):
-        with self._lock:
-            if self._context is None:
-                import ssl
-
-                self._context = ssl.create_default_context()
-            return self._context
-
-
 class _Connections:
     """One thread's kept-alive HTTP connections, one per origin (RFC 9112
     §9.3), each used for one request at a time."""
 
-    def __init__(self, tls: _TLS):
-        self._tls = tls
+    def __init__(self):
         self._open = {}  # (scheme, netloc) -> (connection, proxy headers or None)
 
     def close(self) -> None:
@@ -261,8 +242,7 @@ class _Connections:
                 proxy_headers["Proxy-Authorization"] = (
                     "Basic " + base64.b64encode(userinfo.encode()).decode("ascii"))
         if scheme == "https" or (proxy and parts.scheme == "https"):
-            connection = http.client.HTTPSConnection(
-                address, timeout=timeout, context=self._tls.context())
+            connection = http.client.HTTPSConnection(address, timeout=timeout)
         else:
             connection = http.client.HTTPConnection(address, timeout=timeout)
         if scheme == "https" and proxy:
@@ -341,7 +321,7 @@ def _default_transport(url, payload, headers, timeout):
     connections = getattr(_worker, "connections", None)
     if connections is not None:
         return connections.post(url, payload, headers, timeout)
-    connections = _Connections(_TLS())
+    connections = _Connections()
     try:
         return connections.post(url, payload, headers, timeout)
     finally:
@@ -436,12 +416,11 @@ def _complete_all(prompts, cfg, cache=None, transport=None, sleep=None, clock=ti
     now = resume_at = clock()  # now never goes back, so a wait that timed out has passed
     busy = 0  # prompts in flight
     stop = None  # the exception that stopped dispatch
-    tls = _TLS()
 
     def work():
         nonlocal now, resume_at, busy, stop
         index = None
-        _worker.connections = _Connections(tls)  # _default_transport's, closed as work ends
+        _worker.connections = _Connections()  # _default_transport's, closed as work ends
         try:
             while True:
                 with cond:

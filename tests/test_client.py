@@ -630,7 +630,7 @@ class TestProxies:
                 client.complete("p", cfg(endpoint_url="https://example.invalid/v1/chat",
                                          max_retries=0))
         [(line, headers)] = seen.requests
-        assert line == "CONNECT example.invalid:443 HTTP/1.0"
+        assert line.startswith("CONNECT example.invalid:443 HTTP/1.")  # 1.1 from Python 3.12
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
 
     def test_an_https_proxy_url_is_reached_over_tls(self, no_proxies, monkeypatch):
