@@ -161,9 +161,9 @@ def _options(cls, opts):
     return cls(**{f.name: getattr(opts, f.name) for f in fields(cls)})
 
 
-def _build(records, task, dist, opts, out, negative_cache=None):
+def _build(records, task, dist, opts, out, draws=None):
     options = _options(suite.BuildOptions, opts)
-    instances, manifest = suite.build_suite(records, task, dist, options, negative_cache)
+    instances, manifest = suite.build_suite(records, task, dist, options, draws)
     write_jsonl(out, (i.to_row() for i in instances))
     return instances, manifest
 
@@ -606,7 +606,7 @@ def cmd_report(args) -> int:
         if not locked:  # made only now, so that a bad input leaves no out_dir
             stack.enter_context(_locked(out_dir))
 
-        negative_cache: dict = {}  # shared by this run's cells, freed with it
+        draws: dict = {}  # each record's draws, shared by this run's cells, freed with it
         summary, entries = {}, {}
 
         def run_cell(task, dist, template, cache):
@@ -617,7 +617,7 @@ def cmd_report(args) -> int:
 
             def build():
                 cell.instances, cell.manifest = _build(
-                    records, task, dist, cfg, suite_path, negative_cache)
+                    records, task, dist, cfg, suite_path, draws)
                 write_json(cell.dir / "suite.jsonl.manifest.json", cell.manifest)
                 return {"warnings": cell.manifest["warnings"]}
 

@@ -55,10 +55,38 @@ _ENCODERS = {
 }
 
 
+def _row_encoder():
+    """encode(obj) for indent None: the text of _ENCODERS[None].encode(obj).
+
+    JSONEncoder.encode builds a C encoder, and a float formatter it does not
+    use, on every call, and every row of every output is one call. This
+    builds the C encoder once, with the same settings. It keeps no markers
+    for circular references, as a shared markers dict could hold stale
+    entries after an exception: rows are acyclic trees the program builds.
+    Without the C accelerator (no _json), it is JSONEncoder.encode."""
+    make_encoder = json.encoder.c_make_encoder
+    encoder = _ENCODERS[None]
+    if make_encoder is None:
+        return encoder.encode
+    iterencode = make_encoder(
+        None, encoder.default, json.encoder.encode_basestring, None,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan,
+    )
+
+    def encode(obj):
+        return "".join(iterencode(obj, 0))
+
+    return encode
+
+
+_encode_row = _row_encoder()
+
+
 def dumps(obj, indent=None) -> str:
     """obj as sorted-key JSON text with NFC strings (see the module docstring);
     indent is None or 2."""
-    encode = _ENCODERS[indent].encode
+    encode = _encode_row if indent is None else _ENCODERS[indent].encode
     text = encode(obj)
     if unicodedata.is_normalized("NFC", text):
         return text

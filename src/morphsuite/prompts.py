@@ -265,9 +265,10 @@ def _render(instance, ts, n_shots, matching, rng, option_index, blocks) -> tuple
     """render with its demos drawn from matching, the pool it keeps.
 
     blocks maps (demo, position, shown option), by identity, to the demo
-    block formatted with ts, and fills as prompts are rendered: each demo of
-    one blocks dict must always be shown with the same template set. The
-    option is drawn for every demo, hit or not, so rng draws as without it.
+    block formatted with ts, and (template key, language) to the formatted
+    instruction; it fills as prompts are rendered. Each demo of one blocks
+    dict must always be shown with the same template set. The option is
+    drawn for every demo, hit or not, so rng draws as without it.
     """
     if len(matching) < n_shots:
         raise InsufficientDemos(
@@ -281,9 +282,12 @@ def _render(instance, ts, n_shots, matching, rng, option_index, blocks) -> tuple
             f"instance {instance.instance_id} lacks a context sentence"
         )
 
-    instruction = ts.instruction.format(
-        language=LANGUAGE_NAMES[ts.instruction_language][instance.language_id]
-    )
+    key = (ts.key, instance.language_id)
+    instruction = blocks.get(key)
+    if instruction is None:
+        instruction = blocks[key] = ts.instruction.format(
+            language=LANGUAGE_NAMES[ts.instruction_language][instance.language_id]
+        )
     parts = [instruction]
     systematicity = ts.task == suite_mod.SYSTEMATICITY
     for i, demo in enumerate(demos, start=1):
@@ -364,7 +368,7 @@ def render_suite(instances, catalog: TemplateCatalog, options: RenderOptions) ->
     for i in instances:
         if i.split == suite_mod.DEMO_SPLIT:
             demo_groups.setdefault((i.task, i.distribution, i.morpheme_count), []).append(i)
-    blocks: dict[tuple, str] = {}  # the demo blocks of this call, shared by its prompts
+    blocks: dict[tuple, str] = {}  # demo blocks and instructions, shared by the prompts
     rows = []
     for instance in instances:
         if instance.split != suite_mod.EVAL_SPLIT:

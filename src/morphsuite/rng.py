@@ -9,12 +9,10 @@ import random
 
 
 def derive_seed(*parts) -> int:
-    """Collapse the parts into a stable unsigned 64-bit seed."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(str(part).encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "big")
+    """Collapse the parts into a stable unsigned 64-bit seed: the blake2b
+    digest of each str(part) followed by \x1f, hashed in one call."""
+    data = "".join([str(part) + "\x1f" for part in parts]).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 def make_rng(*parts) -> random.Random:

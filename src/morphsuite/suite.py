@@ -284,57 +284,69 @@ def stratified_sample(pool, per_stratum: int, strata, seed: int = 0) -> SampleRe
 # Instance building
 # ---------------------------------------------------------------------------
 
-def _presented_order(record: SegmentedWord, options, warnings) -> list[str]:
-    """The affix order shown for record: gold, or a shuffle drawn from the
-    record's "present" stream, which is seeded only when it shuffles."""
-    gold = record.gold_order_forms
-    if options.order_mode == CORRECT or record.morpheme_count < 2:
-        return list(gold)
-    if len(set(gold)) == 1:
-        # Identical forms admit a single distinct sequence; nothing to shuffle.
-        warnings.append(
-            f"record {record.record_id}: affix forms are identical, presented order equals gold"
-        )
-        return list(gold)
-    presented = list(gold)
-    rng = make_rng(options.seed, record.record_id, "present")
-    for _ in range(_SHUFFLE_TRIES):
-        rng.shuffle(presented)
-        if presented != gold:
-            return presented
-    raise MorphSuiteError(f"record {record.record_id}: could not shuffle affix order")
-
-
-def _negatives_or_skip(record, options, cache) -> list | str:
-    """The record's negatives, or the reason it is skipped. With a cache
-    dict, derive.select_negatives runs once per key: everything selection
-    reads from the record, its seeded stream and the options."""
-    key = (
+def _record_key(record: SegmentedWord, options) -> tuple:
+    """Everything the draws of a record read from the record and the options:
+    its presented order, negatives and option order."""
+    return (
         record.record_id,
         record.language_id,
         record.root,
         tuple((a.form, a.slot) for a in record.affixes),
         record.manual_negative_affix,
         frozenset(record.known_valid_alternatives),
+        options.order_mode,
         options.strategy,
         options.k,
         options.seed,
     )
-    if cache is not None and key in cache:
-        return cache[key]
+
+
+@dataclass
+class _Draws:
+    """What the cells of a run draw for one record key, each part filled the
+    first time a cell needs it: the presented order and the warning it gives
+    (or None), the negatives or the reason the record is skipped, and the
+    order of the options as indices into the gold-first list."""
+
+    presented: list[str] | None = None
+    warning: str | None = None
+    negatives: list | str | None = None
+    option_order: list[int] | None = None
+
+
+def _presented_order(record: SegmentedWord, options) -> tuple[list[str], str | None]:
+    """The affix order shown for record, gold or a shuffle drawn from the
+    record's "present" stream, which is seeded only when it shuffles; and
+    the warning the record gives, or None."""
+    gold = record.gold_order_forms
+    if options.order_mode == CORRECT or record.morpheme_count < 2:
+        return list(gold), None
+    if len(set(gold)) == 1:
+        # Identical forms admit a single distinct sequence; nothing to shuffle.
+        return list(gold), (
+            f"record {record.record_id}: affix forms are identical, presented order equals gold"
+        )
+    presented = list(gold)
+    rng = make_rng(options.seed, record.record_id, "present")
+    for _ in range(_SHUFFLE_TRIES):
+        rng.shuffle(presented)
+        if presented != gold:
+            return presented, None
+    raise MorphSuiteError(f"record {record.record_id}: could not shuffle affix order")
+
+
+def _negatives_or_skip(record, options) -> list | str:
+    """The record's negatives, or the reason it is skipped."""
     # select_negatives draws only under random, and not for a 1-morpheme record
-    draws = options.strategy == derive.RANDOM and record.morpheme_count > 1
-    rng = make_rng(options.seed, record.record_id, "negatives") if draws else None
+    seeded = options.strategy == derive.RANDOM and record.morpheme_count > 1
+    rng = make_rng(options.seed, record.record_id, "negatives") if seeded else None
     try:
-        outcome = (
+        return (
             derive.select_negatives(record, options.strategy, options.k, rng)
             or "no distinct negative ordering"
         )
     except NoNegativeAvailable as exc:
-        outcome = str(exc)
-    if cache is not None:
-        cache[key] = outcome
-    return outcome
+        return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +407,7 @@ def split_demo_pool(records, demo_fraction: float, seed: int) -> list[tuple[str,
 
 def build_suite(
     records, task: str, distribution: str, options: BuildOptions = BuildOptions(),
-    negative_cache: dict | None = None,
+    draws: dict | None = None,
 ) -> tuple[list[TaskInstance], dict]:
     """The instances of one (task, distribution) suite, built with options in
     the order of split_demo_pool (eval records, then demo records), and its
@@ -403,15 +415,19 @@ def build_suite(
 
     Negative selection always runs on the original-root surfaces; the shown
     root is substituted afterwards, which keeps OOD options aligned with
-    their ID twins. So the ID and OOD suites select the same negatives, and
-    a negative_cache dict shared by their builds selects them once. An
-    unknown task or distribution raises SchemaError.
+    their ID twins. So every cell of a run draws the same presented order
+    for a record, the systematicity cells the same negatives and option
+    order, and a draws dict shared by their builds keeps one entry per
+    record (_record_key) that draws each of them once. An unknown task or
+    distribution raises SchemaError.
     """
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}")
     if distribution not in DISTRIBUTIONS:
         raise SchemaError(f"unknown distribution {distribution!r}")
 
+    if draws is None:
+        draws = {}
     instances: list[TaskInstance] = []
     warnings: list[str] = []
     strata_counts: dict[int, dict[str, int]] = {}
@@ -423,7 +439,14 @@ def build_suite(
 
         shown_root = record.nonce_root if distribution == OUT_DIST else record.root
         definition = record.root if distribution == OUT_DIST else None
-        presented = _presented_order(record, options, warnings)
+        key = _record_key(record, options)
+        entry = draws.get(key)
+        if entry is None:
+            entry = draws[key] = _Draws()
+        if entry.presented is None:
+            entry.presented, entry.warning = _presented_order(record, options)
+        if entry.warning is not None:
+            warnings.append(entry.warning)
         gold_surface = derive.compose_forms(
             shown_root, record.prefix_forms, record.suffix_forms
         )
@@ -435,7 +458,9 @@ def build_suite(
                     f"record {record.record_id}: ordering space over cap "
                     f"{derive.DEFAULT_ORDERING_CAP}, candidates sampled"
                 )
-            negatives = _negatives_or_skip(record, options, negative_cache)
+            if entry.negatives is None:
+                entry.negatives = _negatives_or_skip(record, options)
+            negatives = entry.negatives
             if isinstance(negatives, str):
                 warnings.append(f"record {record.record_id} skipped: {negatives}")
                 continue
@@ -452,7 +477,13 @@ def build_suite(
                     else None
                 )
                 choices.append(Option(surface, INVALID, own_affixes))
-            make_rng(options.seed, record.record_id, "options").shuffle(choices)
+            if entry.option_order is None:
+                # random.shuffle's swaps depend only on the length of the list,
+                # so shuffling the indices orders the options as shuffling
+                # the options themselves does.
+                entry.option_order = list(range(len(choices)))
+                make_rng(options.seed, record.record_id, "options").shuffle(entry.option_order)
+            choices = [choices[i] for i in entry.option_order]
 
         instances.append(
             TaskInstance(
@@ -463,7 +494,7 @@ def build_suite(
                 language_id=record.language_id,
                 shown_root=shown_root,
                 definition=definition,
-                presented_affixes=presented,
+                presented_affixes=list(entry.presented),
                 order_mode=options.order_mode,
                 context_sentence=record.sentence if options.context else None,
                 morpheme_count=record.morpheme_count,

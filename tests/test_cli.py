@@ -535,6 +535,30 @@ class TestPipeline:
             rows = Path("run1", cell, "suite.jsonl").read_text("utf-8").splitlines()
             assert len(rows) == len(ids)
 
+    def test_report_seeds_each_record_draw_once_per_run(self, workdir, monkeypatch):
+        """Four cells show each record in one presented order, and the two
+        systematicity cells in one option order: one report seeds the
+        "present" and "options" streams of a record once each."""
+        corpus = write_corpus(Path("corpus.jsonl"), per_stratum=4, strata=(1, 2, 3))
+        mock_config(Path("model.json"))
+        seeded = []
+        make_rng = suite.make_rng
+
+        def counting(*parts):
+            seeded.append(parts[1:])
+            return make_rng(*parts)
+
+        monkeypatch.setattr(suite, "make_rng", counting)
+        config = {"language": "turkish", "seed": 5, "input": "corpus.jsonl", "out_dir": "run",
+                  "model_config": "model.json", "shots": 1, "demo_fraction": 0.25}
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["report", "--config", "run.json"]) == 0
+        shuffled = sorted(r.record_id for r in corpus if r.morpheme_count > 1)
+        options = sorted(i.record_id for i in suite.read_suite("run/systematicity_id/suite.jsonl"))
+        assert len(options) == len(corpus)
+        assert sorted(p[0] for p in seeded if p[-1] == "present") == shuffled
+        assert sorted(p[0] for p in seeded if p[-1] == "options") == options
+
     def test_report_keeps_supplied_nonce_roots_and_lists_skipped_records(self, workdir):
         rows = [record_to_row(r) for r in synth_turkish_records(6, [2], seed=61)]
         rows[0]["nonce_root"] = "pumak"

@@ -244,6 +244,42 @@ class TestComplete:
         assert answers == [key.upper() for key in keys]
         assert capsys.readouterr().err.count("unreadable") == 1
 
+    def test_two_processes_share_one_cache_directory(self, tmp_path):
+        """Each put is one write(2) to a log opened with O_APPEND, so two
+        processes that put into one directory at once lose no line and tear
+        none. One holds the log open, the other opens it for each put."""
+        src = str(Path(client.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, time, contextlib\n"
+            "from pathlib import Path\n"
+            "from morphsuite.client import ResponseCache\n"
+            "directory, name = sys.argv[1:]\n"
+            "while not Path(directory, 'go').exists():\n"
+            "    time.sleep(0.001)\n"
+            "cache = ResponseCache(Path(directory, 'cache'))\n"
+            "with cache if name == 'a' else contextlib.nullcontext():\n"
+            "    for i in range(1000):\n"
+            "        cache.put(f'{name}{i}', name * 300 + str(i))\n"
+        )
+        writers = [
+            subprocess.Popen([sys.executable, "-c", code, str(tmp_path), name], env=env,
+                             stderr=subprocess.PIPE, text=True)
+            for name in "ab"
+        ]
+        (tmp_path / "go").touch()
+        for writer in writers:
+            _, err = writer.communicate(timeout=60)
+            assert writer.returncode == 0, err
+        lines = (tmp_path / "cache/responses.jsonl").read_bytes().split(b"\n")
+        entries = [json.loads(line) for line in lines if line]
+        assert len(entries) == 2000
+        cache = ResponseCache(tmp_path / "cache")
+        for name in "ab":
+            for i in range(1000):
+                assert cache.get(f"{name}{i}") == name * 300 + str(i)
+
     def test_cache_last_put_wins_and_old_layout_misses(self, tmp_path):
         key = ResponseCache(tmp_path).key(cfg(), "p")
         (tmp_path / f"{key}.json").write_text('{"response": "eski"}', encoding="utf-8")

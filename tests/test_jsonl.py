@@ -4,6 +4,7 @@ write_text, which leaves bytes that match alone, must leave a file as a
 plain write of the same parts does."""
 import json
 import os
+import platform
 import re
 import threading
 
@@ -60,8 +61,24 @@ def nfc_first_dumps(obj, indent=None):
 @example({"f": 1, E_PLUS_ACUTE: 2})  # sorts before "f" until NFC makes it U+00E9
 @example("\n\u0303")  # serialized, the n of the escape takes the tilde
 @example(["\uac00", "\u1100\u1161", "\u1100", "\u1161\u11a8"])
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**70, -(2**70), True, None])
 def test_dumps_matches_nfc_first(obj):
-    assert jsonl.dumps(obj) == nfc_first_dumps(obj)
+    """Both encoders of rows: the C row encoder and, as without the C
+    accelerator, JSONEncoder.encode."""
+    want = nfc_first_dumps(obj)
+    assert jsonl.dumps(obj) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json.encoder, "c_make_encoder", None)
+        patch.setattr(jsonl, "_encode_row", jsonl._row_encoder())
+        assert jsonl.dumps(obj) == want
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython's accelerator")
+def test_rows_take_the_c_encoder():
+    """A change in json.encoder that left rows to JSONEncoder.encode would
+    slow every write without changing a byte."""
+    assert json.encoder.c_make_encoder is not None
+    assert jsonl._encode_row != jsonl._ENCODERS[None].encode
 
 
 @settings(max_examples=100, deadline=None)

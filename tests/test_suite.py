@@ -145,10 +145,10 @@ class TestStratifiedSample:
         assert [r.record_id for r in a.records] == [r.record_id for r in b.records]
 
 
-def build(records, task, dist, negative_cache=None, **options):
+def build(records, task, dist, draws=None, **options):
     """Every record as an eval instance, and the build warnings."""
     instances, manifest = suite.build_suite(
-        records, task, dist, suite.BuildOptions(demo_fraction=0, **options), negative_cache
+        records, task, dist, suite.BuildOptions(demo_fraction=0, **options), draws
     )
     return SimpleNamespace(instances=instances, warnings=manifest["warnings"])
 
@@ -308,24 +308,45 @@ class TestNegativeCache:
     def cache_records(self):
         records = synth_turkish_records(10, [1, 2, 3, 4], seed=31)
         records[0].manual_negative_affix = None  # skipped: no manual negative
+        # identical forms: presented in gold order, with a warning, and skipped
+        twice = [records[10].affixes[0]] * 2
+        same = dataclasses.replace(records[10], record_id="tr-same", affixes=twice)
+        same.gold_surface = derive.compose(same.root, same.affixes)
+        records.append(same)
         for record in records:
             record.nonce_root = record.root[:-1] + ("a" if record.root[-1] != "a" else "o")
         return records
 
     @pytest.mark.parametrize("strategy", list(derive.STRATEGIES))
     def test_shared_cache_builds_what_separate_builds_do(self, cache_records, strategy):
-        cache = {}
-        for dist in suite.DISTRIBUTIONS:
-            options = suite.BuildOptions(strategy=strategy, seed=7, demo_fraction=0.2)
-            alone = suite.build_suite(cache_records, "systematicity", dist, options)
-            shared = suite.build_suite(
-                cache_records, "systematicity", dist, options, negative_cache=cache
+        """The four cells of a run, sharing one draws dict, build what each
+        builds alone: the identical-forms warning is in every cell's
+        manifest, at the place it has there."""
+        for order_mode in suite.ORDER_MODES:
+            cache = {}
+            options = suite.BuildOptions(
+                order_mode=order_mode, strategy=strategy, seed=7, demo_fraction=0.2
             )
-            assert shared == alone
-            instances, manifest = shared
-            assert any(i.split == suite.DEMO_SPLIT for i in instances)
-            assert any("skipped" in warning for warning in manifest["warnings"])
-        assert len(cache) == len(cache_records)
+            for task in suite.TASKS:
+                for dist in suite.DISTRIBUTIONS:
+                    alone = suite.build_suite(cache_records, task, dist, options)
+                    shared = suite.build_suite(cache_records, task, dist, options, draws=cache)
+                    assert shared == alone
+                    instances, manifest = shared
+                    assert any(i.split == suite.DEMO_SPLIT for i in instances)
+                    identical = [w for w in manifest["warnings"] if "identical" in w]
+                    assert len(identical) == (order_mode == suite.SHUFFLED)
+                    skipped = any("skipped" in warning for warning in manifest["warnings"])
+                    assert skipped == (task == suite.SYSTEMATICITY)
+            assert len(cache) == len(cache_records)
+
+    def test_the_order_modes_of_one_dict_draw_apart(self, cache_records):
+        cache = {}
+        for order_mode in (suite.SHUFFLED, suite.CORRECT):
+            options = suite.BuildOptions(order_mode=order_mode, seed=7)
+            alone = suite.build_suite(cache_records, "productivity", "id", options)
+            assert suite.build_suite(cache_records, "productivity", "id", options, cache) == alone
+        assert len(cache) == 2 * len(cache_records)
 
     @pytest.mark.parametrize(
         "field", ["affixes", "manual_negative_affix", "known_valid_alternatives"]
@@ -346,7 +367,7 @@ class TestNegativeCache:
             }
         cache = {}
         shared = [
-            build([record], "systematicity", "id", seed=3, negative_cache=cache).instances
+            build([record], "systematicity", "id", seed=3, draws=cache).instances
             for record in (first, second)
         ]
         alone = [
