@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import unicodedata
+from collections import Counter
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
@@ -90,11 +91,18 @@ def _add_nonces(records, profile, lexicon, seed, note=_eprint) -> tuple[list, li
     return kept, skipped
 
 
-def _write_report(out_dir, report) -> None:
+def _score(answers, instances, manifest, suite_path, out_dir) -> metrics.ScoreReport:
+    """Score answers against the suite read from suite_path, which a suite
+    that cannot be scored names, and write report.{json,csv,txt} to out_dir."""
+    try:
+        report = metrics.stratify_report(answers, instances, manifest)
+    except SchemaError as exc:
+        raise SchemaError(f"{suite_path}: {exc}") from None
     out_dir = Path(out_dir)
     write_json(out_dir / "report.json", report.to_dict())
     write_text(out_dir / "report.csv", (report.to_csv(),))
     write_text(out_dir / "report.txt", (report.to_text(),))
+    return report
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -161,8 +169,7 @@ def _options(cls, opts):
     return cls(**{f.name: getattr(opts, f.name) for f in fields(cls)})
 
 
-def _build(records, task, dist, opts, out, draws=None):
-    options = _options(suite.BuildOptions, opts)
+def _build(records, task, dist, options, out, draws=None):
     instances, manifest = suite.build_suite(records, task, dist, options, draws)
     write_jsonl(out, (i.to_row() for i in instances))
     return instances, manifest
@@ -230,10 +237,15 @@ def _write_manifest(path, manifest, *outputs, **inputs) -> None:
 
 def _language_records(in_path, language: str, note=_eprint) -> list:
     """The valid records of language in in_path; a file without one raises
-    SchemaError. note prints the line of each rejected record."""
-    records = [r for r in _ingest_or_die(in_path, note) if r.language_id == language]
+    SchemaError. note prints the line of each rejected record, then a line
+    per other language with the count of its records left out."""
+    valid = _ingest_or_die(in_path, note)
+    records = [r for r in valid if r.language_id == language]
     if not records:
         raise SchemaError(f"no {language} records in {in_path}")
+    others = Counter(r.language_id for r in valid if r.language_id != language)
+    for other, count in sorted(others.items()):
+        note(f"skip {count} {other} records: not {language}")
     return records
 
 
@@ -288,7 +300,8 @@ def cmd_build_suite(args) -> int:
         for stratum, short in sample.deficits.items():
             _eprint(f"stratum {stratum}: short {short} records")
 
-    instances, manifest = _build(records, args.task, args.dist, args, args.out)
+    instances, manifest = _build(
+        records, args.task, args.dist, _options(suite.BuildOptions, args), args.out)
     for warning in manifest["warnings"]:
         _eprint(f"warning: {warning}")
     manifest.update(
@@ -348,7 +361,7 @@ def cmd_score(args) -> int:
         return 0
     records = read_objects(args.records, client.EvalRecord)
     instances = suite.read_suite(args.suite)
-    _write_report(out_dir, metrics.stratify_report(records, instances, manifest))
+    _score(records, instances, manifest, args.suite, out_dir)
     _write_manifest(out_dir / "score.manifest.json", key | {"outputs": _fingerprints(*reports)},
                     *reports)
     _eprint(f"score: wrote report.{{json,csv,txt}} to {args.out_dir}")
@@ -583,7 +596,8 @@ def cmd_report(args) -> int:
     ]
     ood = suite.OUT_DIST in cfg.distributions
     stamp = {"version": __version__, "program": _program_digest()}
-    build_key = stamp | field_values(_options(suite.BuildOptions, cfg)) | {
+    options = _options(suite.BuildOptions, cfg)
+    build_key = stamp | field_values(options) | {
         "language": cfg.language, "input": cfg.input, "input_digest": suite.file_digest(in_path),
         # which records get a nonce root, and so which records an id suite holds
         "ood": ood, "lexicon": _readable_digest(cfg.lexicon) if cfg.lexicon and ood else None}
@@ -606,7 +620,8 @@ def cmd_report(args) -> int:
         if not locked:  # made only now, so that a bad input leaves no out_dir
             stack.enter_context(_locked(out_dir))
 
-        draws: dict = {}  # each record's draws, shared by this run's cells, freed with it
+        # each record's draws, shared by this run's cells, freed with it
+        draws = None if records is None else suite.Draws(records, options)
         summary, entries = {}, {}
 
         def run_cell(task, dist, template, cache):
@@ -617,7 +632,7 @@ def cmd_report(args) -> int:
 
             def build():
                 cell.instances, cell.manifest = _build(
-                    records, task, dist, cfg, suite_path, draws)
+                    records, task, dist, options, suite_path, draws)
                 write_json(cell.dir / "suite.jsonl.manifest.json", cell.manifest)
                 return {"warnings": cell.manifest["warnings"]}
 
@@ -632,8 +647,7 @@ def cmd_report(args) -> int:
                 return manifest
 
             def score():
-                report = metrics.stratify_report(cell.answers, cell.instances, cell.manifest)
-                _write_report(cell.dir, report)
+                report = _score(cell.answers, cell.instances, cell.manifest, suite_path, cell.dir)
                 return {"scores": {m: metrics.round1(v) for m, v in report.overall.items()}}
 
             digests = cell.digests

@@ -66,7 +66,8 @@ DEFAULT_ORDERING_CAP = 10080  # 7! * 2!
 
 @dataclass(frozen=True)
 class Affix:
-    """One surface-realized bound morpheme with its slot and gold position."""
+    """One surface-realized bound morpheme with its slot. A record lists its
+    affixes in gold order; gold_index is read by nothing and left at 0."""
 
     form: str
     slot: str = SUFFIX

@@ -163,13 +163,11 @@ def validate_record(row: dict) -> SegmentedWord:
     if not row.affixes:
         raise SchemaError("affixes must be a nonempty list")
     affixes: list[Affix] = []
-    slot_counts = {derive.PREFIX: 0, derive.SUFFIX: 0}
     for entry in row.affixes:
         form = letters(entry.form)
         if not form:
             raise SchemaError("affix forms must be nonempty")
-        affixes.append(Affix(form=form, slot=entry.slot, gold_index=slot_counts[entry.slot]))
-        slot_counts[entry.slot] += 1
+        affixes.append(Affix(form=form, slot=entry.slot))
 
     gold = letters(row.gold_surface)
     if row.sentence is not None and row.sentence.count(BLANK) != 1:
@@ -284,30 +282,15 @@ def stratified_sample(pool, per_stratum: int, strata, seed: int = 0) -> SampleRe
 # Instance building
 # ---------------------------------------------------------------------------
 
-def _record_key(record: SegmentedWord, options) -> tuple:
-    """Everything the draws of a record read from the record and the options:
-    its presented order, negatives and option order."""
-    return (
-        record.record_id,
-        record.language_id,
-        record.root,
-        tuple((a.form, a.slot) for a in record.affixes),
-        record.manual_negative_affix,
-        frozenset(record.known_valid_alternatives),
-        options.order_mode,
-        options.strategy,
-        options.k,
-        options.seed,
-    )
-
-
 @dataclass
 class _Draws:
-    """What the cells of a run draw for one record key, each part filled the
-    first time a cell needs it: the presented order and the warning it gives
-    (or None), the negatives or the reason the record is skipped, and the
-    order of the options as indices into the gold-first list."""
+    """A record, its split, and what the cells of a run draw for it, each
+    filled the first time a cell needs it: the presented order and the
+    warning it gives (or None), the negatives or the reason the record is
+    skipped, and the order of the options as indices into the gold-first list."""
 
+    split: str
+    record: SegmentedWord
     presented: list[str] | None = None
     warning: str | None = None
     negatives: list | str | None = None
@@ -385,41 +368,38 @@ class BuildOptions:
             raise SchemaError(f"demo_fraction must be in [0, 1], got {self.demo_fraction}")
 
 
-def split_demo_pool(records, demo_fraction: float, seed: int) -> list[tuple[str, SegmentedWord]]:
-    """Hold out a per-stratum demo slice, disjoint from evaluation records:
-    (EVAL_SPLIT, record) for each eval record, then (DEMO_SPLIT, record)
-    for each demo record, both in record order."""
-    by_count: dict[int, list[SegmentedWord]] = {}
-    for record in records:
-        by_count.setdefault(record.morpheme_count, []).append(record)
-    demo_ids: set[str] = set()
-    for stratum in sorted(by_count):
-        members = by_count[stratum]
-        n_demo = int(len(members) * demo_fraction)
-        if n_demo:
-            rng = make_rng(seed, "demo-split", stratum)
-            picked = rng.sample(sorted(r.record_id for r in members), n_demo)
-            demo_ids.update(picked)
-    return [(EVAL_SPLIT, r) for r in records if r.record_id not in demo_ids] + [
-        (DEMO_SPLIT, r) for r in records if r.record_id in demo_ids
-    ]
+class Draws:
+    """The draws of records under options, which every suite built from them
+    shows alike: a _Draws per record, eval records then the demo records,
+    each in record order. The demo slice of each stratum is drawn here, once."""
+
+    def __init__(self, records, options: BuildOptions):
+        self.records, self.options = records, options
+        by_count: dict[int, list[str]] = {}
+        for record in records:
+            by_count.setdefault(record.morpheme_count, []).append(record.record_id)
+        demo_ids: set[str] = set()
+        for stratum, ids in sorted(by_count.items()):
+            if n_demo := int(len(ids) * options.demo_fraction):
+                rng = make_rng(options.seed, "demo-split", stratum)
+                demo_ids.update(rng.sample(sorted(ids), n_demo))
+        self.entries = [_Draws(EVAL_SPLIT, r) for r in records if r.record_id not in demo_ids] + [
+            _Draws(DEMO_SPLIT, r) for r in records if r.record_id in demo_ids]
 
 
 def build_suite(
     records, task: str, distribution: str, options: BuildOptions = BuildOptions(),
-    draws: dict | None = None,
+    draws: Draws | None = None,
 ) -> tuple[list[TaskInstance], dict]:
     """The instances of one (task, distribution) suite, built with options in
-    the order of split_demo_pool (eval records, then demo records), and its
-    manifest skeleton.
-
-    Negative selection always runs on the original-root surfaces; the shown
-    root is substituted afterwards, which keeps OOD options aligned with
-    their ID twins. So every cell of a run draws the same presented order
-    for a record, the systematicity cells the same negatives and option
-    order, and a draws dict shared by their builds keeps one entry per
-    record (_record_key) that draws each of them once. An unknown task or
-    distribution raises SchemaError.
+    the order of draws (eval records, then demo records), and its manifest
+    skeleton. The cells of a run pass one Draws(records, options), so a
+    record shows one presented order in every cell, and the same negatives
+    and option order in both systematicity cells, each drawn once: negative
+    selection runs on the original-root surfaces, and the shown root is
+    substituted afterwards. Without draws the build makes its own; draws
+    made for another records object or for other options raise ValueError.
+    An unknown task or distribution raises SchemaError.
     """
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}")
@@ -427,11 +407,14 @@ def build_suite(
         raise SchemaError(f"unknown distribution {distribution!r}")
 
     if draws is None:
-        draws = {}
+        draws = Draws(records, options)
+    elif draws.records is not records or draws.options != options:
+        raise ValueError("draws made for other records or options")
     instances: list[TaskInstance] = []
     warnings: list[str] = []
     strata_counts: dict[int, dict[str, int]] = {}
-    for split, record in split_demo_pool(records, options.demo_fraction, options.seed):
+    for entry in draws.entries:
+        split, record = entry.split, entry.record
         if distribution == OUT_DIST and not record.nonce_root:
             raise MissingNonce(f"record {record.record_id} lacks nonce_root")
         if options.context and not record.sentence:
@@ -439,10 +422,6 @@ def build_suite(
 
         shown_root = record.nonce_root if distribution == OUT_DIST else record.root
         definition = record.root if distribution == OUT_DIST else None
-        key = _record_key(record, options)
-        entry = draws.get(key)
-        if entry is None:
-            entry = draws[key] = _Draws()
         if entry.presented is None:
             entry.presented, entry.warning = _presented_order(record, options)
         if entry.warning is not None:

@@ -52,7 +52,7 @@ def synth_turkish_records(per_stratum, strata, seed=0, with_sentences=True):
                 forms = rng.sample(pool, stratum)
                 if _distinct_surfaces(root, forms):
                     break
-            affixes = [Affix(form=f, slot="suffix", gold_index=j) for j, f in enumerate(forms)]
+            affixes = [Affix(form=f, slot="suffix") for f in forms]
             manual = None
             if stratum == 1:
                 manual = rng.choice([f for f in pool if f != forms[0]])

@@ -365,6 +365,10 @@ class TestPipeline:
         ):
             assert run(argv) == 0
         rows = Path("suite.jsonl").read_text("utf-8").splitlines()
+        Path("bad_json_suite.jsonl").write_text(rows[0] + "\n{\n", encoding="utf-8")
+        write_jsonl("no_options_suite.jsonl", [json.loads(rows[0]) | {"task": "systematicity"}])
+        finnish = cli.resolve_input("bundled:finnish_examples").read_text("utf-8")
+        Path("mixed.jsonl").write_text(Path("corpus.jsonl").read_text("utf-8") + finnish, "utf-8")
         row = json.loads(rows[1])
         row["options"] = [{"surface": "x", "label": "maybe"}]
         Path("label_suite.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -453,6 +457,13 @@ class TestPipeline:
         *[(["evaluate", "--prompts", f"bad_{key}_prompts.jsonl", "--model-config", "model.json",
             "--out", "r.jsonl"], "SchemaError", f"bad_{key}_prompts.jsonl:1: {why}")
           for key, _, why in CLOSED_PROMPT_VALUES],
+        (["render", "--suite", "bad_json_suite.jsonl", "--shots", "1", "--out", "p.jsonl"],
+         "SchemaError", "bad_json_suite.jsonl:2: invalid JSON ("),
+        (["score", "--records", "records.jsonl", "--suite", "no_options_suite.jsonl",
+          "--out-dir", "r"], "SchemaError",
+         "no_options_suite.jsonl:1: malformed row (a systematicity instance needs options)"),
+        (["build-suite", "--task", "productivity", "--dist", "id", "--in", "mixed.jsonl",
+          "--out", "s.jsonl"], "SchemaError", "input mixes languages ['finnish', 'turkish']"),
     ])
     def test_bad_input_exits_1_with_one_line(self, stage_files, capsys, argv, error, named):
         capsys.readouterr()
@@ -538,7 +549,8 @@ class TestPipeline:
     def test_report_seeds_each_record_draw_once_per_run(self, workdir, monkeypatch):
         """Four cells show each record in one presented order, and the two
         systematicity cells in one option order: one report seeds the
-        "present" and "options" streams of a record once each."""
+        "present" and "options" streams of a record once each, and the
+        "demo-split" stream of a stratum once."""
         corpus = write_corpus(Path("corpus.jsonl"), per_stratum=4, strata=(1, 2, 3))
         mock_config(Path("model.json"))
         seeded = []
@@ -558,6 +570,7 @@ class TestPipeline:
         assert len(options) == len(corpus)
         assert sorted(p[0] for p in seeded if p[-1] == "present") == shuffled
         assert sorted(p[0] for p in seeded if p[-1] == "options") == options
+        assert sorted(p[1] for p in seeded if p[0] == "demo-split") == [1, 2, 3]
 
     def test_report_keeps_supplied_nonce_roots_and_lists_skipped_records(self, workdir):
         rows = [record_to_row(r) for r in synth_turkish_records(6, [2], seed=61)]
@@ -580,6 +593,85 @@ class TestPipeline:
         assert set(shown) == {row["record_id"] for row in rows[:-1]}
         assert shown[rows[0]["record_id"]] == "pumak"
         assert all(shown[row["record_id"]] != row["root"] for row in rows[1:-1])
+
+    def test_records_of_another_language_are_counted(self, workdir, capsys):
+        """gen-nonce and report name each other language of their input with
+        its record count; report keeps the line in run.json and prints it
+        again on a run that keeps every cell."""
+        turkish = [record_to_row(r) for r in synth_turkish_records(4, [2], seed=61)]
+        finnish = list(map(json.loads, cli.resolve_input("bundled:finnish_examples")
+                           .read_text("utf-8").splitlines()[:2]))
+        write_jsonl("corpus.jsonl", turkish + finnish)
+        capsys.readouterr()
+        assert run(["gen-nonce", "--lang", "turkish", "--in", "corpus.jsonl",
+                    "--out", "nonced.jsonl"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "skip 2 finnish records: not turkish", "gen-nonce: wrote 4 records, skipped 0"]
+        assert run(["gen-nonce", "--lang", "finnish", "--in", "corpus.jsonl",
+                    "--out", "nonced.jsonl"]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == "skip 4 turkish records: not finnish"
+        mock_config(Path("model.json"))
+        Path("run.json").write_text(json.dumps({
+            "language": "turkish", "input": "corpus.jsonl", "out_dir": "run",
+            "model_config": "model.json", "tasks": ["productivity"], "shots": 0,
+        }), encoding="utf-8")
+        for cell in ("build: no run.json", "kept build, render, evaluate, score"):
+            assert run(["report", "--config", "run.json"]) == 0
+            err = capsys.readouterr().err
+            assert err.splitlines()[0] == "skip 2 finnish records: not turkish"
+            assert f"({cell})" in err
+        assert json.loads(Path("run/run.json").read_text("utf-8"))["notes"] == [
+            "skip 2 finnish records: not turkish"]
+
+    def test_build_suite_names_a_short_stratum_in_one_line(self, workdir, capsys):
+        write_corpus(Path("corpus.jsonl"), per_stratum=3, strata=(1, 2))
+        capsys.readouterr()
+        assert run(BUILD + ["--per-stratum", "5", "--strata", "2"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "stratum 2: short 2 records", "build-suite: wrote 3 instances"]
+
+    def test_build_suite_prints_each_warning_in_one_line(self, workdir, capsys):
+        write_jsonl("corpus.jsonl", [{
+            "record_id": "same", "language_id": "turkish", "root": "ev",
+            "affixes": [{"form": "ler"}, {"form": "ler"}], "gold_surface": "evlerler"}])
+        capsys.readouterr()
+        assert run(BUILD[:2] + ["productivity"] + BUILD[3:]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: record same: affix forms are identical, presented order equals gold",
+            "build-suite: wrote 1 instances"]
+
+    @pytest.mark.parametrize("empty", [True, False], ids=["no eval instances", "mixed tasks"])
+    def test_a_suite_that_cannot_be_scored_is_named(self, workdir, capsys, empty):
+        """score, and the score stage of a report cell, name the suite file
+        of a suite with no evaluation instances or with two tasks."""
+        one = synth_turkish_records(4, [1], seed=61)
+        for record in one:
+            record.manual_negative_affix = None  # so every systematicity item is skipped
+        write_jsonl("one.jsonl", map(record_to_row, one))
+        write_corpus(Path("two.jsonl"), per_stratum=4, strata=(2,))
+        Path("none.jsonl").write_text("", encoding="utf-8")
+        build = ["build-suite", "--dist", "id", "--demo-fraction", "0"]
+        for task, corpus, out in (("systematicity", "one", "empty"), ("systematicity", "two", "sys"),
+                                  ("productivity", "two", "prod")):
+            assert run(build + ["--task", task, "--in", f"{corpus}.jsonl",
+                                "--out", f"{out}.jsonl"]) == 0
+        Path("mixed.jsonl").write_text(
+            Path("sys.jsonl").read_text("utf-8") + Path("prod.jsonl").read_text("utf-8"),
+            encoding="utf-8")
+        name, why = (("empty.jsonl", "suite has no evaluation instances") if empty else
+                     ("mixed.jsonl", "suite mixes tasks ['productivity', 'systematicity']"))
+        capsys.readouterr()
+        assert run(["score", "--records", "none.jsonl", "--suite", name, "--out-dir", "r"]) == 1
+        assert capsys.readouterr().err == f"error: SchemaError: {name}: {why}\n"
+        if empty:
+            mock_config(Path("model.json"))
+            Path("run.json").write_text(json.dumps({
+                "language": "turkish", "input": "one.jsonl", "out_dir": "run", "shots": 0,
+                "model_config": "model.json", "tasks": ["systematicity"], "distributions": ["id"],
+            }), encoding="utf-8")
+            assert run(["report", "--config", "run.json"]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"error: SchemaError: {Path('run/systematicity_id/suite.jsonl')}: {why}")
 
 
 class TestReproducibility:
@@ -1819,6 +1911,17 @@ def test_render_refuses_a_template_it_cannot_fill_with_one_line(suite_dir, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: PlaceholderMismatch: english/systematicity_id_standard.txt: ")
     assert err.count("\n") == 1 and named in err
+
+
+def test_render_names_each_missing_template_in_one_line(suite_dir, capsys):
+    shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
+    Path("templates/finnish/productivity_ood_cot.txt").unlink()
+    capsys.readouterr()
+    assert run(["render", "--suite", "suite.jsonl", "--templates", "templates",
+                "--shots", "1", "--out", "p.jsonl"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "missing template for ('finnish', 'productivity', 'ood', 'cot')"
+    assert len(err) == 2 and err[1].startswith("render: wrote ")
 
 
 def test_render_refuses_a_template_that_is_not_utf8_with_one_line(suite_dir, capsys):

@@ -145,10 +145,10 @@ class TestStratifiedSample:
         assert [r.record_id for r in a.records] == [r.record_id for r in b.records]
 
 
-def build(records, task, dist, draws=None, **options):
+def build(records, task, dist, **options):
     """Every record as an eval instance, and the build warnings."""
     instances, manifest = suite.build_suite(
-        records, task, dist, suite.BuildOptions(demo_fraction=0, **options), draws
+        records, task, dist, suite.BuildOptions(demo_fraction=0, **options)
     )
     return SimpleNamespace(instances=instances, warnings=manifest["warnings"])
 
@@ -319,14 +319,14 @@ class TestNegativeCache:
 
     @pytest.mark.parametrize("strategy", list(derive.STRATEGIES))
     def test_shared_cache_builds_what_separate_builds_do(self, cache_records, strategy):
-        """The four cells of a run, sharing one draws dict, build what each
+        """The four cells of a run, sharing one Draws, build what each
         builds alone: the identical-forms warning is in every cell's
         manifest, at the place it has there."""
         for order_mode in suite.ORDER_MODES:
-            cache = {}
             options = suite.BuildOptions(
                 order_mode=order_mode, strategy=strategy, seed=7, demo_fraction=0.2
             )
+            cache = suite.Draws(cache_records, options)
             for task in suite.TASKS:
                 for dist in suite.DISTRIBUTIONS:
                     alone = suite.build_suite(cache_records, task, dist, options)
@@ -338,44 +338,20 @@ class TestNegativeCache:
                     assert len(identical) == (order_mode == suite.SHUFFLED)
                     skipped = any("skipped" in warning for warning in manifest["warnings"])
                     assert skipped == (task == suite.SYSTEMATICITY)
-            assert len(cache) == len(cache_records)
+            assert len(cache.entries) == len(cache_records)
 
-    def test_the_order_modes_of_one_dict_draw_apart(self, cache_records):
-        cache = {}
-        for order_mode in (suite.SHUFFLED, suite.CORRECT):
-            options = suite.BuildOptions(order_mode=order_mode, seed=7)
-            alone = suite.build_suite(cache_records, "productivity", "id", options)
-            assert suite.build_suite(cache_records, "productivity", "id", options, cache) == alone
-        assert len(cache) == 2 * len(cache_records)
-
-    @pytest.mark.parametrize(
-        "field", ["affixes", "manual_negative_affix", "known_valid_alternatives"]
-    )
-    def test_same_record_id_with_other_inputs_selects_its_own(self, field):
-        stratum = 1 if field == "manual_negative_affix" else 3
-        first, donor = synth_turkish_records(2, [stratum], seed=32)
-        second = dataclasses.replace(first)
-        if field == "affixes":
-            second.affixes = donor.affixes
-            second.gold_surface = derive.compose(second.root, second.affixes)
-        elif field == "manual_negative_affix":
-            second.manual_negative_affix = first.manual_negative_affix + "n"
+    @pytest.mark.parametrize("other", ["order_mode", "seed", "records"])
+    def test_draws_made_for_other_records_or_options_raise(self, cache_records, other):
+        """A Draws is read by position, so it serves only the records object
+        and the options it was made for."""
+        options = suite.BuildOptions(seed=7)
+        if other == "records":
+            draws = suite.Draws(list(cache_records), options)
         else:
-            (instance,) = build([first], "systematicity", "id", seed=3).instances
-            second.known_valid_alternatives = {
-                next(o.surface for o in instance.options if o.label == suite.INVALID)
-            }
-        cache = {}
-        shared = [
-            build([record], "systematicity", "id", seed=3, draws=cache).instances
-            for record in (first, second)
-        ]
-        alone = [
-            build([record], "systematicity", "id", seed=3).instances for record in (first, second)
-        ]
-        assert shared == alone
-        assert shared[0][0].options != shared[1][0].options
-        assert len(cache) == 2
+            change = {"order_mode": suite.CORRECT, "seed": 8}[other]
+            draws = suite.Draws(cache_records, dataclasses.replace(options, **{other: change}))
+        with pytest.raises(ValueError, match="draws made for other records or options"):
+            suite.build_suite(cache_records, "productivity", "id", options, draws)
 
 
 @pytest.mark.parametrize("key", ["order_mode", "strategy"])
