@@ -171,6 +171,10 @@ def _options(cls, opts):
 
 def _build(records, task, dist, options, out, draws=None):
     instances, manifest = suite.build_suite(records, task, dist, options, draws)
+    if all(i.split != suite.EVAL_SPLIT for i in instances):  # no score could read it
+        for warning in manifest["warnings"]:  # the reasons
+            _eprint(f"warning: {warning}")
+        raise SchemaError(f"{out}: suite has no evaluation instances")
     write_jsonl(out, (i.to_row() for i in instances))
     return instances, manifest
 
@@ -426,7 +430,8 @@ def _fingerprints(*paths, previous=None) -> dict:
     each path; None for a file that is missing, does not read or is not
     regular (a FIFO is never opened). A file whose stamp, the first four, is
     the one previous holds for it keeps that sha256 unread, as git's index
-    and a .pyc (PEP 552) trust a stamp: a rewrite, touch or cp -p moves it."""
+    and a .pyc (PEP 552) trust a stamp: a rewrite, touch or cp -p moves it.
+    A recorded sha256 that is not a string is read again."""
     previous = previous if isinstance(previous, dict) else {}
     prints = {}
     for path in paths:
@@ -435,7 +440,8 @@ def _fingerprints(*paths, previous=None) -> dict:
         if os.path.isfile(path):
             s, old = os.stat(path), previous.get(name)
             stamp = [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
-            same = isinstance(old, list) and len(old) == 5 and old[:4] == stamp
+            same = (isinstance(old, list) and len(old) == 5 and old[:4] == stamp
+                    and isinstance(old[4], str))
             digest = old[4] if same else _readable_digest(path)
             prints[name] = digest and stamp + [digest]
     return prints
@@ -667,12 +673,16 @@ def cmd_report(args) -> int:
             summary[cell.dir.name] = cell.entry["score"]["scores"]
             entries[cell.dir.name] = cell.entry
 
-        with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
-            for (task, dist), template in zip(cells, templates):
-                run_cell(task, dist, template, cache)
-        write_text(out_dir / "run.json", (dumps({  # unindented, so the C encoder writes it
-            "command": "report", "version": __version__, "config": raw, "skipped_records": skipped,
-            "notes": notes, "cells": entries, "summary": summary}), "\n"))
+        try:
+            with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:
+                for (task, dist), template in zip(cells, templates):
+                    run_cell(task, dist, template, cache)
+        finally:  # a cell that raises leaves the cells before it recorded, for a rerun to keep
+            if entries:  # else a previous run.json is left as it was
+                write_text(out_dir / "run.json", (dumps({  # unindented: the C encoder writes it
+                    "command": "report", "version": __version__, "config": raw,
+                    "skipped_records": skipped, "notes": notes, "cells": entries,
+                    "summary": summary}), "\n"))
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
     return 2 if any("failed_prompts" in entry["evaluate"] for entry in entries.values()) else 0
 

@@ -640,6 +640,25 @@ class TestPipeline:
             "warning: record same: affix forms are identical, presented order equals gold",
             "build-suite: wrote 1 instances"]
 
+    @pytest.mark.parametrize("demo_fraction", ["0", "1"])
+    def test_build_suite_writes_no_suite_without_an_evaluation_instance(self, workdir, capsys,
+                                                                        demo_fraction):
+        """Exit 1 after the warnings that give the reasons, and no file: a
+        suite whose records are all skipped or all demos cannot be scored."""
+        one = synth_turkish_records(2, [1], seed=61)
+        if demo_fraction == "0":
+            for record in one:
+                record.manual_negative_affix = None  # so every systematicity item is skipped
+        write_jsonl("corpus.jsonl", map(record_to_row, one))
+        capsys.readouterr()
+        assert run(BUILD + ["--demo-fraction", demo_fraction]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: SchemaError: s.jsonl: suite has no evaluation instances"
+        assert err[:-1] == ([] if demo_fraction == "1" else [
+            f"warning: record {r.record_id} skipped: record {r.record_id}: 1-morpheme items"
+            " need manual_negative_affix" for r in one])
+        assert not Path("s.jsonl").exists() and not Path("s.jsonl.manifest.json").exists()
+
     @pytest.mark.parametrize("empty", [True, False], ids=["no eval instances", "mixed tasks"])
     def test_a_suite_that_cannot_be_scored_is_named(self, workdir, capsys, empty):
         """score, and the score stage of a report cell, name the suite file
@@ -651,10 +670,11 @@ class TestPipeline:
         write_corpus(Path("two.jsonl"), per_stratum=4, strata=(2,))
         Path("none.jsonl").write_text("", encoding="utf-8")
         build = ["build-suite", "--dist", "id", "--demo-fraction", "0"]
-        for task, corpus, out in (("systematicity", "one", "empty"), ("systematicity", "two", "sys"),
-                                  ("productivity", "two", "prod")):
-            assert run(build + ["--task", task, "--in", f"{corpus}.jsonl",
-                                "--out", f"{out}.jsonl"]) == 0
+        for task, out in (("systematicity", "sys"), ("productivity", "prod")):
+            assert run(build + ["--task", task, "--in", "two.jsonl", "--out", f"{out}.jsonl"]) == 0
+        # demo rows only: build-suite refuses to write such a suite
+        write_jsonl("empty.jsonl", [row | {"split": suite.DEMO_SPLIT}
+                                    for _, row in jsonl.read_jsonl("sys.jsonl")])
         Path("mixed.jsonl").write_text(
             Path("sys.jsonl").read_text("utf-8") + Path("prod.jsonl").read_text("utf-8"),
             encoding="utf-8")
@@ -672,6 +692,32 @@ class TestPipeline:
             assert run(["report", "--config", "run.json"]) == 1
             assert capsys.readouterr().err.splitlines()[-1] == (
                 f"error: SchemaError: {Path('run/systematicity_id/suite.jsonl')}: {why}")
+
+    def test_a_report_that_fails_in_a_cell_keeps_the_cells_it_finished(self, workdir, capsys,
+                                                                        monkeypatch):
+        """run.json records the cells before the one that raised, and prints
+        no summary; a rerun of those cells alone keeps every stage."""
+        one = synth_turkish_records(4, [1], seed=61)
+        for record in one:
+            record.manual_negative_affix = None  # so every systematicity item is skipped
+        write_jsonl("one.jsonl", map(record_to_row, one))
+        mock_config(Path("model.json"))
+        config = {"language": "turkish", "input": "one.jsonl", "out_dir": "run", "shots": 0,
+                  "model_config": "model.json", "distributions": ["id"]}
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", "--config", "run.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == (
+            f"error: SchemaError: {Path('run/systematicity_id/suite.jsonl')}: "
+            "suite has no evaluation instances")
+        assert list(json.loads(Path("run/run.json").read_text("utf-8"))["cells"]) == [
+            "productivity_id"]
+        Path("run.json").write_text(json.dumps(config | {"tasks": ["productivity"]}),
+                                    encoding="utf-8")
+        monkeypatch.setattr(suite, "build_suite", lambda *a, **k: pytest.fail("built a kept cell"))
+        assert run(["report", "--config", "run.json"]) == 0
+        assert "(kept build, render, evaluate, score)" in capsys.readouterr().err
 
 
 class TestReproducibility:
@@ -1419,6 +1465,13 @@ def _parent_format(text):  # a manifest written before it held its outputs' fing
     return json.dumps(manifest)
 
 
+def _digest_not_a_string(text):  # a hand-edited manifest whose output sha256 is 0
+    manifest = json.loads(text)
+    for fingerprint in manifest["outputs"].values():
+        fingerprint[4] = 0
+    return json.dumps(manifest)
+
+
 class TestStageReuse:
     """A rerun of evaluate or score keeps its output while its manifest
     holds the same inputs, program and version, lists no failed prompts,
@@ -1488,6 +1541,7 @@ class TestStageReuse:
         ("evaluate", lambda: Path("records.jsonl.manifest.json").unlink()),
         ("evaluate", _edit_manifest("evaluate", lambda text: "{not json")),
         ("evaluate", _edit_manifest("evaluate", _parent_format)),
+        ("evaluate", _edit_manifest("evaluate", _digest_not_a_string)),
         ("evaluate", _edit_manifest("evaluate", lambda text: json.dumps(
             json.loads(text) | {"failed_prompts": [["x", 0]]}))),
         ("score", lambda: _reverse_lines("suite.jsonl")),
@@ -1498,6 +1552,7 @@ class TestStageReuse:
         ("score", _edit_manifest("score", _parent_format)),
     ], ids=["prompt byte", "model key", "truncated records", "edited records",
             "evaluate manifest missing", "evaluate manifest malformed", "evaluate parent format",
+            "evaluate digest not a string",
             "failed prompts", "edited suite", "score edited records", "edited csv",
             "score manifest missing", "score manifest malformed", "score parent format"])
     def test_a_changed_input_or_output_runs_again(self, monkeypatch, capsys, command, change):
@@ -1815,6 +1870,10 @@ def _set_surface(row):
     row["options"][0]["surface"] = 5
 
 
+def _set_second_label(row):
+    row["options"][1]["label"] = "gold"
+
+
 @pytest.mark.parametrize("kind, change, named", [
     ("suite row", {"shown_root": None}, "row key 'shown_root' must be a string"),
     ("suite row", {"presented_affixes": "abc"}, "row key 'presented_affixes' must be a list"),
@@ -1827,6 +1886,7 @@ def _set_surface(row):
     ("record", {"cached": "no"}, "unknown row key 'cached'"),
     ("record", {"parsed_value": ["yes"]}, "row key 'parsed_value' must be a string or null"),
     ("label row", {"instance_id": ["a"]}, "row key 'instance_id' must be a string or null"),
+    ("suite row", _set_second_label, "options[1] key 'label' must be one of valid, invalid"),
 ])
 def test_a_mistyped_row_exits_1_naming_path_line_and_key(fuzz_dir, monkeypatch, capsys, kind,
                                                           change, named):

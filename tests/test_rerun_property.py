@@ -2,7 +2,8 @@
 
 "Build Systems a la Carte" (Mokhov, Mitchell and Peyton Jones, ICFP 2018)
 asks two things of an incremental build, and the machine below checks both
-after random edits of a report's config, model, input and out_dir:
+after random edits of a report's config, model, input and out_dir, the
+stage records of its run.json included:
 
 - correctness: after every step the machine runs report, and each file of
   each cell the config names holds the bytes that the same config writes
@@ -180,6 +181,34 @@ class ReportRerun(RuleBasedStateMachine):
                 os.truncate(path, path.stat().st_size // 2)
             else:
                 path.write_text("[]\n", encoding="utf-8")
+        self.edited()
+
+    @rule(cell=st.sampled_from(CELLS), stage=st.sampled_from(["build", "render", "evaluate", "score"]),
+          what=st.sampled_from(["field", "digest", "outputs"]), pick=st.integers(0, 40),
+          value=st.sampled_from([0, False, None, "x", [], {}]))
+    def edit_stage_record(self, cell, stage, what, pick, value):
+        """Hand-edit one field of one stage record in run.json: a key or other
+        field, the sha256 of one output's fingerprint, or the outputs
+        themselves. Scores are left alone: a kept score stage reports them unread."""
+        path = self.root / "run" / "run.json"
+        try:
+            run = json.loads(path.read_text("utf-8"))
+            record = run["cells"][cell][stage]
+        except (OSError, ValueError, KeyError, TypeError):
+            record = None
+        if isinstance(record, dict):
+            if what == "field":
+                names = sorted(record.keys() - {"outputs", "scores"})
+                record[names[pick % len(names)]] = value
+            elif what == "digest":
+                outputs = record.get("outputs")
+                prints = [fp for _, fp in sorted(outputs.items()) if isinstance(fp, list)
+                          and len(fp) == 5] if isinstance(outputs, dict) else []
+                if prints:
+                    prints[pick % len(prints)][4] = value
+            else:
+                record["outputs"] = value
+            path.write_text(json.dumps(run), encoding="utf-8")
         self.edited()
 
     def report(self, config):

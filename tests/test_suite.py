@@ -284,6 +284,9 @@ class TestSuiteDriver:
         write_jsonl(path, (i.to_row() for i in instances))
         loaded = suite.read_suite(path)
         assert loaded == instances
+        # a JSON list read back as the tuple Option.affixes is annotated with
+        affixes = [o.affixes for i in loaded if i.morpheme_count == 1 for o in i.options]
+        assert affixes and all(type(a) is tuple for a in affixes)
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         records = synth_turkish_records(10, [2, 3], seed=23)
