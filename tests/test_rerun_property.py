@@ -13,6 +13,14 @@ stage records of its run.json included:
   them (the rule `nothing`), writes no file but run.json and builds,
   renders, evaluates and reads no suite.
 
+The second machine runs the stage commands as a chain with one seed,
+gen-nonce -> build-suite -> render -> evaluate -> score, after random edits
+of their options, model, input, outputs and manifests. After every step
+each output holds the bytes that the same chain writes into a fresh
+directory, and the chain exits alike; a chain without sampling writes the
+suite, prompts, records, report.csv and report.txt of the report cell of
+its task and distribution.
+
 Every content edit changes the size of the file. A file rewritten at the
 same size within one tick of the file system's clock can go unseen (see the
 README), and no rule here makes one. The `reused` and `reason` labels are
@@ -270,3 +278,235 @@ ReportRerun.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 TestReportRerun = ReportRerun.TestCase
+
+
+# What each command of the stage-command chain writes, in chain order, and
+# the manifest beside each output.
+CHAIN_OUTPUTS = [("nonced.jsonl",), ("suite.jsonl",), ("prompts.jsonl",), ("records.jsonl",),
+                 ("report/report.json", "report/report.csv", "report/report.txt")]
+CHAIN_MANIFESTS = ("nonced.jsonl.manifest.json", "suite.jsonl.manifest.json",
+                   "prompts.jsonl.manifest.json", "records.jsonl.manifest.json",
+                   "report/score.manifest.json")
+CHAIN_FILES = tuple(name for names in CHAIN_OUTPUTS for name in names) + CHAIN_MANIFESTS
+# The chain's files that a report cell writes with the same bytes: a report
+# cell's report.json holds the suite manifest, score's the input paths.
+CELL_FILES = {"suite.jsonl": "suite.jsonl", "prompts.jsonl": "prompts.jsonl",
+              "records.jsonl": "records.jsonl", "report/report.csv": "report.csv",
+              "report/report.txt": "report.txt"}
+BUILD_FLAGS = {"order_mode": "--order", "strategy": "--strategy", "k": "--k",
+               "demo_fraction": "--demo-fraction"}
+RENDER_FLAGS = {"instruction_language": "--lang", "variant": "--variant", "shots": "--shots"}
+
+
+@contextlib.contextmanager
+def _chdir(path):  # contextlib.chdir is new in Python 3.11
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+class StageChain(RuleBasedStateMachine):
+    """gen-nonce -> build-suite -> render -> evaluate -> score with one seed,
+    each command run in the chain's directory on the output of the one before."""
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="morphsuite-chain-"))
+        records = synth_turkish_records(6, [1, 2, 3], seed=61)
+        self.corpus = self.root / "corpus.jsonl"
+        write_jsonl(self.corpus, [record_to_row(r) for r in records] + EXTRA)
+        (self.root / "lexicon.txt").write_text("".join(r.root + "\n" for r in records),
+                                               encoding="utf-8")
+        self.model = {"endpoint_url": "mock://random", "model_name": "random", "seed": 1}
+        self.options = {"shots": 1, "demo_fraction": 0.25}  # build and render options set
+        self.task, self.dist = suite.SYSTEMATICITY, suite.OUT_DIST
+        self.sampling = None  # (--per-stratum, --strata), either None to leave it out
+        self.lexicon = True
+        self.settled = False  # the last step was a chain whose every command exited 0
+        self.fresh = {}  # (argvs, model, input bytes) -> what a fresh directory gets
+        self.cells = {}  # the same -> report's exit code and the cell's files
+
+    def teardown(self):
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def edited(self):
+        self.settled = False
+
+    def argvs(self):
+        """The chain's five commands."""
+        seed = str(self.options.get("seed", 0))
+        gen_nonce = ["gen-nonce", "--lang", "turkish", "--seed", seed, "--in", str(self.corpus),
+                     "--out", "nonced.jsonl"]
+        if self.lexicon:
+            gen_nonce += ["--lexicon", str(self.root / "lexicon.txt")]
+        build = ["build-suite", "--task", self.task, "--dist", self.dist, "--seed", seed,
+                 "--in", "nonced.jsonl", "--out", "suite.jsonl"]
+        build += [arg for name, flag in BUILD_FLAGS.items() if self.options.get(name) is not None
+                  for arg in (flag, str(self.options[name]))]
+        build += ["--context"] if self.options.get("context") else []
+        for flag, value in zip(("--per-stratum", "--strata"), self.sampling or ()):
+            build += [flag, str(value)] if value is not None else []
+        render = ["render", "--suite", "suite.jsonl", "--seed", seed, "--out", "prompts.jsonl"]
+        render += [arg for name, flag in RENDER_FLAGS.items() if name in self.options
+                   for arg in (flag, str(self.options[name]))]
+        return [gen_nonce, build, render,
+                ["evaluate", "--prompts", "prompts.jsonl", "--model-config",
+                 str(self.root / "model.json"), "--out", "records.jsonl"],
+                ["score", "--records", "records.jsonl", "--suite", "suite.jsonl",
+                 "--out-dir", "report"]]
+
+    @rule(name=st.sampled_from(sorted(OPTIONS)), pick=st.integers(0, 3))
+    def set_option(self, name, pick):
+        default = next(f.default for cls in (suite.BuildOptions, prompts.RenderOptions)
+                       for f in fields(cls) if f.name == name)
+        others = [v for v in OPTIONS[name] if v != self.options.get(name, default)]
+        self.options[name] = others[pick % len(others)]
+        self.edited()
+
+    @rule(task=st.sampled_from(suite.TASKS), dist=st.sampled_from(suite.DISTRIBUTIONS))
+    def set_cell(self, task, dist):
+        self.task, self.dist = task, dist
+        self.edited()
+
+    @rule(per_stratum=st.sampled_from([None, 2, 4]), strata=st.sampled_from([None, "1-2", "2,3"]))
+    def set_sampling(self, per_stratum, strata):
+        """--strata without --per-stratum is a usage error, which exits 1."""
+        self.sampling = (per_stratum, strata) if per_stratum or strata else None
+        self.edited()
+
+    @rule(endpoint=st.sampled_from(["mock://random", "mock://echo-gold"]), seed=st.integers(1, 3))
+    def set_model(self, endpoint, seed):
+        self.model = {"endpoint_url": endpoint, "model_name": endpoint[7:], "seed": seed}
+        self.edited()
+
+    @rule()
+    def drop_or_restore_the_lexicon(self):
+        self.lexicon = not self.lexicon
+        self.edited()
+
+    @rule(line=st.integers(0, 30))
+    def edit_input_line(self, line):
+        lines = self.corpus.read_text("utf-8").splitlines(keepends=True)
+        row = json.loads(lines[line % len(lines)])
+        row["record_id"] += "x"
+        lines[line % len(lines)] = json.dumps(row, ensure_ascii=False) + "\n"
+        self.corpus.write_text("".join(lines), encoding="utf-8")
+        self.edited()
+
+    @rule(name=st.sampled_from(CHAIN_FILES),
+          how=st.sampled_from(["utime", "append", "truncate", "delete"]),
+          tail=st.sampled_from([b"\n", b"x", b"{}\n"]))
+    def edit_chain_file(self, name, how, tail):
+        path = self.root / "chain" / name
+        if path.is_file():
+            s = path.stat()
+            if how == "utime":
+                os.utime(path, ns=(s.st_atime_ns, s.st_mtime_ns - 10**9))
+            elif how == "append":
+                with open(path, "ab") as f:
+                    f.write(tail)
+            elif how == "truncate":
+                os.truncate(path, s.st_size // 2)
+            else:
+                path.unlink()
+        self.edited()
+
+    @rule(name=st.sampled_from(CHAIN_MANIFESTS), what=st.sampled_from(["field", "digest", "outputs"]),
+          pick=st.integers(0, 40), value=st.sampled_from([0, False, None, "x", [], {}]))
+    def edit_manifest(self, name, what, pick, value):
+        """Hand-edit one field of one manifest: a key or other field, the
+        sha256 of one output's fingerprint, or the outputs themselves."""
+        path = self.root / "chain" / name
+        try:
+            manifest = json.loads(path.read_text("utf-8"))
+        except (OSError, ValueError):
+            manifest = None
+        if isinstance(manifest, dict):
+            if what == "field":
+                names = sorted(manifest.keys() - {"outputs"})
+                manifest[names[pick % len(names)]] = value
+            elif what == "digest":
+                outputs = manifest.get("outputs")
+                prints = [fp for _, fp in sorted(outputs.items()) if isinstance(fp, list)
+                          and len(fp) == 5] if isinstance(outputs, dict) else []
+                if prints:
+                    prints[pick % len(prints)][4] = value
+            else:
+                manifest["outputs"] = value
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        self.edited()
+
+    @rule()
+    def nothing(self):
+        pass
+
+    def chain(self, directory):
+        """The exit code of each command of the chain run in directory, up to
+        the first that does not exit 0, and the outputs of those that did."""
+        directory.mkdir(exist_ok=True)
+        (self.root / "model.json").write_text(json.dumps(self.model), encoding="utf-8")
+        codes = []
+        with _chdir(directory), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in self.argvs():
+                codes.append(cli.main(argv))
+                if codes[-1] != 0:
+                    break
+        return codes, {name: (directory / name).read_bytes()
+                       for names, code in zip(CHAIN_OUTPUTS, codes) if code == 0 for name in names}
+
+    def key(self):
+        return (json.dumps(self.argvs()), json.dumps(self.model, sort_keys=True),
+                self.corpus.read_bytes())
+
+    def fresh_chain(self):
+        key = self.key()
+        if key not in self.fresh:
+            shutil.rmtree(self.root / "fresh", ignore_errors=True)
+            self.fresh[key] = self.chain(self.root / "fresh")
+        return self.fresh[key]
+
+    def report_cell(self):
+        """report's exit code under the chain's options, task and seed, and
+        the files of the cell of the chain's distribution. Its config names
+        both distributions, so that it gives nonce roots as gen-nonce does."""
+        key = self.key()
+        if key not in self.cells:
+            out_dir = self.root / "report"
+            shutil.rmtree(out_dir, ignore_errors=True)
+            config = self.options | {
+                "language": "turkish", "input": str(self.corpus), "out_dir": str(out_dir),
+                "model_config": str(self.root / "model.json"), "tasks": [self.task],
+                "distributions": list(suite.DISTRIBUTIONS)}
+            if self.lexicon:
+                config["lexicon"] = str(self.root / "lexicon.txt")
+            path = self.root / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["report", "--config", str(path)])
+            cell = out_dir / f"{self.task}_{self.dist}"
+            self.cells[key] = code, {name: (cell / cell_name).read_bytes()
+                                     for name, cell_name in CELL_FILES.items()}
+        return self.cells[key]
+
+    @invariant()
+    def chain_equals_a_fresh_chain_and_a_report_cell(self):
+        codes, outputs = self.chain(self.root / "chain")
+        assert (codes, outputs) == self.fresh_chain()
+        whole = codes == [0] * len(CHAIN_OUTPUTS)
+        if whole and self.sampling is None:
+            code, files = self.report_cell()
+            assert code == 0
+            assert {name: outputs[name] for name in CELL_FILES} == files
+        self.settled = whole
+
+
+StageChain.TestCase.settings = settings(
+    max_examples=10, stateful_step_count=10, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestStageChain = StageChain.TestCase
