@@ -12,10 +12,11 @@ import hashlib
 import fcntl
 import json
 import os
+import stat
 import sys
 import unicodedata
 from collections import Counter
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from importlib import resources
@@ -24,15 +25,8 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 from morphsuite import __version__, client, derive, metrics, nonce, profiles, prompts, suite
 from morphsuite.errors import (
-    AuthError,
-    IncompleteEvaluation,
-    LengthMismatch,
-    MorphSuiteError,
-    OutDirLocked,
-    RateLimited,
-    SchemaError,
-    TransportError,
-    UsageError,
+    AuthError, IncompleteEvaluation, LengthMismatch, MorphSuiteError, OutDirLocked, RateLimited,
+    SchemaError, TransportError, UsageError,
 )
 from morphsuite.jsonl import (
     dumps, field_values, read_config, read_json, read_jsonl, read_objects, write_json,
@@ -91,18 +85,19 @@ def _add_nonces(records, profile, lexicon, seed, note=_eprint) -> tuple[list, li
     return kept, skipped
 
 
-def _score(answers, instances, manifest, suite_path, out_dir) -> metrics.ScoreReport:
+def _score(answers, instances, manifest, suite_path, out_dir) -> dict:
     """Score answers against the suite read from suite_path, which a suite
-    that cannot be scored names, and write report.{json,csv,txt} to out_dir."""
+    that cannot be scored names, write report.{json,csv,txt} to out_dir and
+    return report.json's object."""
     try:
         report = metrics.stratify_report(answers, instances, manifest)
     except SchemaError as exc:
         raise SchemaError(f"{suite_path}: {exc}") from None
-    out_dir = Path(out_dir)
-    write_json(out_dir / "report.json", report.to_dict())
-    write_text(out_dir / "report.csv", (report.to_csv(),))
-    write_text(out_dir / "report.txt", (report.to_text(),))
-    return report
+    made = report.to_dict()
+    write_json(os.path.join(out_dir, "report.json"), made)
+    write_text(os.path.join(out_dir, "report.csv"), (report.to_csv(),))
+    write_text(os.path.join(out_dir, "report.txt"), (report.to_text(),))
+    return made
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -159,9 +154,9 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Stages: each writes its output file and returns its outputs and manifest.
-# The subcommands and every report cell run these same functions; opts is
-# the parsed arguments or a ReportConfig.
+# Stages: each writes its output and returns what it made and its record's
+# fields beside the key. Subcommands and report cells run them through
+# _stage; opts is the parsed arguments or a ReportConfig.
 # ---------------------------------------------------------------------------
 
 def _options(cls, opts):
@@ -179,60 +174,165 @@ def _build(records, task, dist, options, out, draws=None):
     return instances, manifest
 
 
-def _render(instances, suite_path, catalog, opts, out):
+def _template_digest(catalog, opts, task, dist) -> str:
+    """The digest of the template that renders task and dist under opts."""
+    template = catalog.get(opts.instruction_language, task, dist, opts.variant)
+    return hashlib.sha256(dumps(field_values(template)).encode()).hexdigest()
+
+
+def _key(command, **fields) -> dict:
+    """A stage record's key: the command, the program, and what else its outputs depend on."""
+    return {"command": command, "version": __version__, "program": _program_digest(), **fields}
+
+
+def _render_key(opts) -> dict:
+    """A render record's key but for its suite, suite_digest and template."""
+    return _key("render", **field_values(_options(prompts.RenderOptions, opts)),
+                templates=opts.templates or "bundled")
+
+
+def _render(instances, catalog, opts, out):
     rows = prompts.render_suite(instances, catalog, _options(prompts.RenderOptions, opts))
     write_jsonl(out, rows)
-    return rows, field_values(_options(prompts.RenderOptions, opts)) | {
-        "command": "render",
-        "version": __version__,
-        "suite": str(suite_path),
-        "templates": opts.templates or "bundled",
-        "prompts": len(rows),
-    }
+    return rows, {"prompts": len(rows)}
 
 
-def _evaluate_key(prompts_path, cfg) -> dict:
-    """The fields of an evaluate manifest that name what its records depend on."""
-    return {
-        "command": "evaluate",
-        "version": __version__,
-        "program": _program_digest(),
-        "prompts": str(prompts_path),
-        "model": {key: getattr(cfg, key) for key in _MODEL_KEYS},
-    }
+def _evaluate_key(prompts_path, prompts_digest, cfg) -> dict:
+    return _key("evaluate", prompts=str(prompts_path), prompts_digest=prompts_digest,
+                model={key: getattr(cfg, key) for key in _MODEL_KEYS})
 
 
-def _evaluate(rows, prompts_path, cfg, cache, out):
+def _evaluate(rows, cfg, cache, out):
     """A prompt that fails after its retries is left out of the records,
-    listed under failed_prompts in the manifest and named on one
-    transport error line; score counts it missing. cached counts the cache's hits."""
+    listed under failed_prompts in the record and named on one transport
+    error line; score counts it missing. cached counts the cache's hits."""
     hits = cache.hits if cache else 0
     try:
         records, incomplete = client.evaluate_rows(rows, cfg, cache), None
     except IncompleteEvaluation as exc:
         records, incomplete = exc.records, exc
     write_jsonl(out, (r.to_row() for r in records))
-    manifest = _evaluate_key(prompts_path, cfg) | {
-        "answer_normalization": client.NORMALIZATION_NOTE,
-        "records": len(records),
-        "cached": cache.hits - hits if cache else 0,
-        "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE),
-    }
+    made = {"answer_normalization": client.NORMALIZATION_NOTE, "records": len(records),
+            "cached": cache.hits - hits if cache else 0,
+            "parse_failures": sum(1 for r in records if r.parsed_kind == suite.PARSE_FAILURE)}
     if incomplete is not None:
-        manifest["failed_prompts"] = incomplete.failed
+        made["failed_prompts"] = incomplete.failed
         _eprint(f"transport error: {incomplete}; wrote the other {len(records)} records")
-    return records, manifest
+    return records, made
 
 
-def _write_manifest(path, manifest, *outputs, **inputs) -> None:
-    """Write manifest to path with the digest of each input file the
-    subcommand read, as <name>_digest; for an output that is not a regular
-    file (/dev/null, a FIFO), which no rerun can read back, say so instead."""
-    for out in outputs:
-        if not Path(out).is_file():
-            return _eprint(f"no manifest: {out} is not a regular file")
-    manifest.update({f"{name}_digest": suite.file_digest(p) for name, p in inputs.items()})
-    write_json(path, manifest)
+# ---------------------------------------------------------------------------
+# Keep or run: a stage's record holds its key, its run's fields and its files' fingerprints.
+# ---------------------------------------------------------------------------
+
+@cache
+def _program_digest() -> str:
+    """A digest of the files of the morphsuite package (__pycache__ aside),
+    the Python version and the Unicode version: what a report's outputs
+    depend on besides its config and input files."""
+    base = Path(__file__).parent
+    digest = hashlib.sha256(f"{sys.version}\0{unicodedata.unidata_version}\n".encode())
+    for path in sorted(base.rglob("*")):
+        name = path.relative_to(base)
+        if "__pycache__" not in name.parts and path.is_file():
+            digest.update(f"{name.as_posix()}\0{suite.file_digest(path)}\n".encode())
+    return digest.hexdigest()
+
+
+def _readable_digest(path) -> str | None:
+    """The file's digest, or None when it does not read. A lexicon that no
+    nonce draw reads need not exist; one that a draw reads fails in the
+    ingest, which writes no run.json, so no build record holds that None."""
+    try:
+        return suite.file_digest(path)
+    except OSError:
+        return None
+
+
+def _fingerprints(*paths, previous=None) -> dict:
+    """{file name: [st_ino, st_size, st_mtime_ns, st_ctime_ns, sha256]} of
+    each path; None for a file that is missing, does not read or is not
+    regular (a FIFO is never opened). A file whose stamp, the first four, is
+    the one previous holds for it keeps that sha256 unread, as git's index
+    and a .pyc (PEP 552) trust a stamp: a rewrite, touch or cp -p moves it.
+    A recorded sha256 that is not a string is read again."""
+    previous = previous if isinstance(previous, dict) else {}
+    prints = {}
+    for path in paths:
+        name = os.path.basename(path)
+        prints[name] = None
+        try:
+            s, old = os.stat(path), previous.get(name)
+        except OSError:
+            continue
+        if stat.S_ISREG(s.st_mode):
+            stamp = [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
+            same = (isinstance(old, list) and len(old) == 5 and old[:4] == stamp
+                    and isinstance(old[4], str))
+            digest = old[4] if same else _readable_digest(path)
+            prints[name] = digest and stamp + [digest]
+    return prints
+
+
+def _changed(record, key, *outputs) -> tuple[str | None, dict | None]:
+    """Why record, written by an earlier run, does not vouch for a rerun of
+    key over the files outputs: "no record" (not a JSON object), "<field>
+    changed" for the first field of key it does not hold, "failed prompts",
+    or "<file> changed" for the first output whose sha256 is not the one its
+    outputs hold; else None. Also the outputs' fingerprints now, once taken.
+    It writes nothing: this is the verifying trace of Mokhov, Mitchell and
+    Peyton Jones, "Build Systems a la Carte" (ICFP 2018)."""
+    if not isinstance(record, dict):
+        return "no record", None
+    for name, value in key.items():
+        if record.get(name) != value:
+            return f"{name} changed", None
+    if "failed_prompts" in record:
+        return "failed prompts", None
+    previous = record.get("outputs")
+    now = _fingerprints(*outputs, previous=previous)
+    for name, fingerprint in now.items():
+        old = previous.get(name) if isinstance(previous, dict) else None
+        if fingerprint is None or not isinstance(old, list) or old[4:] != fingerprint[4:]:
+            return f"{name} changed", now
+    return None, now
+
+
+def _stage(key, record, outputs, work, checked=None) -> tuple[dict, str | None]:
+    """Keep or run one stage: the rebuilder of every subcommand and report
+    cell, which only order their stages. When record, the stage's record
+    from an earlier run, vouches for key and outputs (_changed), returns it
+    with the files' stamps now, and None; else runs work(), which writes
+    outputs and returns the record's other fields, and returns the new
+    record, whose key fields are key's, and why the stage ran."""
+    why, now = checked or _changed(record, key, *outputs)
+    if why is None:
+        return record | {"outputs": now}, None
+    return work() | key | {"outputs": _fingerprints(*outputs)}, why
+
+
+def _record(path):
+    """The JSON document at path, or None when it does not read."""
+    try:
+        return read_json(path)
+    except (MorphSuiteError, OSError):
+        return None
+
+
+def _command(manifest_path, key, outputs, work, kept) -> dict:
+    """Keep or run a subcommand's stage, whose record is the manifest at
+    manifest_path (_stage), print kept if kept, write the record and return
+    it. An output that is not a regular file (/dev/null, a FIFO) gets no
+    manifest, which would vouch for bytes no rerun can read back: one line says so."""
+    record, why = _stage(key, _record(manifest_path), outputs, work)
+    if why is None:
+        _eprint(kept)
+    irregular = [out for out in outputs if not os.path.isfile(out)]
+    if irregular:
+        _eprint(f"no manifest: {irregular[0]} is not a regular file")
+    else:
+        write_json(manifest_path, record)  # a kept stage's, unchanged, is left alone
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -255,120 +355,127 @@ def _language_records(in_path, language: str, note=_eprint) -> list:
 
 def cmd_gen_nonce(args) -> int:
     in_path = resolve_input(args.input)
-    records = _language_records(in_path, args.lang)
-    profile = profiles.load_profile(args.lang)
-    lexicon = nonce.load_lexicon(args.lexicon, profile) if args.lexicon else None
+    key = _key("gen-nonce", language=args.lang, seed=args.seed, input=args.input,
+               input_digest=suite.file_digest(in_path),
+               lexicon_digest=args.lexicon and suite.file_digest(args.lexicon))
 
-    kept, skipped = _add_nonces(records, profile, lexicon, args.seed)
-    write_jsonl(args.out, (suite.record_to_row(r) for r in kept))
-    manifest = {
-        "command": "gen-nonce",
-        "version": __version__,
-        "language": args.lang,
-        "seed": args.seed,
-        "input": args.input,
-        "lexicon": (
-            {"path": args.lexicon, "words": len(lexicon)}
-            if lexicon is not None
-            else "NONE: collision check degrades to nonce != original"
-        ),
-        "retry_limit": nonce.RETRY_LIMIT,
-        "skipped_records": skipped,
-        "written": len(kept),
-    }
-    _write_manifest(f"{args.out}.manifest.json", manifest, args.out, input=in_path)
-    _eprint(f"gen-nonce: wrote {len(kept)} records, skipped {len(skipped)}")
+    def work():
+        records = _language_records(in_path, args.lang)
+        profile = profiles.load_profile(args.lang)
+        lexicon = nonce.load_lexicon(args.lexicon, profile) if args.lexicon else None
+        kept, skipped = _add_nonces(records, profile, lexicon, args.seed)
+        write_jsonl(args.out, (suite.record_to_row(r) for r in kept))
+        _eprint(f"gen-nonce: wrote {len(kept)} records, skipped {len(skipped)}")
+        return {"lexicon": {"path": args.lexicon, "words": len(lexicon)} if lexicon is not None
+                else "NONE: collision check degrades to nonce != original",
+                "retry_limit": nonce.RETRY_LIMIT, "skipped_records": skipped,
+                "written": len(kept)}
+
+    _command(f"{args.out}.manifest.json", key, [args.out], work,
+             f"gen-nonce: kept {args.out} (unchanged input, lexicon, seed and output)")
     return 0
 
 
 def cmd_build_suite(args) -> int:
-    in_path = resolve_input(args.input)
-    records = _ingest_or_die(in_path)
-    languages = {r.language_id for r in records}
-    if len(languages) > 1:
-        raise SchemaError(f"input mixes languages {sorted(languages)}; split first")
-
-    sampling = None
     if args.strata is not None and args.per_stratum is None:
         raise UsageError("--strata needs --per-stratum")
-    if args.per_stratum is not None:
-        strata = args.strata or sorted({r.morpheme_count for r in records})
-        sample = suite.stratified_sample(records, args.per_stratum, strata, args.seed)
-        records = sample.records
-        sampling = {
-            "per_stratum": args.per_stratum,
-            "strata": strata,
-            "achieved": {str(k): v for k, v in sample.achieved.items()},
-            "deficits": {str(k): v for k, v in sample.deficits.items()},
-        }
-        for stratum, short in sample.deficits.items():
-            _eprint(f"stratum {stratum}: short {short} records")
+    in_path = resolve_input(args.input)
+    options = _options(suite.BuildOptions, args)
+    key = _key("build-suite", task=args.task, distribution=args.dist,  # nested: the suite
+               options=field_values(options),  # manifest has a k and strata of its own
+               sampling_flags={"per_stratum": args.per_stratum, "strata": args.strata},
+               input=args.input, input_digest=suite.file_digest(in_path))
 
-    instances, manifest = _build(
-        records, args.task, args.dist, _options(suite.BuildOptions, args), args.out)
-    for warning in manifest["warnings"]:
-        _eprint(f"warning: {warning}")
-    manifest.update(
-        command="build-suite", version=__version__, language=languages.pop(),
-        input=args.input, sampling=sampling, output=str(args.out),
-    )
-    _write_manifest(f"{args.out}.manifest.json", manifest, args.out, input=in_path)
-    _eprint(f"build-suite: wrote {len(instances)} instances")
+    def work():
+        records = _ingest_or_die(in_path)
+        languages = {r.language_id for r in records}
+        if len(languages) > 1:
+            raise SchemaError(f"input mixes languages {sorted(languages)}; split first")
+        sampling = None
+        if args.per_stratum is not None:
+            strata = args.strata or sorted({r.morpheme_count for r in records})
+            sample = suite.stratified_sample(records, args.per_stratum, strata, args.seed)
+            records = sample.records
+            sampling = {"per_stratum": args.per_stratum, "strata": strata,
+                        "achieved": {str(k): v for k, v in sample.achieved.items()},
+                        "deficits": {str(k): v for k, v in sample.deficits.items()}}
+            for stratum, short in sample.deficits.items():
+                _eprint(f"stratum {stratum}: short {short} records")
+        instances, manifest = _build(records, args.task, args.dist, options, args.out)
+        for warning in manifest["warnings"]:
+            _eprint(f"warning: {warning}")
+        _eprint(f"build-suite: wrote {len(instances)} instances")
+        return manifest | {"language": languages.pop(), "sampling": sampling,
+                           "output": str(args.out)}
+
+    _command(f"{args.out}.manifest.json", key, [args.out], work,
+             f"build-suite: kept {args.out} (unchanged input, options and output)")
     return 0
 
 
 def cmd_render(args) -> int:
-    instances = suite.read_suite(args.suite)
+    """The key's template is the one the suite's first row selects (build-suite
+    writes one task and distribution per suite), or None when that row or
+    template does not read: render names the fault if a row needs it."""
     catalog = prompts.load_templates(args.templates)
     if catalog.missing and args.templates is not None:
-        for key in catalog.missing:
-            _eprint(f"missing template for {key}")
-    rows, manifest = _render(instances, args.suite, catalog, args, args.out)
-    _write_manifest(f"{args.out}.manifest.json", manifest, args.out, suite=args.suite)
-    _eprint(f"render: wrote {len(rows)} prompts")
+        for missing in catalog.missing:
+            _eprint(f"missing template for {missing}")
+    template = None
+    with open(args.suite, "rb") as f, suppress(ValueError, LookupError, TypeError,
+                                               MorphSuiteError):
+        row = json.loads(f.readline())
+        template = _template_digest(catalog, args, str(row["task"]), str(row["distribution"]))
+    key = _render_key(args) | {"suite": args.suite, "suite_digest": suite.file_digest(args.suite),
+                               "template": template}
+
+    def work():
+        made = _render(suite.read_suite(args.suite), catalog, args, args.out)[1]
+        _eprint(f"render: wrote {made['prompts']} prompts")
+        return made
+
+    _command(f"{args.out}.manifest.json", key, [args.out], work,
+             f"render: kept {args.out} (unchanged suite, template, options and output)")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    """Keeps --out when its manifest vouches for it (_changed): no cache, prompt
-    row or endpoint is read."""
+    """A kept stage reads no cache, prompt row or endpoint."""
     cfg = client.ModelConfig.from_file(args.model_config)
-    key = _evaluate_key(args.prompts, cfg) | {"prompts_digest": suite.file_digest(args.prompts)}
-    manifest_path = f"{args.out}.manifest.json"
-    if _changed(_record(manifest_path), key, args.out) is None:
-        _eprint(f"evaluate: kept {args.out} (unchanged prompts, model and output)")
-        return 0
-    cache = client.ResponseCache(args.cache) if args.cache else None
-    rows = read_objects(args.prompts, prompts.PromptRow)
-    with cache or nullcontext():
-        records, manifest = _evaluate(rows, args.prompts, cfg, cache, args.out)
-    _write_manifest(manifest_path, manifest | key | {"outputs": _fingerprints(args.out)}, args.out)
-    if "failed_prompts" in manifest:
-        return 2
-    _eprint(f"evaluate: {len(records)} records ({manifest['cached']} cached,"
-            f" {manifest['parse_failures']} parse failures)")
-    return 0
+    key = _evaluate_key(args.prompts, suite.file_digest(args.prompts), cfg)
+
+    def work():
+        cache = client.ResponseCache(args.cache) if args.cache else None
+        rows = read_objects(args.prompts, prompts.PromptRow)
+        with cache or nullcontext():
+            made = _evaluate(rows, cfg, cache, args.out)[1]
+        if "failed_prompts" not in made:
+            _eprint(f"evaluate: {made['records']} records ({made['cached']} cached,"
+                    f" {made['parse_failures']} parse failures)")
+        return made
+
+    record = _command(f"{args.out}.manifest.json", key, [args.out], work,
+                      f"evaluate: kept {args.out} (unchanged prompts, model and output)")
+    return 2 if "failed_prompts" in record else 0
 
 
 def cmd_score(args) -> int:
-    """report.json holds the manifest; score.manifest.json adds the program
-    and the report files' fingerprints, so that a rerun can keep them (_changed)."""
+    """report.json holds the manifest; score.manifest.json is the record,
+    which adds the program and the report files' fingerprints."""
     manifest = {"records": str(args.records), "records_digest": suite.file_digest(args.records),
                 "suite": str(args.suite), "suite_digest": suite.file_digest(args.suite),
                 "version": __version__}
-    key = manifest | {"command": "score", "program": _program_digest()}
-    out_dir = Path(args.out_dir)
-    reports = [out_dir / f"report.{ext}" for ext in ("json", "csv", "txt")]
-    if _changed(_record(out_dir / "score.manifest.json"), key, *reports) is None:
-        _eprint(f"score: kept report.{{json,csv,txt}} in {args.out_dir}"
-                " (unchanged records, suite and output)")
-        return 0
-    records = read_objects(args.records, client.EvalRecord)
-    instances = suite.read_suite(args.suite)
-    _score(records, instances, manifest, args.suite, out_dir)
-    _write_manifest(out_dir / "score.manifest.json", key | {"outputs": _fingerprints(*reports)},
-                    *reports)
-    _eprint(f"score: wrote report.{{json,csv,txt}} to {args.out_dir}")
+
+    def work():
+        records = read_objects(args.records, client.EvalRecord)
+        _score(records, suite.read_suite(args.suite), manifest, args.suite, args.out_dir)
+        _eprint(f"score: wrote report.{{json,csv,txt}} to {args.out_dir}")
+        return {}
+
+    _command(os.path.join(args.out_dir, "score.manifest.json"), _key("score", **manifest),
+             [os.path.join(args.out_dir, f"report.{ext}") for ext in ("json", "csv", "txt")],
+             work, f"score: kept report.{{json,csv,txt}} in {args.out_dir}"
+                   " (unchanged records, suite and output)")
     return 0
 
 
@@ -397,149 +504,29 @@ def cmd_kappa(args) -> int:
     return 0
 
 
-@cache
-def _program_digest() -> str:
-    """A digest of the files of the morphsuite package (__pycache__ aside),
-    the Python version and the Unicode version: what a report's outputs
-    depend on besides its config and input files."""
-    base = Path(__file__).parent
-    digest = hashlib.sha256(f"{sys.version}\0{unicodedata.unidata_version}\n".encode())
-    for path in sorted(base.rglob("*")):
-        name = path.relative_to(base)
-        if "__pycache__" not in name.parts and path.is_file():
-            digest.update(f"{name.as_posix()}\0{suite.file_digest(path)}\n".encode())
-    return digest.hexdigest()
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(dumps(obj).encode()).hexdigest()
-
-
-def _readable_digest(path) -> str | None:
-    """The file's digest, or None when it does not read. A lexicon that no
-    nonce draw reads need not exist; one that a draw reads fails in the
-    ingest, which writes no run.json, so no build record holds that None."""
-    try:
-        return suite.file_digest(path)
-    except OSError:
-        return None
-
-
-def _fingerprints(*paths, previous=None) -> dict:
-    """{file name: [st_ino, st_size, st_mtime_ns, st_ctime_ns, sha256]} of
-    each path; None for a file that is missing, does not read or is not
-    regular (a FIFO is never opened). A file whose stamp, the first four, is
-    the one previous holds for it keeps that sha256 unread, as git's index
-    and a .pyc (PEP 552) trust a stamp: a rewrite, touch or cp -p moves it.
-    A recorded sha256 that is not a string is read again."""
-    previous = previous if isinstance(previous, dict) else {}
-    prints = {}
-    for path in paths:
-        name = os.path.basename(path)
-        prints[name] = None
-        if os.path.isfile(path):
-            s, old = os.stat(path), previous.get(name)
-            stamp = [s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns]
-            same = (isinstance(old, list) and len(old) == 5 and old[:4] == stamp
-                    and isinstance(old[4], str))
-            digest = old[4] if same else _readable_digest(path)
-            prints[name] = digest and stamp + [digest]
-    return prints
-
-
-def _changed(record, key, *outputs) -> str | None:
-    """Why record, written by an earlier run, does not vouch for a rerun of
-    key over the files outputs: "no record" (not a JSON object), "<field>
-    changed" for the first field of key it does not hold, "failed prompts",
-    or "<file> changed" for the first output whose sha256 is not the one its
-    outputs hold; else None, and its outputs take the stamps the files have
-    now. This is the verifying trace of Mokhov, Mitchell and Peyton Jones,
-    "Build Systems a la Carte" (ICFP 2018)."""
-    if not isinstance(record, dict):
-        return "no record"
-    for name, value in key.items():
-        if record.get(name) != value:
-            return f"{name} changed"
-    if "failed_prompts" in record:
-        return "failed prompts"
-    previous = record.get("outputs")
-    now = _fingerprints(*outputs, previous=previous)
-    for name, fingerprint in now.items():
-        old = previous.get(name) if isinstance(previous, dict) else None
-        if fingerprint is None or not isinstance(old, list) or old[4:] != fingerprint[4:]:
-            return f"{name} changed"
-    record["outputs"] = now
-    return None
-
-
-def _record(path):
-    """The JSON document at path, or None when it does not read."""
-    try:
-        return read_json(path)
-    except (MorphSuiteError, OSError):
-        return None
-
-
-def _previous_run(path) -> tuple[dict, str | None]:
-    """The run.json at path, or {} and why it holds no stage record."""
-    run = _record(path)
-    shapes = {"cells": dict, "skipped_records": list, "notes": list}
-    if isinstance(run, dict) and all(isinstance(run.get(k), t) for k, t in shapes.items()):
-        return run, None
-    return {}, "malformed run.json" if Path(path).exists() else "no run.json"
-
-
-# The files each stage of a report cell writes, in stage order; the field of a
-# stage record that a kept stage uses, with its JSON type.
+# The files each stage of a report cell writes, in stage order.
 _STAGE_FILES = {"build": ("suite.jsonl", "suite.jsonl.manifest.json"),
                 "render": ("prompts.jsonl",), "evaluate": ("records.jsonl",),
                 "score": ("report.json", "report.csv", "report.txt")}
-_KEPT_FIELDS = {"build": ("warnings", list), "score": ("scores", dict)}
 
 
 class _Cell:
-    """A report cell: its directory, its entry in the previous run.json, the
-    entry this run writes (reused lists the stages kept; reason names the
-    first stage that ran, and why) and the sha256 of each file its stages
-    wrote or kept. A stage that runs sets what it makes of instances,
-    manifest, rows and answers, and reads the others on first use."""
+    """A report cell: its directory, its entry in the previous run.json and
+    each stage's files. A stage that runs sets what it makes of instances,
+    manifest, rows, answers or report; a later stage reads any other from its file."""
 
-    def __init__(self, cell_dir, previous, missing):
-        self.dir, self.missing, self.whys, self.digests = cell_dir, missing, {}, {}
+    def __init__(self, cell_dir, previous):
+        self.dir = cell_dir
         self.previous = previous if isinstance(previous, dict) else {}
-        self.entry = {"reused": [], "reason": None}
         self.paths = {stage: [os.path.join(cell_dir, name) for name in names]
                       for stage, names in _STAGE_FILES.items()}
 
-    def why(self, stage, key) -> str | None:
-        """Why stage runs again (asked once), or None when its record vouches
-        for key and its files."""
-        if stage not in self.whys:
-            record = self.previous.get(stage)
-            why = self.missing or _changed(record, key, *self.paths[stage])
-            name, kind = _KEPT_FIELDS.get(stage, ("outputs", dict))  # _changed checked outputs
-            if why is None and not isinstance(record.get(name), kind):
-                why = f"malformed {name}"
-            self.whys[stage] = why
-        return self.whys[stage]
-
-    def run(self, stage, key, work) -> None:
-        """Keep stage, whose record _changed brought up to date, or run
-        work(), which writes its files and returns its record's other fields."""
-        record, why = self.previous.get(stage), self.why(stage, key)
-        if why is None:
-            self.entry["reused"].append(stage)
-        else:
-            self.entry["reason"] = self.entry["reason"] or f"{stage}: {why}"
-            record = key | work() | {"outputs": _fingerprints(*self.paths[stage])}
-        self.entry[stage] = record
-        self.digests.update((name, fp and fp[4]) for name, fp in record["outputs"].items())
-
-    instances = cached_property(lambda self: suite.read_suite(self.dir / "suite.jsonl"))
-    manifest = cached_property(lambda self: read_json(self.dir / "suite.jsonl.manifest.json"))
-    rows = cached_property(lambda self: read_objects(self.dir / "prompts.jsonl", prompts.PromptRow))
+    instances = cached_property(lambda self: suite.read_suite(self.paths["build"][0]))
+    manifest = cached_property(lambda self: read_json(self.paths["build"][1]))
+    rows = cached_property(lambda self: read_objects(self.paths["render"][0], prompts.PromptRow))
     answers = cached_property(
-        lambda self: read_objects(self.dir / "records.jsonl", client.EvalRecord))
+        lambda self: read_objects(self.paths["evaluate"][0], client.EvalRecord))
+    report = cached_property(lambda self: read_json(self.paths["score"][0]))
 
 
 @contextmanager
@@ -579,45 +566,49 @@ def _report_records(cfg, in_path) -> tuple[list, list[str], list[str]]:
 
 
 def cmd_report(args) -> int:
-    """Each cell runs four stages, build, render, evaluate and score, and
-    keeps each stage whose record in the previous run.json vouches for it.
-    A stage's key holds the sha256 of its input from the stage before, so it
-    runs again only when its own inputs change. Ingest and nonces run only
-    when some cell builds."""
+    """Each cell runs or keeps (_stage) four stages, build, render, evaluate
+    and score, with their records in run.json. A stage's key holds the
+    sha256 of its input from the stage before, so it runs again only when
+    its own inputs change. Ingest and nonces run only when some cell builds.
+    A cell's warnings and scores come from its report.json, which holds the
+    suite manifest and which its score record vouches for."""
     raw = read_json(args.config)
     cfg = read_config(ReportConfig, raw, args.config, "report config")
-    if isinstance(cfg.model_config, str):
-        model = client.ModelConfig.from_file(cfg.model_config)
-    else:
-        model = read_config(client.ModelConfig, cfg.model_config,
-                            f"{args.config}: model_config", "model config")
+    model = (client.ModelConfig.from_file(cfg.model_config) if isinstance(cfg.model_config, str)
+             else read_config(client.ModelConfig, cfg.model_config,
+                              f"{args.config}: model_config", "model config"))
 
     out_dir = Path(cfg.out_dir)
     in_path = resolve_input(cfg.input)
     cells = [(task, dist) for task in cfg.tasks for dist in cfg.distributions]
     catalog = prompts.load_templates(cfg.templates)
     templates = [  # each cell's template, read and checked before any cell writes
-        _digest(field_values(catalog.get(cfg.instruction_language, task, dist, cfg.variant)))
-        for task, dist in cells
-    ]
+        _template_digest(catalog, cfg, task, dist) for task, dist in cells]
     ood = suite.OUT_DIST in cfg.distributions
-    stamp = {"version": __version__, "program": _program_digest()}
     options = _options(suite.BuildOptions, cfg)
-    build_key = stamp | field_values(options) | {
-        "language": cfg.language, "input": cfg.input, "input_digest": suite.file_digest(in_path),
+    build_key = _key(
+        "build", **field_values(options), language=cfg.language, input=cfg.input,
+        input_digest=suite.file_digest(in_path),
         # which records get a nonce root, and so which records an id suite holds
-        "ood": ood, "lexicon": _readable_digest(cfg.lexicon) if cfg.lexicon and ood else None}
-    render_key = stamp | field_values(_options(prompts.RenderOptions, cfg))
+        ood=ood, lexicon=_readable_digest(cfg.lexicon) if cfg.lexicon and ood else None)
+    render_key = _render_key(cfg)
 
     with ExitStack() as stack:
         locked = out_dir.is_dir()
         if locked:  # what an earlier run left is read under the lock
             stack.enter_context(_locked(out_dir))
-        previous, missing = _previous_run(out_dir / "run.json")
-        plans = {f"{task}_{dist}": _Cell(out_dir / f"{task}_{dist}",
-                                         previous.get("cells", {}).get(f"{task}_{dist}"), missing)
+        path = out_dir / "run.json"
+        previous, missing = _record(path), None  # else why it holds no stage record
+        shapes = {"cells": dict, "skipped_records": list, "notes": list}
+        if not (isinstance(previous, dict)
+                and all(isinstance(previous.get(k), t) for k, t in shapes.items())):
+            previous, missing = {}, "malformed run.json" if path.exists() else "no run.json"
+        plans = {f"{task}_{dist}": _Cell(os.path.join(out_dir, f"{task}_{dist}"),
+                                         previous.get("cells", {}).get(f"{task}_{dist}"))
                  for task, dist in cells}
-        if all(cell.why("build", build_key) is None for cell in plans.values()):
+        builds = {name: _changed(cell.previous.get("build"), build_key, *cell.paths["build"])
+                  for name, cell in plans.items()}  # each cell's build, checked once
+        if all(why is None for why, _ in builds.values()):
             records, skipped, notes = None, previous["skipped_records"], previous["notes"]
             for line in notes:
                 _eprint(line)
@@ -631,47 +622,55 @@ def cmd_report(args) -> int:
         summary, entries = {}, {}
 
         def run_cell(task, dist, template, cache):
-            """Run or keep the stages of one cell; what they made or read goes
-            when it returns."""
-            cell = plans.pop(f"{task}_{dist}")
-            suite_path, prompts_path = cell.dir / "suite.jsonl", cell.dir / "prompts.jsonl"
+            """Run or keep the stages of one cell; what they made or read goes with it."""
+            name = f"{task}_{dist}"
+            cell = plans.pop(name)
+            suite_path, prompts_path = cell.paths["build"][0], cell.paths["render"][0]
+            entry, digests = {"reused": [], "reason": None}, {}
+
+            def stage(stage, key, work, checked=None):
+                entry[stage], why = _stage(key, cell.previous.get(stage), cell.paths[stage], work,
+                                           checked)
+                if why is None:
+                    entry["reused"].append(stage)
+                elif entry["reason"] is None:
+                    entry["reason"] = f"{stage}: {missing or why}"
+                digests.update((f, fp and fp[4]) for f, fp in entry[stage]["outputs"].items())
 
             def build():
                 cell.instances, cell.manifest = _build(
                     records, task, dist, options, suite_path, draws)
-                write_json(cell.dir / "suite.jsonl.manifest.json", cell.manifest)
-                return {"warnings": cell.manifest["warnings"]}
+                write_json(cell.paths["build"][1], cell.manifest)
+                return {}
 
             def render():
-                cell.rows, manifest = _render(
-                    cell.instances, suite_path, catalog, cfg, prompts_path)
-                return manifest
+                cell.rows, made = _render(cell.instances, catalog, cfg, prompts_path)
+                return made
 
             def evaluate():
-                cell.answers, manifest = _evaluate(
-                    cell.rows, prompts_path, model, cache, cell.dir / "records.jsonl")
-                return manifest
+                cell.answers, made = _evaluate(cell.rows, model, cache, cell.paths["evaluate"][0])
+                return made
 
             def score():
-                report = _score(cell.answers, cell.instances, cell.manifest, suite_path, cell.dir)
-                return {"scores": {m: metrics.round1(v) for m, v in report.overall.items()}}
+                cell.report = _score(cell.answers, cell.instances, cell.manifest, suite_path,
+                                     cell.dir)
+                return {}
 
-            digests = cell.digests
-            cell.run("build", build_key, build)
-            for warning in cell.entry["build"]["warnings"]:
+            stage("build", build_key, build, builds[name])
+            stage("render", render_key | {"suite": suite_path, "template": template,
+                                          "suite_digest": digests["suite.jsonl"]}, render)
+            stage("evaluate", _evaluate_key(prompts_path, digests["prompts.jsonl"], model),
+                  evaluate)
+            stage("score", _key("score", records_digest=digests["records.jsonl"],
+                                suite_digest=digests["suite.jsonl"],
+                                suite_manifest_digest=digests["suite.jsonl.manifest.json"]), score)
+            for warning in cell.report["manifest"]["warnings"]:
                 _eprint(f"warning: {warning}")
-            cell.run("render", render_key | {"suite": str(suite_path), "template": template,
-                                             "suite_digest": digests["suite.jsonl"]}, render)
-            cell.run("evaluate", _evaluate_key(prompts_path, model)
-                     | {"prompts_digest": digests["prompts.jsonl"]}, evaluate)
-            cell.run("score", stamp | {
-                "records_digest": digests["records.jsonl"], "suite_digest": digests["suite.jsonl"],
-                "suite_manifest_digest": digests["suite.jsonl.manifest.json"]}, score)
-            kept, reason = cell.entry["reused"], cell.entry["reason"]
+            kept, reason = entry["reused"], entry["reason"]
             what = ([f"kept {', '.join(kept)}"] if kept else []) + ([reason] if reason else [])
             _eprint(f"report: {task}/{dist} -> {cell.dir} ({'; '.join(what)})")
-            summary[cell.dir.name] = cell.entry["score"]["scores"]
-            entries[cell.dir.name] = cell.entry
+            summary[name] = {m: metrics.round1(v) for m, v in cell.report["overall"].items()}
+            entries[name] = entry
 
         try:
             with client.ResponseCache(cfg.cache or out_dir / "cache") as cache:

@@ -233,7 +233,8 @@ def read_objects(path, cls, unique=None):
 def read_json(path):
     """Parse one JSON document; invalid UTF-8 or JSON, or a lone surrogate,
     raises SchemaError."""
-    text = decode(Path(path).read_bytes(), path)
+    with open(path, "rb") as f:
+        text = decode(f.read(), path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1138,7 +1138,8 @@ class TestReuse:
                               ("program", "options", "input", "lexicon", "templates")}
         for cell, entry in older["cells"].items():
             older["cells"][cell] = {
-                "warnings": entry["build"]["warnings"],
+                "warnings": json.loads(Path("run", cell, "suite.jsonl.manifest.json")
+                                       .read_text("utf-8"))["warnings"],
                 "render": {k: v for k, v in entry["render"].items()
                            if k not in ("program", "suite_digest", "template", "outputs")},
                 "evaluate": {k: v for k, v in entry["evaluate"].items()
@@ -1155,6 +1156,30 @@ class TestReuse:
         assert self.outputs("run") == first
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         assert self.reused() == dict.fromkeys(CELLS, STAGES)
+
+    def test_a_kept_cell_reports_what_its_files_hold(self, capsys):
+        """A kept cell prints the warnings of its suite manifest and the
+        rounded overall of its report.json, which its records vouch for:
+        warnings and scores set by hand in its run.json records are neither
+        printed nor put in the summary."""
+        config = REUSE_CONFIG | {"tasks": ["productivity"], "distributions": ["id"]}
+        assert self.report(config, capsys)[0] == 0
+        path = Path("run/run.json")
+        edited = json.loads(path.read_text("utf-8"))
+        edited["cells"]["productivity_id"]["build"]["warnings"] = ["made up by hand"]
+        edited["cells"]["productivity_id"]["score"]["scores"] = {"accuracy": 0.0}
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", "--config", "config.json"]) == 0
+        out, err = capsys.readouterr()
+        assert WHOLE in err and "made up by hand" not in err
+        warnings = json.loads(Path("run/productivity_id/suite.jsonl.manifest.json")
+                              .read_text("utf-8"))["warnings"]
+        assert warnings and all(f"warning: {warning}\n" in err for warning in warnings)
+        overall = json.loads(Path("run/productivity_id/report.json").read_text("utf-8"))["overall"]
+        summary = {"productivity_id": {m: metrics.round1(v) for m, v in overall.items()}}
+        assert out == json.dumps(summary, sort_keys=True) + "\n"
+        assert json.loads(path.read_text("utf-8"))["summary"] == summary
 
     @pytest.mark.parametrize("edit, kept", [
         ({"seed": 4}, False),
@@ -1357,12 +1382,9 @@ class TestReuse:
         (_each_cell(lambda entry: entry.update(build="0" * 64)), ["render", "evaluate", "score"],
          "build: no record"),
         (lambda text, run: json.dumps(run | {"summary": []}), STAGES, None),
-        (_each_cell(lambda entry: entry["build"].pop("warnings")),
-         ["render", "evaluate", "score"], "build: malformed warnings"),
-        (_each_cell(lambda entry: entry["build"].update(warnings=5)),
-         ["render", "evaluate", "score"], "build: malformed warnings"),
-        (_each_cell(lambda entry: entry["score"].update(scores="100.0")),
-         ["build", "render", "evaluate"], "score: malformed scores"),
+        (_each_cell(lambda entry: entry["build"].pop("warnings", None)), STAGES, None),
+        (_each_cell(lambda entry: entry["build"].update(warnings=5)), STAGES, None),
+        (_each_cell(lambda entry: entry["score"].update(scores="100.0")), STAGES, None),
         (_each_cell(lambda entry: entry.update(evaluate=[])), ["build", "render", "score"],
          "evaluate: no record"),
     ], ids=["not JSON", "not an object", "cells a list", "cell not an object",
@@ -1372,7 +1394,10 @@ class TestReuse:
     def test_a_bad_run_json_builds_every_cell(self, capsys, fault, reused, reason):
         """A hand-edited run.json never ends in a traceback: a file that does
         not read, or holds no cells, builds every cell; a bad stage record
-        runs that stage again with a one-line reason; summary is not read."""
+        runs that stage again with a one-line reason; summary is not read,
+        nor a field beside a record's key and outputs, such as the warnings
+        and scores that earlier versions copied into the build and score
+        records."""
         assert self.report(REUSE_CONFIG, capsys)[0] == 0
         first = self.outputs("run")
         path = Path("run/run.json")

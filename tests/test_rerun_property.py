@@ -19,7 +19,9 @@ of their options, model, input, outputs and manifests. After every step
 each output holds the bytes that the same chain writes into a fresh
 directory, and the chain exits alike; a chain without sampling writes the
 suite, prompts, records, report.csv and report.txt of the report cell of
-its task and distribution.
+its task and distribution. A chain that exits 0 is run again at once; that
+run reads no input and no suite, makes no nonce, builds, renders,
+evaluates and scores nothing, and writes no file.
 
 Every content edit changes the size of the file. A file rewritten at the
 same size within one tick of the file system's clock can go unseen (see the
@@ -41,7 +43,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from factory import synth_turkish_records
-from morphsuite import cli, client, prompts, suite
+from morphsuite import cli, client, metrics, nonce, prompts, suite
 from morphsuite.jsonl import write_jsonl
 from morphsuite.suite import record_to_row
 
@@ -78,6 +80,7 @@ EXTRA = [
 # The functions a rerun with nothing to do never calls.
 WORK = [(suite, "build_suite"), (prompts, "render_suite"), (client, "evaluate_rows"),
         (suite, "read_suite")]
+CHAIN_WORK = WORK + [(suite, "ingest"), (nonce, "make_nonce"), (metrics, "stratify_report")]
 
 
 def test_every_build_and_render_option_is_edited():
@@ -88,6 +91,18 @@ def test_every_build_and_render_option_is_edited():
 def _cell_files(out_dir, cells):
     return {cell: {path.name: path.read_bytes() for path in sorted(Path(out_dir, cell).iterdir())}
             for cell in cells}
+
+
+@contextlib.contextmanager
+def _recording(calls, targets):
+    """Each call of a (module, name) of targets appends name to calls."""
+    with contextlib.ExitStack() as stack:
+        for module, name in targets:
+            real = getattr(module, name)
+            stack.enter_context(mock.patch.object(
+                module, name, lambda *a, _real=real, _name=name, **k: (
+                    calls.append(_name) or _real(*a, **k))))
+        yield
 
 
 def _stats(out_dir):
@@ -197,7 +212,8 @@ class ReportRerun(RuleBasedStateMachine):
     def edit_stage_record(self, cell, stage, what, pick, value):
         """Hand-edit one field of one stage record in run.json: a key or other
         field, the sha256 of one output's fingerprint, or the outputs
-        themselves. Scores are left alone: a kept score stage reports them unread."""
+        themselves. A field may be the warnings or scores that earlier
+        versions copied into the build and score records, which no run reads."""
         path = self.root / "run" / "run.json"
         try:
             run = json.loads(path.read_text("utf-8"))
@@ -206,7 +222,8 @@ class ReportRerun(RuleBasedStateMachine):
             record = None
         if isinstance(record, dict):
             if what == "field":
-                names = sorted(record.keys() - {"outputs", "scores"})
+                copies = {"build": {"warnings"}, "score": {"scores"}}.get(stage, set())
+                names = sorted((record.keys() | copies) - {"outputs"})
                 record[names[pick % len(names)]] = value
             elif what == "digest":
                 outputs = record.get("outputs")
@@ -257,12 +274,7 @@ class ReportRerun(RuleBasedStateMachine):
         out_dir = self.root / "run"
         before = _stats(out_dir) if self.settled else None
         calls = []
-        with contextlib.ExitStack() as stack:
-            for module, name in WORK:
-                real = getattr(module, name)
-                stack.enter_context(mock.patch.object(
-                    module, name, lambda *a, _real=real, _name=name, **k: (
-                        calls.append(_name) or _real(*a, **k))))
+        with _recording(calls, WORK):
             code, stdout = self.report(self.config)
         if before is not None:
             assert calls == []
@@ -325,15 +337,11 @@ class StageChain(RuleBasedStateMachine):
         self.task, self.dist = suite.SYSTEMATICITY, suite.OUT_DIST
         self.sampling = None  # (--per-stratum, --strata), either None to leave it out
         self.lexicon = True
-        self.settled = False  # the last step was a chain whose every command exited 0
         self.fresh = {}  # (argvs, model, input bytes) -> what a fresh directory gets
         self.cells = {}  # the same -> report's exit code and the cell's files
 
     def teardown(self):
         shutil.rmtree(self.root, ignore_errors=True)
-
-    def edited(self):
-        self.settled = False
 
     def argvs(self):
         """The chain's five commands."""
@@ -364,28 +372,23 @@ class StageChain(RuleBasedStateMachine):
                        for f in fields(cls) if f.name == name)
         others = [v for v in OPTIONS[name] if v != self.options.get(name, default)]
         self.options[name] = others[pick % len(others)]
-        self.edited()
 
     @rule(task=st.sampled_from(suite.TASKS), dist=st.sampled_from(suite.DISTRIBUTIONS))
     def set_cell(self, task, dist):
         self.task, self.dist = task, dist
-        self.edited()
 
     @rule(per_stratum=st.sampled_from([None, 2, 4]), strata=st.sampled_from([None, "1-2", "2,3"]))
     def set_sampling(self, per_stratum, strata):
         """--strata without --per-stratum is a usage error, which exits 1."""
         self.sampling = (per_stratum, strata) if per_stratum or strata else None
-        self.edited()
 
     @rule(endpoint=st.sampled_from(["mock://random", "mock://echo-gold"]), seed=st.integers(1, 3))
     def set_model(self, endpoint, seed):
         self.model = {"endpoint_url": endpoint, "model_name": endpoint[7:], "seed": seed}
-        self.edited()
 
     @rule()
     def drop_or_restore_the_lexicon(self):
         self.lexicon = not self.lexicon
-        self.edited()
 
     @rule(line=st.integers(0, 30))
     def edit_input_line(self, line):
@@ -394,7 +397,6 @@ class StageChain(RuleBasedStateMachine):
         row["record_id"] += "x"
         lines[line % len(lines)] = json.dumps(row, ensure_ascii=False) + "\n"
         self.corpus.write_text("".join(lines), encoding="utf-8")
-        self.edited()
 
     @rule(name=st.sampled_from(CHAIN_FILES),
           how=st.sampled_from(["utime", "append", "truncate", "delete"]),
@@ -412,7 +414,6 @@ class StageChain(RuleBasedStateMachine):
                 os.truncate(path, s.st_size // 2)
             else:
                 path.unlink()
-        self.edited()
 
     @rule(name=st.sampled_from(CHAIN_MANIFESTS), what=st.sampled_from(["field", "digest", "outputs"]),
           pick=st.integers(0, 40), value=st.sampled_from([0, False, None, "x", [], {}]))
@@ -437,11 +438,6 @@ class StageChain(RuleBasedStateMachine):
             else:
                 manifest["outputs"] = value
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        self.edited()
-
-    @rule()
-    def nothing(self):
-        pass
 
     def chain(self, directory):
         """The exit code of each command of the chain run in directory, up to
@@ -495,14 +491,20 @@ class StageChain(RuleBasedStateMachine):
 
     @invariant()
     def chain_equals_a_fresh_chain_and_a_report_cell(self):
-        codes, outputs = self.chain(self.root / "chain")
+        """A chain that exits 0 is run again at once, and that run does no
+        work and writes no file."""
+        directory = self.root / "chain"
+        codes, outputs = self.chain(directory)
         assert (codes, outputs) == self.fresh_chain()
-        whole = codes == [0] * len(CHAIN_OUTPUTS)
-        if whole and self.sampling is None:
-            code, files = self.report_cell()
-            assert code == 0
-            assert {name: outputs[name] for name in CELL_FILES} == files
-        self.settled = whole
+        if codes == [0] * len(CHAIN_OUTPUTS):
+            before, calls = _stats(directory), []
+            with _recording(calls, CHAIN_WORK):
+                assert self.chain(directory) == (codes, outputs)
+            assert calls == [] and _stats(directory) == before
+            if self.sampling is None:
+                code, files = self.report_cell()
+                assert code == 0
+                assert {name: outputs[name] for name in CELL_FILES} == files
 
 
 StageChain.TestCase.settings = settings(
