@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from math import fsum
 
 from morphsuite import profiles
 from morphsuite import suite as suite_mod
@@ -63,7 +64,7 @@ def cohens_kappa(ann_a, ann_b) -> float:
     n = len(ann_a)
     observed = sum(1 for a, b in zip(ann_a, ann_b) if a == b) / n
     labels = set(ann_a) | set(ann_b)
-    expected = sum(
+    expected = fsum(
         (sum(1 for a in ann_a if a == lab) / n) * (sum(1 for b in ann_b if b == lab) / n)
         for lab in labels
     )
@@ -212,7 +213,7 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
 
     metric_names = sorted(per_sample[0][1]) if per_sample else []
     overall = {
-        m: 100.0 * sum(values[m] for _, values in per_sample) / len(per_sample)
+        m: 100.0 * fsum(values[m] for _, values in per_sample) / len(per_sample)
         for m in metric_names
     }
     by_stratum: dict[int, dict[str, float]] = {}
@@ -221,7 +222,7 @@ def stratify_report(records, instances, manifest: dict | None = None) -> ScoreRe
         rows = [values for count, values in per_sample if count == stratum]
         stratum_counts[stratum] = len(rows)
         by_stratum[stratum] = {
-            m: 100.0 * sum(v[m] for v in rows) / len(rows) for m in metric_names
+            m: 100.0 * fsum(v[m] for v in rows) / len(rows) for m in metric_names
         }
 
     total_records = n_records + missing

@@ -76,7 +76,7 @@ REPORT_DIGESTS = {
         "bafbdff034e0462d2f111cf62671ae606751b2d052aa47676d0390c0c88bdd0e"
     ),
     "systematicity_id/report.json": (
-        "dac3ae816540f8e84e6da08df2056f4d2c0c05287075bb2a1c8097d88d43cf0d"
+        "b91553700e3c467826ea26f1b6a816ac2cc8b2e0991ddacca7ad561685f7f324"
     ),
     "systematicity_id/report.txt": (
         "32c9c83b94d14ffa17202142cf8e6f707f45de65e9e016182efb194abcf48ffd"
@@ -97,7 +97,7 @@ REPORT_DIGESTS = {
         "e71ca5d38168bccca7a70839f0d6500b79bdd2e03ae97ffb34839ea06b842bb6"
     ),
     "systematicity_ood/report.json": (
-        "27836161e04a785a5f373236525fc86b377c9f6e4ce2a168298e99fa7705aad3"
+        "ed53c88c086110d0499bb9be475b01aca505a370ae14111903732d605ecbe782"
     ),
     "systematicity_ood/report.txt": (
         "0cdbd5bbc7fd3b1afbe32fd1dbcaa7c8578a440c532333961ebd1d7ab45188e4"
@@ -124,7 +124,7 @@ STAGE_DIGESTS = {
         "294b532a5e73b020e042a4a7ac4e460179788f2f11baf8426c3f82af9899c6db"
     ),
     "report/report.json": (
-        "f197703ec80c35e53e1589b19d211539a7c3e6968996d67a42f07e65b2296f3a"
+        "3eeebbffe12010bcf0f0fe4c711cd95b3d9fffd720d8e35661bc9985763c844f"
     ),
     "report/report.txt": (
         "fd89bc0d0a218250d501778dc87293270aae385050f443733c32020d8511a634"
