@@ -301,10 +301,10 @@ def _changed(record, key, *outputs) -> tuple[str | None, dict | None]:
 def _stage(key, record, outputs, work, checked=None) -> tuple[dict, str | None]:
     """Keep or run one stage: the rebuilder of every subcommand and report
     cell, which only order their stages. When record, the stage's record
-    from an earlier run, vouches for key and outputs (_changed), returns it
-    with the files' stamps now, and None; else runs work(), which writes
-    outputs and returns the record's other fields, and returns the new
-    record, whose key fields are key's, and why the stage ran."""
+    from an earlier run, vouches for key and outputs (_changed, or checked,
+    its answer taken before), returns it with the files' stamps now and
+    None; else runs work(), which writes outputs and returns the record's
+    other fields, and returns the new record (key's fields win) and why."""
     why, now = checked or _changed(record, key, *outputs)
     if why is None:
         return record | {"outputs": now}, None
@@ -368,8 +368,7 @@ def cmd_gen_nonce(args) -> int:
         _eprint(f"gen-nonce: wrote {len(kept)} records, skipped {len(skipped)}")
         return {"lexicon": {"path": args.lexicon, "words": len(lexicon)} if lexicon is not None
                 else "NONE: collision check degrades to nonce != original",
-                "retry_limit": nonce.RETRY_LIMIT, "skipped_records": skipped,
-                "written": len(kept)}
+                "retry_limit": nonce.RETRY_LIMIT, "skipped_records": skipped, "written": len(kept)}
 
     _command(f"{args.out}.manifest.json", key, [args.out], work,
              f"gen-nonce: kept {args.out} (unchanged input, lexicon, seed and output)")
