@@ -174,10 +174,11 @@ def _build(records, task, dist, options, out, draws=None):
     return instances, manifest
 
 
-def _template_digest(catalog, opts, task, dist) -> str:
-    """The digest of the template that renders task and dist under opts."""
-    template = catalog.get(opts.instruction_language, task, dist, opts.variant)
-    return hashlib.sha256(dumps(field_values(template)).encode()).hexdigest()
+def _template_digest(catalog, opts, cells) -> str:
+    """The digest of the templates that render the (task, distribution) cells under opts."""
+    templates = [field_values(catalog.get(opts.instruction_language, task, dist, opts.variant))
+                 for task, dist in cells]
+    return hashlib.sha256(dumps(templates).encode()).hexdigest()
 
 
 def _key(command, **fields) -> dict:
@@ -413,18 +414,17 @@ def cmd_build_suite(args) -> int:
 
 
 def cmd_render(args) -> int:
-    """The key's template is the one the suite's first row selects (build-suite
-    writes one task and distribution per suite), or None when that row or
-    template does not read: render names the fault if a row needs it."""
+    """The key's template digests the templates of the suite rows' tasks and
+    distributions; it is None when a row or template does not read, and
+    render names the fault if a row needs that template."""
     catalog = prompts.load_templates(args.templates)
     if catalog.missing and args.templates is not None:
         for missing in catalog.missing:
             _eprint(f"missing template for {missing}")
     template = None
-    with open(args.suite, "rb") as f, suppress(ValueError, LookupError, TypeError,
-                                               MorphSuiteError):
-        row = json.loads(f.readline())
-        template = _template_digest(catalog, args, str(row["task"]), str(row["distribution"]))
+    with suppress(LookupError, TypeError, MorphSuiteError):
+        template = _template_digest(catalog, args, sorted(
+            {(str(row["task"]), str(row["distribution"])) for _, row in read_jsonl(args.suite)}))
     key = _render_key(args) | {"suite": args.suite, "suite_digest": suite.file_digest(args.suite),
                                "template": template}
 
@@ -582,7 +582,7 @@ def cmd_report(args) -> int:
     cells = [(task, dist) for task in cfg.tasks for dist in cfg.distributions]
     catalog = prompts.load_templates(cfg.templates)
     templates = [  # each cell's template, read and checked before any cell writes
-        _template_digest(catalog, cfg, task, dist) for task, dist in cells]
+        _template_digest(catalog, cfg, [cell]) for cell in cells]
     ood = suite.OUT_DIST in cfg.distributions
     options = _options(suite.BuildOptions, cfg)
     build_key = _key(

@@ -1684,6 +1684,36 @@ class TestStageReuse:
         assert sorted(Path().rglob("*manifest.json")) == manifests
 
 
+def test_render_keeps_its_prompts_while_the_templates_of_its_suite_hold(tmp_path, monkeypatch,
+                                                                         capsys):
+    """A suite of two distributions: a second render keeps its prompts, and
+    an edit of the template of either distribution renders them again, to
+    the bytes of a fresh render."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("corpus.jsonl"), per_stratum=8, strata=(1, 2))
+    shutil.copytree(Path(prompts.__file__).parent / "templates", "templates")
+    assert run(["gen-nonce", "--lang", "turkish", "--seed", "3", "--in", "corpus.jsonl",
+                "--out", "nonced.jsonl"]) == 0
+    for dist in suite.DISTRIBUTIONS:
+        assert run(["build-suite", "--task", "productivity", "--dist", dist, "--seed", "3",
+                    "--in", "nonced.jsonl", "--out", f"{dist}.jsonl"]) == 0
+    Path("mixed.jsonl").write_bytes(Path("id.jsonl").read_bytes() + Path("ood.jsonl").read_bytes())
+    render = ["render", "--suite", "mixed.jsonl", "--templates", "templates", "--shots", "0",
+              "--out", "prompts.jsonl"]
+    for dist in suite.DISTRIBUTIONS:
+        assert run(render) == 0
+        capsys.readouterr()
+        assert run(render) == 0
+        assert capsys.readouterr().err.startswith("render: kept prompts.jsonl ")
+        template = Path(f"templates/english/productivity_{dist}_standard.txt")
+        template.write_text(template.read_text("utf-8").replace("== item ==", "Note.\n== item =="),
+                            encoding="utf-8")
+        assert run(render) == 0
+        assert capsys.readouterr().err.startswith("render: wrote ")
+        assert run(render[:-1] + ["fresh.jsonl"]) == 0
+        assert Path("prompts.jsonl").read_bytes() == Path("fresh.jsonl").read_bytes()
+
+
 def test_manifests_name_a_bundled_corpus_as_given(tmp_path, monkeypatch):
     """The manifests of gen-nonce and build-suite hold the same bytes from
     any checkout or install."""
