@@ -325,14 +325,15 @@ def _command(manifest_path, key, outputs, work, kept) -> dict:
     manifest_path (_stage), print kept if kept, write the record and return
     it. An output that is not a regular file (/dev/null, a FIFO) gets no
     manifest, which would vouch for bytes no rerun can read back: one line says so."""
-    record, why = _stage(key, _record(manifest_path), outputs, work)
+    previous = _record(manifest_path)
+    record, why = _stage(key, previous, outputs, work)
     if why is None:
         _eprint(kept)
     irregular = [out for out in outputs if not os.path.isfile(out)]
     if irregular:
         _eprint(f"no manifest: {irregular[0]} is not a regular file")
-    else:
-        write_json(manifest_path, record)  # a kept stage's, unchanged, is left alone
+    elif record != previous:  # a kept stage's stamps may have moved
+        write_json(manifest_path, record)
     return record
 
 
@@ -515,8 +516,7 @@ class _Cell:
     manifest, rows, answers or report; a later stage reads any other from its file."""
 
     def __init__(self, cell_dir, previous):
-        self.dir = cell_dir
-        self.previous = previous if isinstance(previous, dict) else {}
+        self.dir, self.previous = cell_dir, previous if isinstance(previous, dict) else {}
         self.paths = {stage: [os.path.join(cell_dir, name) for name in names]
                       for stage, names in _STAGE_FILES.items()}
 
