@@ -181,9 +181,9 @@ def _template_digest(catalog, opts, cells) -> str:
     return hashlib.sha256(dumps(templates).encode()).hexdigest()
 
 
-def _key(command, **fields) -> dict:
+def _key(command, **parts) -> dict:
     """A stage record's key: the command, the program, and what else its outputs depend on."""
-    return {"command": command, "version": __version__, "program": _program_digest(), **fields}
+    return {"command": command, "version": __version__, "program": _program_digest(), **parts}
 
 
 def _render_key(opts) -> dict:
