@@ -352,6 +352,14 @@ def _record(path) -> tuple:
         return None, None
 
 
+def _holds(path, text) -> bool:
+    """Whether the file at path holds the UTF-8 bytes of text."""
+    try:
+        return Path(path).read_bytes() == text.encode("utf-8")
+    except OSError:
+        return False
+
+
 def _command(manifest_path, key_of, outputs, work, kept) -> dict:
     """Keep or run a subcommand's stage, whose record is the manifest at
     manifest_path (_stage), print kept if kept, write the record and return
@@ -763,10 +771,12 @@ def cmd_report(args) -> int:
                     run_cell(task, dist, cache)
         finally:  # a cell that raises leaves the cells before it recorded, for a rerun to keep
             if entries:  # else a previous run.json is left as it was
-                write_text(out_dir / "run.json", (dumps({  # unindented: the C encoder writes it
+                text = dumps({  # unindented: the C encoder writes it
                     "command": "report", "version": __version__, "config": raw,
                     "ingest": ingest, "skipped_records": skipped, "notes": notes, "cells": entries,
-                    "summary": summary}), "\n"))
+                    "summary": summary}) + "\n"
+                if not _holds(path, text):  # a kept report writes nothing
+                    write_text(path, (text,))
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
     return 2 if any("failed_prompts" in entry["evaluate"] for entry in entries.values()) else 0
 

@@ -25,9 +25,7 @@ JSON punctuation and escapes never compose under NFC (UAX #15):
 """
 import functools
 import json
-import os
 import re
-import stat
 import unicodedata
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -96,45 +94,13 @@ def dumps(obj, indent=None) -> str:
 
 def write_text(path, parts) -> None:
     """Write the strings of parts to path, creating its directory: UTF-8 with
-    \\n line ends. Every pipeline file is written here.
-
-    An existing regular file is compared part by part and left alone while
-    its bytes match, so a file whose bytes do not change keeps its inode and
-    mtime. At the first part that differs it is cut there and the rest is
-    written; old bytes past the new end are cut. Any other path (absent, a
-    FIFO, /dev/stdout, a file not open for reading and writing) is written
-    without reading it. Either way, when parts raises, the file holds the
-    parts before it, as a plain write leaves it."""
+    \\n line ends. Every pipeline file is written here, and written whole
+    each time: whether a file is written at all is for cli's rerun rule to
+    decide. When parts raises, the file holds the parts before it."""
     path = Path(path)
-    try:
-        f = open(path, "r+b") if stat.S_ISREG(os.stat(path).st_mode) else None
-    except OSError:
-        f = None
-    if f is None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(parts)
-        return
-    with f:
-        parts = iter(parts)
-        end = 0  # the length of the parts so far, which match the file's bytes
-        try:
-            for part in parts:
-                data = part.encode("utf-8")
-                if f.read(len(data)) != data:
-                    break
-                end += len(data)
-            else:
-                if f.read(1):
-                    f.truncate(end)
-                return
-        except BaseException:
-            f.truncate(end)
-            raise
-        f.seek(end)
-        f.truncate()
-        f.write(data)
-        f.writelines(part.encode("utf-8") for part in parts)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(parts)
 
 
 def write_jsonl(path, rows) -> None:

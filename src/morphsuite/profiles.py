@@ -7,6 +7,7 @@ the file format is plain UTF-8 ``key = value`` lines (see those files).
 """
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -41,9 +42,15 @@ class LanguageProfile:
     letter_frequency: Mapping[str, float]   # normalized to sum to 1 per class
     casing_pairs: Mapping[str, str]         # uppercase -> lowercase
 
-    @property
+    @cached_property
     def alphabet(self) -> frozenset[str]:
         return self.vowels | self.consonants
+
+    @cached_property
+    def _fold_table(self) -> dict[int, str]:
+        """case_fold's str.translate table: the single-character keys of
+        casing_pairs (a longer key never matches one character)."""
+        return {ord(upper): lower for upper, lower in self.casing_pairs.items() if len(upper) == 1}
 
     @cached_property
     def stable_letters(self) -> frozenset[str]:
@@ -69,12 +76,7 @@ def case_fold(word: str, profile: LanguageProfile) -> str:
     """Language-aware lowercasing; Turkish maps I to dotless i and dotted
     uppercase i to i. Characters outside the profile pass through unchanged.
     """
-    word = unicodedata.normalize("NFC", word)
-    out = []
-    for ch in word:
-        mapped = profile.casing_pairs.get(ch)
-        out.append(mapped if mapped is not None else ch)
-    return "".join(out)
+    return unicodedata.normalize("NFC", word).translate(profile._fold_table)
 
 
 def classify(letter: str, profile: LanguageProfile) -> LetterClass:
@@ -90,7 +92,7 @@ def classify(letter: str, profile: LanguageProfile) -> LetterClass:
 def check_letters(word: str, profile: LanguageProfile) -> str:
     """Case-fold the word and verify every letter is in the alphabet."""
     folded = case_fold(word, profile)
-    alphabet = profile.alphabet  # a property: builds a new set on each access
+    alphabet = profile.alphabet
     for ch in folded:
         if ch not in alphabet:
             raise UnknownLetter(
@@ -227,10 +229,11 @@ def parse_profile(text: str, source: str) -> LanguageProfile:
     if missing_freq:
         raise SchemaError(f"{source}: letters without a frequency: {sorted(missing_freq)}")
 
-    # Normalize to a distribution within each class.
+    # Normalize to a distribution within each class. fsum is exact, so the
+    # total does not follow the set's order, which follows the hash seed.
     normalized: dict[str, float] = {}
     for group in (vowels, consonants):
-        total = sum(raw_freq[ch] for ch in group)
+        total = math.fsum(raw_freq[ch] for ch in group)
         if total <= 0:
             raise SchemaError(f"{source}: zero total frequency in a letter class")
         for ch in group:

@@ -947,11 +947,15 @@ class TestReuse:
 
     @staticmethod
     def kept_and_built(kept_run, built_run):
-        """Each cell's run.json entry in two runs, without reused and reason."""
-        for run_ in (kept_run, built_run):
-            for entry in run_["cells"].values():
-                del entry["reused"], entry["reason"]
-        return kept_run["cells"], built_run["cells"]
+        """Each cell's stage records in two runs, each input and output
+        fingerprint reduced to its sha256: a rebuild writes the same bytes
+        under new stamps. The runs are left as they are."""
+        def digests(record):
+            return record | {field: {name: fp and fp[4] for name, fp in record[field].items()}
+                             for field in ("inputs", "outputs")}
+
+        return [{cell: {stage: digests(entry[stage]) for stage in STAGES}
+                 for cell, entry in run_["cells"].items()} for run_ in (kept_run, built_run)]
 
     def test_a_rerun_reads_back_every_cell(self, monkeypatch, capsys):
         """A rerun over unchanged inputs keeps every stage and prints what a
@@ -1021,6 +1025,27 @@ class TestReuse:
         assert self.outputs("run") == first
         assert self.rewritten(before) == ["run/run.json"]
         assert not Path("cache").exists()
+
+    def test_a_rebuild_rewrites_every_cell_file_with_the_same_bytes(self, capsys):
+        """A stage that runs writes its files again even when their bytes
+        repeat: after run.json is deleted, every file but the lock gets a new
+        mtime and ctime and keeps its bytes. The report after it rewrites only
+        run.json, whose reused lists flip, and the one after that leaves every
+        file alone, run.json included."""
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        first, before = self.outputs("run"), self.stats()
+        Path("run/run.json").unlink()
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        rebuilt = self.stats()
+        assert self.outputs("run") == first
+        assert [path for path, (_, mtime, ctime) in before.items()
+                if rebuilt[path][1] == mtime or rebuilt[path][2] == ctime] == ["run/.lock"]
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.rewritten(rebuilt) == ["run/run.json"]
+        kept = self.stats()
+        assert self.report(REUSE_CONFIG, capsys)[0] == 0
+        assert self.reused() == dict.fromkeys(CELLS, STAGES)
+        assert self.stats() == kept
 
     def test_a_mock_report_never_reads_a_planted_log(self, monkeypatch, capsys):
         Path("cache").mkdir()
@@ -1274,7 +1299,8 @@ class TestReuse:
     def test_an_http_cell_is_kept_whole(self, monkeypatch, capsys):
         """An HTTP cell is kept whole as a mock cell is: the rerun sends no
         request, never reads the cache log and rewrites only run.json. A
-        rebuild answers from the cache and writes the same cell files."""
+        rebuild answers from the cache, leaves it as it was and writes the
+        same bytes to every cell file."""
         monkeypatch.setattr(client, "_default_transport", _answer_yes)
         mock_config(Path("http.json"), endpoint="http://127.0.0.1:9/v1")
         config = REUSE_CONFIG | {"model_config": "http.json"}
@@ -1291,13 +1317,14 @@ class TestReuse:
         assert [path for path in after if before.get(path) != after[path]] == ["run/run.json"]
         for entry in self.cells().values():  # the count of the run that wrote the records
             assert entry["evaluate"]["cached"] == 0 < entry["evaluate"]["records"]
+        kept, cache = self.outputs("run"), self.stats("cache")
         Path("run/run.json").unlink()  # a rebuild takes each cell's answers from the cache
         monkeypatch.setattr(client, "_default_transport", self.refuse)
         assert self.report(config, capsys)[0] == 0
         for entry in self.cells().values():
             assert entry["evaluate"]["cached"] == entry["evaluate"]["records"]
-        rebuilt = self.stats() | self.stats("cache")
-        assert [path for path in rebuilt if after.get(path) != rebuilt[path]] == ["run/run.json"]
+        assert self.outputs("run") == kept
+        assert self.stats("cache") == cache
 
     def test_a_cell_with_failed_prompts_sends_only_those_again(self, capsys, monkeypatch):
         """A cell that lists failed prompts keeps its build and render; its

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import unicodedata
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -106,6 +111,44 @@ def test_case_fold_idempotent(word):
     profile = profiles.load_profile("turkish")
     once = profiles.case_fold(word, profile)
     assert profiles.case_fold(once, profile) == once
+
+
+def _case_fold_by_loop(word, profile):
+    """case_fold as a loop over the characters of the NFC word."""
+    return "".join(profile.casing_pairs.get(ch, ch)
+                   for ch in unicodedata.normalize("NFC", word))
+
+
+# Both alphabets in both cases, dotted capital I, a letter of neither and
+# combining marks that compose with some of them.
+_CASED = "".join(TR_LETTERS + FI_LETTERS)
+_CASED = sorted(set(_CASED + _CASED.upper() + "İq-\u0307\u0308"))
+
+
+@given(st.sampled_from(profiles.LANGUAGES), st.text(_CASED) | st.text(max_size=16))
+def test_case_fold_matches_a_loop(language, word):
+    profile = profiles.load_profile(language)
+    assert profiles.case_fold(word, profile) == _case_fold_by_loop(word, profile)
+
+
+def test_a_multi_character_casing_key_never_matches(turkish):
+    profile = replace(turkish, casing_pairs=dict(turkish.casing_pairs) | {"AB": "a"})
+    assert profiles.case_fold("ABI", profile) == _case_fold_by_loop("ABI", profile) == "abı"
+
+
+def test_letter_frequencies_do_not_follow_the_hash_seed():
+    """Each class is normalized by a sum that does not depend on the order
+    of its set, so every hash seed loads the same weights."""
+    src = str(Path(profiles.__file__).resolve().parents[1])
+    code = ("from morphsuite import profiles\n"
+            "print([sorted(profiles.load_profile(language).letter_frequency.items())"
+            " for language in profiles.LANGUAGES])")
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env=os.environ | {"PYTHONHASHSEED": str(seed), "PYTHONPATH": src})
+            for seed in range(6)]
+    outs = {run.communicate(timeout=60)[0] for run in runs}
+    assert all(run.returncode == 0 for run in runs)
+    assert len(outs) == 1
 
 
 def test_profile_file_errors(tmp_path):
